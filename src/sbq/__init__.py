@@ -10,13 +10,13 @@ from .spectral import (
     VelocityField,
     bessel_multiplier,
     biot_savart,
-    dealiased_product,
     derivative,
     fractional_laplacian,
     inner,
     l2_norm,
     linf_norm,
     lp_norm,
+    product,
     sobolev_norm,
     stream_to_velocity,
     velocity_sobolev_norm,
@@ -49,10 +49,6 @@ from .integrator import (
     Trajectory,
     run,
     step,
-    step_hyper,
-    step_ito_euler,
-    step_stratonovich_heun,
-    step_truncated,
 )
 from .diagnostics import (
     DiagnosticsRecord,

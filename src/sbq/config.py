@@ -13,7 +13,7 @@ import numpy as np
 
 from .integrator import SchemeConfig
 from .noise import NoiseBasis, build_basis, constant_shift_basis, default_family
-from .spectral import Grid, SpectralField, l2_norm
+from .spectral import Grid, SpectralField, random_field
 from .state import SimState
 
 __all__ = [
@@ -52,7 +52,6 @@ class RunConfig:
     variant: str = "plain"
     r: float | None = None
     nu: float | None = None
-    dealias: bool = True
     out: str = "out"
     snapshot_interval: int = 0
     diagnostics_interval: int = 1
@@ -188,7 +187,7 @@ def _parse_initial(obj, path="initial") -> dict:
 
 _TOP_KEYS = {
     "n", "T", "dt", "scheme", "seed", "initial", "noise", "variant", "r", "nu",
-    "dealias", "out", "snapshot_interval", "diagnostics_interval", "p",
+    "out", "snapshot_interval", "diagnostics_interval", "p",
     "stopping_levels", "realizations", "workers", "cfl_guard", "cfl",
 }
 
@@ -238,8 +237,6 @@ def parse_config(obj: dict) -> RunConfig:
     _require(workers >= 1, "workers", "must be >= 1")
     cfl = _number(obj.get("cfl", 0.5), "cfl")
     _require(cfl > 0, "cfl", "must be positive")
-    dealias = obj.get("dealias", True)
-    _require(isinstance(dealias, bool), "dealias", "expected a boolean")
     cfl_guard = obj.get("cfl_guard", False)
     _require(isinstance(cfl_guard, bool), "cfl_guard", "expected a boolean")
     out_dir = obj.get("out", "out")
@@ -249,9 +246,12 @@ def parse_config(obj: dict) -> RunConfig:
     if noise.get("k_max") is not None:
         _require(noise["k_max"] <= n / 3.0, "noise.k_max",
                  "noise wavevectors must fit the dealias ball (k_max <= n/3)")
+    if initial.get("band") is not None:
+        _require(initial["band"] <= n / 3.0, "initial.band",
+                 "the initial band must fit the dealias ball (band <= n/3)")
     return RunConfig(
         n=n, T=T, dt=dt, scheme=scheme, seed=seed, initial=initial, noise=noise,
-        variant=variant, r=r, nu=nu, dealias=dealias, out=out_dir,
+        variant=variant, r=r, nu=nu, out=out_dir,
         snapshot_interval=snap, diagnostics_interval=diag, p=p,
         stopping_levels=levels, realizations=realizations, workers=workers,
         cfl_guard=cfl_guard, cfl=cfl,
@@ -291,22 +291,9 @@ def random_hs_field(grid: Grid, s: float, rng: np.random.Generator,
     On the continuum family this law gives a field almost surely in H^s; here
     it is truncated to the dealiasing ball (or a tighter ``band``).
     """
-    n = grid.n
-    if band is None:
-        band = int(n / 3.0)
-    sd = (1.0 + grid.ksq) ** (-(s + 1.0) / 2.0 - 0.05)
-    raw = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * sd
-    keep = np.maximum(np.abs(grid.k1), np.abs(grid.k2)) <= band
-    raw = np.where(keep, raw, 0.0)
-    idx = (-np.arange(n)) % n
-    sym = 0.5 * (raw + np.conj(raw[np.ix_(idx, idx)]))
-    if zero_mean:
-        sym[0, 0] = 0.0
-    f = SpectralField(grid, sym)
-    norm = l2_norm(f)
-    if norm > 0:
-        f = f * (amplitude / norm)
-    return f
+    # (s + 1) + 0.1 makes -decay/2 equal -(s + 1)/2 - 0.05 exactly
+    return random_field(grid, rng, band if band is not None else int(grid.n / 3.0),
+                        amplitude, decay=(s + 1.0) + 0.1, zero_mean=zero_mean)
 
 
 def initial_condition(spec: dict, grid: Grid) -> SimState:
@@ -343,5 +330,5 @@ def build_initial_state(cfg: RunConfig, grid: Grid) -> SimState:
 def build_scheme(cfg: RunConfig) -> SchemeConfig:
     return SchemeConfig(
         scheme=cfg.scheme, dt=cfg.dt, variant=cfg.variant, r=cfg.r, nu=cfg.nu,
-        dealias=cfg.dealias, cfl=cfg.cfl if cfg.cfl_guard else None,
+        cfl=cfg.cfl if cfg.cfl_guard else None,
     )

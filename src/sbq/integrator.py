@@ -7,10 +7,13 @@ The prognostic equations, with u recovered from omega by Biot-Savart:
     d theta = [-eta_th * L_u theta] dt - sum_i L_{xi_i} theta dB_i
               (+ 1/2 sum_i L_{xi_i}^2 theta dt in the Ito form)
 
-Two schemes are provided: Euler-Maruyama for the Ito form (the Ito
-correction enters the drift) and a Heun predictor-corrector for the
-Stratonovich form (no correction; drift and noise coefficients averaged
-between the start and predictor states, same Brownian increment).
+:func:`step` is the single stepper; :class:`SchemeConfig` selects the
+scheme and the variant, and :func:`run` iterates it.  Two schemes are
+provided: Euler-Maruyama for the Ito form (the Ito correction enters the
+drift) and a Heun predictor-corrector for the Stratonovich form (no
+correction; drift and noise coefficients averaged between the start and
+predictor states, same Brownian increment).  The Euler-Maruyama update is
+also the Heun predictor.
 
 Variants:
 
@@ -27,12 +30,13 @@ Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
 endpoint, matching the adaptedness of the integrand).
 
-States are never mutated; a stepper returns a fresh SimState, so a state may
+States are never mutated; step returns a fresh SimState, so a state may
 be handed between threads across steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,12 +61,6 @@ __all__ = [
     "eta_cutoff",
     "grad_sup",
     "blowup_integrand",
-    "drift_deterministic",
-    "ito_correction",
-    "step_ito_euler",
-    "step_stratonovich_heun",
-    "step_truncated",
-    "step_hyper",
     "step",
     "run",
 ]
@@ -75,10 +73,10 @@ VARIANTS = ("plain", "truncated", "hyper")
 class SchemeConfig:
     """Stepping configuration.
 
-    ``drift_enabled`` / ``noise_enabled`` are test hooks for isolating the
-    transport-noise and dissipation substeps; production configs leave them
-    on.  ``cfl`` enables the optional step-size guard
-    dt <= cfl * spacing / max(1, ||u||_inf + sum_i sup |xi_i|).
+    ``drift_enabled`` is a test hook for isolating the transport-noise and
+    dissipation substeps (an empty noise basis switches the noise off);
+    production configs leave it on.  ``cfl`` enables the optional step-size
+    guard dt <= cfl * spacing / max(1, ||u||_inf + sum_i sup |xi_i|).
     """
 
     scheme: str
@@ -86,10 +84,8 @@ class SchemeConfig:
     variant: str = "plain"
     r: float | None = None
     nu: float | None = None
-    dealias: bool = True
     cfl: float | None = None
     drift_enabled: bool = True
-    noise_enabled: bool = True
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -142,26 +138,6 @@ def blowup_integrand(u: VelocityField, theta: SpectralField) -> float:
     return velocity_grad_sup(u) + grad_sup(theta)
 
 
-def drift_deterministic(state: SimState) -> tuple[SpectralField, SpectralField]:
-    """Plain drift: d omega = -L_u omega + d_x theta, d theta = -L_u theta."""
-    u = biot_savart(state.omega)
-    domega = -lie_derivative(u, state.omega) + derivative(state.theta, "x")
-    dtheta = -lie_derivative(u, state.theta)
-    return domega, dtheta
-
-
-def ito_correction(state: SimState, basis: NoiseBasis) -> tuple[SpectralField, SpectralField]:
-    """1/2 sum_i L_{xi_i}^2 applied to omega and theta."""
-    if len(basis) and basis.grid != state.grid:
-        raise ValueError("noise basis grid mismatch")
-    comega = SpectralField.zero(state.grid)
-    ctheta = SpectralField.zero(state.grid)
-    for xi in basis.fields:
-        comega = comega + lie_second(xi, state.omega)
-        ctheta = ctheta + lie_second(xi, state.theta)
-    return 0.5 * comega, 0.5 * ctheta
-
-
 @dataclass
 class _Stage:
     """Drift and noise coefficients evaluated at one state."""
@@ -186,8 +162,7 @@ def _combine_noise(basis: NoiseBasis, db: np.ndarray) -> VelocityField:
 
 
 def _evaluate_stage(omega: SpectralField, theta: SpectralField, basis: NoiseBasis,
-                    db: np.ndarray | None, cfg: SchemeConfig,
-                    include_correction: bool, want_integrand: bool) -> _Stage:
+                    db: np.ndarray, cfg: SchemeConfig, want_integrand: bool) -> _Stage:
     grid = omega.grid
     u = biot_savart(omega)
     truncating = cfg.variant in ("truncated", "hyper")
@@ -202,20 +177,19 @@ def _evaluate_stage(omega: SpectralField, theta: SpectralField, basis: NoiseBasi
         if truncating:
             eta_u = eta_cutoff(gu, cfg.r)
             eta_th = eta_cutoff(gth, cfg.r)
-        adv_omega = lie_derivative(u, omega, cfg.dealias)
-        adv_theta = lie_derivative(u, theta, cfg.dealias)
+        adv_omega = lie_derivative(u, omega)
+        adv_theta = lie_derivative(u, theta)
         domega = -eta_u * adv_omega + derivative(theta, "x")
         dtheta = -eta_th * adv_theta
     nomega, ntheta = zero, zero
-    if cfg.noise_enabled and db is not None and len(basis):
+    if len(basis):
         w = _combine_noise(basis, db)
-        nomega = -lie_derivative(w, omega, cfg.dealias)
-        ntheta = -lie_derivative(w, theta, cfg.dealias)
-    if include_correction and cfg.noise_enabled and len(basis):
-        half = 0.5
-        for xi in basis.fields:
-            domega = domega + half * lie_second(xi, omega, cfg.dealias)
-            dtheta = dtheta + half * lie_second(xi, theta, cfg.dealias)
+        nomega = -lie_derivative(w, omega)
+        ntheta = -lie_derivative(w, theta)
+        if cfg.scheme == "ito_euler":
+            for xi in basis.fields:
+                domega = domega + 0.5 * lie_second(xi, omega)
+                dtheta = dtheta + 0.5 * lie_second(xi, theta)
     return _Stage(u, domega, dtheta, nomega, ntheta, integrand)
 
 
@@ -261,67 +235,26 @@ def _finalize(state: SimState, omega: SpectralField, theta: SpectralField,
     return new
 
 
-def _step_once(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
-               cfg: SchemeConfig) -> SimState:
+def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
+         cfg: SchemeConfig) -> SimState:
+    """Advance one step with the scheme and variant the config selects."""
     _check_increments(increments, basis, cfg)
     dt = increments.dt
     db = increments.values
-    if cfg.scheme == "ito_euler":
-        s0 = _evaluate_stage(state.omega, state.theta, basis, db, cfg,
-                             include_correction=True, want_integrand=True)
-        _cfl_guard(s0, basis, cfg)
-        omega = state.omega + dt * s0.domega + s0.nomega
-        theta = state.theta + dt * s0.dtheta + s0.ntheta
-        return _finalize(state, omega, theta, s0.integrand, cfg, dt)
-    # Stratonovich Heun
-    s0 = _evaluate_stage(state.omega, state.theta, basis, db, cfg,
-                         include_correction=False, want_integrand=True)
+    s0 = _evaluate_stage(state.omega, state.theta, basis, db, cfg, want_integrand=True)
     _cfl_guard(s0, basis, cfg)
-    pred_omega = state.omega + dt * s0.domega + s0.nomega
-    pred_theta = state.theta + dt * s0.dtheta + s0.ntheta
-    if not (pred_omega.is_finite() and pred_theta.is_finite()):
-        raise BlowUpSuspected(state, "non-finite predictor")
-    s1 = _evaluate_stage(pred_omega, pred_theta, basis, db, cfg,
-                         include_correction=False, want_integrand=False)
-    omega = state.omega + (0.5 * dt) * (s0.domega + s1.domega) \
-        + 0.5 * (s0.nomega + s1.nomega)
-    theta = state.theta + (0.5 * dt) * (s0.dtheta + s1.dtheta) \
-        + 0.5 * (s0.ntheta + s1.ntheta)
+    # Euler-Maruyama update; for Heun it is the predictor
+    omega = state.omega + dt * s0.domega + s0.nomega
+    theta = state.theta + dt * s0.dtheta + s0.ntheta
+    if cfg.scheme == "stratonovich_heun":
+        if not (omega.is_finite() and theta.is_finite()):
+            raise BlowUpSuspected(state, "non-finite predictor")
+        s1 = _evaluate_stage(omega, theta, basis, db, cfg, want_integrand=False)
+        omega = state.omega + (0.5 * dt) * (s0.domega + s1.domega) \
+            + 0.5 * (s0.nomega + s1.nomega)
+        theta = state.theta + (0.5 * dt) * (s0.dtheta + s1.dtheta) \
+            + 0.5 * (s0.ntheta + s1.ntheta)
     return _finalize(state, omega, theta, s0.integrand, cfg, dt)
-
-
-def step_ito_euler(state: SimState, basis: NoiseBasis,
-                   increments: BrownianIncrements, cfg: SchemeConfig) -> SimState:
-    if cfg.scheme != "ito_euler":
-        cfg = replace(cfg, scheme="ito_euler")
-    return _step_once(state, basis, increments, cfg)
-
-
-def step_stratonovich_heun(state: SimState, basis: NoiseBasis,
-                           increments: BrownianIncrements, cfg: SchemeConfig) -> SimState:
-    if cfg.scheme != "stratonovich_heun":
-        cfg = replace(cfg, scheme="stratonovich_heun")
-    return _step_once(state, basis, increments, cfg)
-
-
-def step_truncated(state: SimState, basis: NoiseBasis,
-                   increments: BrownianIncrements, cfg: SchemeConfig) -> SimState:
-    if cfg.variant != "truncated":
-        raise ValueError("step_truncated requires variant='truncated'")
-    return _step_once(state, basis, increments, cfg)
-
-
-def step_hyper(state: SimState, basis: NoiseBasis,
-               increments: BrownianIncrements, cfg: SchemeConfig) -> SimState:
-    if cfg.variant != "hyper":
-        raise ValueError("step_hyper requires variant='hyper'")
-    return _step_once(state, basis, increments, cfg)
-
-
-def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
-         cfg: SchemeConfig) -> SimState:
-    """Advance one step with whatever scheme/variant the config selects."""
-    return _step_once(state, basis, increments, cfg)
 
 
 @dataclass
@@ -341,10 +274,12 @@ def run(initial: SimState, basis: NoiseBasis, cfg: SchemeConfig, T: float,
         p: float = 2.0) -> Trajectory:
     """Iterate steps from ``initial.t`` to T, collecting diagnostics.
 
-    The final step is shortened to land exactly on T.  ``observers`` is a
-    sequence of ``(every_n_steps, callback)`` pairs; callbacks receive
-    ``(step_index, state, record)`` and always fire at step 0 and at the
-    final step regardless of their interval.  Records are appended to the
+    Step k ends at ``initial.t + k * cfg.dt`` and the final step ends
+    exactly on T: when the horizon is a whole number of steps (to 1e-9 of
+    a step) every step has length ``cfg.dt``, otherwise the final step is
+    shortened.  ``observers`` is a sequence of ``(every_n_steps, callback)``
+    pairs; callbacks receive ``(step_index, state, record)`` and always fire
+    at step 0 and at the final step regardless of their interval.  Records are appended to the
     trajectory every ``diag_interval`` steps plus at the start and end.
     ``increments`` optionally provides a precomputed path (one row of
     per-mode increments per full step; the horizon must then be an integer
@@ -361,12 +296,16 @@ def run(initial: SimState, basis: NoiseBasis, cfg: SchemeConfig, T: float,
     m = len(basis)
     if increments is None and m > 0 and rng is None:
         raise ValueError("either rng or a precomputed increment path is required")
+    steps = (T - initial.t) / cfg.dt
+    whole = abs(steps - round(steps)) <= 1e-9
+    nsteps = round(steps) if whole else math.ceil(steps)
     if increments is not None:
-        nsteps = (T - initial.t) / cfg.dt
-        if abs(nsteps - round(nsteps)) > 1e-9:
+        if not whole:
             raise ValueError(
                 "a precomputed increment path requires the horizon to be an "
                 "integer number of steps")
+        if increments.shape[0] < nsteps:
+            raise ValueError("precomputed increment path too short")
 
     traj = Trajectory(final_state=initial)
     state = initial
@@ -383,30 +322,25 @@ def run(initial: SimState, basis: NoiseBasis, cfg: SchemeConfig, T: float,
             fn(index, state, record)
 
     emit(0, force=True)
-    index = 0
-    while state.t < T - 1e-12:
-        dt = min(cfg.dt, T - state.t)
-        step_cfg = cfg if abs(dt - cfg.dt) < 1e-15 else replace(cfg, dt=dt)
+    for index in range(nsteps):
+        last = index == nsteps - 1
+        t_end = T if last else initial.t + (index + 1) * cfg.dt
+        step_cfg = replace(cfg, dt=T - state.t) if last and not whole else cfg
+        dt = step_cfg.dt
         if increments is not None:
-            if index >= increments.shape[0]:
-                raise ValueError("precomputed increment path too short")
             db = BrownianIncrements(np.asarray(increments[index], dtype=float), dt)
         elif m > 0:
             db = sample_increments(rng, dt, m)
         else:
             db = BrownianIncrements(np.zeros(0), dt)
         try:
-            state = _step_once(state, basis, db, step_cfg)
+            state = replace(step(state, basis, db, step_cfg), t=t_end)
         except BlowUpSuspected as exc:
             traj.final_state = exc.last_state
             traj.blowup_suspected = True
             traj.abort_step = index
             return traj
-        index += 1
-        traj.steps_taken = index
-        if state.t < T - 1e-12:
-            emit(index, force=False)
-    if index > 0:
-        emit(index, force=True)
+        traj.steps_taken = index + 1
+        emit(index + 1, force=last)
     traj.final_state = state
     return traj

@@ -60,17 +60,17 @@ __all__ = [
 ]
 
 
-def lie_derivative(xi: VelocityField, f: SpectralField, dealias: bool = True) -> SpectralField:
+def lie_derivative(xi: VelocityField, f: SpectralField) -> SpectralField:
     """Transport term xi . grad f for a scalar f."""
     if xi.grid != f.grid:
         raise ValueError("grid mismatch")
-    return (product(xi.u1, derivative(f, "x"), dealias)
-            + product(xi.u2, derivative(f, "y"), dealias))
+    return (product(xi.u1, derivative(f, "x"))
+            + product(xi.u2, derivative(f, "y")))
 
 
-def lie_second(xi: VelocityField, f: SpectralField, dealias: bool = True) -> SpectralField:
+def lie_second(xi: VelocityField, f: SpectralField) -> SpectralField:
     """Double transport, computed as two successive first-order applications."""
-    return lie_derivative(xi, lie_derivative(xi, f, dealias), dealias)
+    return lie_derivative(xi, lie_derivative(xi, f))
 
 
 def cancellation_residual(xi: VelocityField, f: SpectralField) -> float:
@@ -120,12 +120,12 @@ class FirstOrderOp:
         return self.a.grid
 
 
-def apply_first_order(q: FirstOrderOp, f: SpectralField, dealias: bool = True) -> SpectralField:
+def apply_first_order(q: FirstOrderOp, f: SpectralField) -> SpectralField:
     if q.grid != f.grid:
         raise ValueError("grid mismatch")
-    return (product(q.a, derivative(f, "x"), dealias)
-            + product(q.b, derivative(f, "y"), dealias)
-            + product(q.c, f, dealias))
+    return (product(q.a, derivative(f, "x"))
+            + product(q.b, derivative(f, "y"))
+            + product(q.c, f))
 
 
 def zero_order_defect(q: FirstOrderOp) -> SpectralField:

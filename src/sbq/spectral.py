@@ -8,10 +8,12 @@ Conventions used throughout the package:
   ``k = (k1, k2)`` run over ``fftfreq(n) * n``.
 * All L2-type norms and inner products include the ``(2*pi)**2`` measure of the
   torus, so e.g. ``||sin x||_L2 = pi * sqrt(2)``.
-* Quadratic nonlinearities go through :func:`product` with the 2/3 rule:
-  modes with ``max(|k1|, |k2|) > n/3`` are zeroed in both inputs and in the
-  output.  This also removes the Nyquist modes ``|k| = n/2`` before any
-  dynamics touches them.
+* Every quadratic nonlinearity goes through :func:`product`, the one
+  physical-space product, which always applies the 2/3 rule: modes with
+  ``max(|k1|, |k2|) > n/3`` are zeroed in both inputs and in the output.
+  This also removes the Nyquist modes ``|k| = n/2`` before any dynamics
+  touches them, and it is what makes the discrete transport exactly
+  skew-adjoint.
 * Sup and L^p norms are collocation-grid approximations; pass ``oversample``
   to evaluate on a zero-padded finer grid when the default is too coarse.
 
@@ -37,7 +39,6 @@ __all__ = [
     "biot_savart",
     "stream_to_velocity",
     "product",
-    "dealiased_product",
     "inner",
     "l2_norm",
     "linf_norm",
@@ -110,13 +111,6 @@ class SpectralField:
             values = values.copy()
             values.setflags(write=False)
         return cls(grid, np.fft.fft2(values), values)
-
-    @classmethod
-    def from_coeffs(cls, grid: Grid, coeffs: np.ndarray) -> "SpectralField":
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (grid.n, grid.n):
-            raise ValueError(f"expected shape {(grid.n, grid.n)}, got {coeffs.shape}")
-        return cls(grid, coeffs)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
@@ -291,26 +285,19 @@ def stream_to_velocity(psi: SpectralField) -> VelocityField:
     return VelocityField(-derivative(psi, "y", 1), derivative(psi, "x", 1))
 
 
-def product(f: SpectralField, g: SpectralField, dealias: bool = True) -> SpectralField:
-    """Pointwise physical-space product.
+def product(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Pointwise physical-space product under the 2/3 rule.
 
-    With ``dealias`` (the default) the 2/3 rule is applied to both inputs and
-    to the output, which makes the product alias-free for inputs inside the
-    retained ball.
+    The rule is applied to both inputs and to the output, which makes the
+    product alias-free for inputs inside the retained ball.
     """
     f._check(g)
     grid = f.grid
-    if dealias:
-        keep = grid.dealias_keep
-        a = np.real(np.fft.ifft2(np.where(keep, f.coeffs, 0.0)))
-        b = np.real(np.fft.ifft2(np.where(keep, g.coeffs, 0.0)))
-        out = np.fft.fft2(a * b)
-        return SpectralField(grid, np.where(keep, out, 0.0))
-    return SpectralField.from_physical(grid, f.values() * g.values())
-
-
-def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    return product(f, g, dealias=True)
+    keep = grid.dealias_keep
+    a = np.real(np.fft.ifft2(np.where(keep, f.coeffs, 0.0)))
+    b = np.real(np.fft.ifft2(np.where(keep, g.coeffs, 0.0)))
+    out = np.fft.fft2(a * b)
+    return SpectralField(grid, np.where(keep, out, 0.0))
 
 
 def _physical(f: SpectralField, oversample: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sbq.spectral import SpectralField, resample
+from sbq.spectral import Grid, SpectralField, l2_norm, resample
 
 # centered stencil coefficients: offsets 1..K with antisymmetric/symmetric use
 _D1_COEFFS = {
@@ -96,3 +96,24 @@ def quadrature_sobolev_sq(f: SpectralField, k: int, factor: int = 8,
     for j in range(k + 1):
         total += comb(k, j) * (-1.0) ** j * powers[j]
     return quadrature_inner(total, fine)
+
+
+def hs_field_reference(grid: Grid, s: float, rng: np.random.Generator,
+                       amplitude: float, band: int | None = None,
+                       zero_mean: bool = False) -> SpectralField:
+    """The random_hs draw written out: complex normal coefficients scaled by
+    (1 + |k|^2)^(-(s+1)/2 - 0.05), masked to the band (default n/3),
+    Hermitian-symmetrized and rescaled to the requested L2 norm."""
+    n = grid.n
+    if band is None:
+        band = int(n / 3.0)
+    sd = (1.0 + grid.ksq) ** (-(s + 1.0) / 2.0 - 0.05)
+    raw = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * sd
+    raw = np.where(np.maximum(np.abs(grid.k1), np.abs(grid.k2)) <= band, raw, 0.0)
+    idx = (-np.arange(n)) % n
+    sym = 0.5 * (raw + np.conj(raw[np.ix_(idx, idx)]))
+    if zero_mean:
+        sym[0, 0] = 0.0
+    f = SpectralField(grid, sym)
+    norm = l2_norm(f)
+    return f * (amplitude / norm) if norm > 0 else f

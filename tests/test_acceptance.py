@@ -38,8 +38,6 @@ from sbq.integrator import (
     grad_sup,
     run,
     step,
-    step_hyper,
-    step_truncated,
     velocity_grad_sup,
 )
 from sbq.noise import NoiseBasis, build_basis, constant_shift_basis, default_family
@@ -327,12 +325,12 @@ def test_criterion_10_truncation_semantics():
     big_r = 10.0 * blowup_integrand(u, theta) + 10.0
     for scheme in ("ito_euler", "stratonovich_heun"):
         plain = step(state, basis, db, SchemeConfig(scheme, dt=0.01))
-        trunc = step_truncated(state, basis, db, SchemeConfig(
+        trunc = step(state, basis, db, SchemeConfig(
             scheme, dt=0.01, variant="truncated", r=big_r))
         below_ok = below_ok and np.array_equal(plain.omega.coeffs, trunc.omega.coeffs) \
             and np.array_equal(plain.theta.coeffs, trunc.theta.coeffs)
     tiny_r = min(velocity_grad_sup(u), grad_sup(theta)) / 2.5
-    trunc0 = step_truncated(state, basis, db, SchemeConfig(
+    trunc0 = step(state, basis, db, SchemeConfig(
         "ito_euler", dt=0.01, variant="truncated", r=tiny_r))
     hooked = step(state, basis, db, SchemeConfig("ito_euler", dt=0.01,
                                                  drift_enabled=False))
@@ -355,9 +353,9 @@ def test_criterion_11_hyper_regularization():
     basis = build_basis([((0, 1), "cosine", 0.1)], grid)
     from sbq.noise import sample_increments
     db = sample_increments(np.random.default_rng(113), 0.01, 1)
-    trunc = step_truncated(state, basis, db, SchemeConfig(
+    trunc = step(state, basis, db, SchemeConfig(
         "stratonovich_heun", dt=0.01, variant="truncated", r=5.0))
-    hyper0 = step_hyper(state, basis, db, SchemeConfig(
+    hyper0 = step(state, basis, db, SchemeConfig(
         "stratonovich_heun", dt=0.01, variant="hyper", r=5.0, nu=0.0))
     reduce_ok = (np.array_equal(trunc.omega.coeffs, hyper0.omega.coeffs)
                  and np.array_equal(trunc.theta.coeffs, hyper0.theta.coeffs))
@@ -365,9 +363,9 @@ def test_criterion_11_hyper_regularization():
     pure = SimState(sp.SpectralField.from_physical(grid, np.cos(2 * grid.x)),
                     sp.SpectralField.zero(grid))
     cfg = SchemeConfig("stratonovich_heun", dt=dt, variant="hyper", r=1e9,
-                       nu=nu, drift_enabled=False, noise_enabled=False)
+                       nu=nu, drift_enabled=False)
     from sbq.noise import BrownianIncrements
-    out = step_hyper(pure, empty_basis(grid), BrownianIncrements(np.zeros(0), dt),
+    out = step(pure, empty_basis(grid), BrownianIncrements(np.zeros(0), dt),
                      cfg)
     expect = np.cos(2 * grid.x) * np.exp(-nu * 2.0**10 * dt)
     decay_err = float(np.max(np.abs(out.omega.values() - expect))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sbq import spectral as sp
-from sbq.config import ConfigError, initial_condition, parse_config
+from sbq.config import ConfigError, initial_condition, parse_config, random_hs_field
 from sbq.diagnostics import compute_record
 from sbq.io import (
     SnapshotError,
@@ -15,6 +15,7 @@ from sbq.io import (
     write_snapshot,
 )
 from sbq.state import SimState
+from oracles import hs_field_reference
 
 
 MINIMAL = {"n": 64, "T": 1.0, "dt": 0.001, "scheme": "stratonovich_heun",
@@ -51,6 +52,9 @@ class TestParseConfig:
             parse_config({**MINIMAL, "quux": 1})
         assert info.value.path == "quux"
         with pytest.raises(ConfigError) as info:
+            parse_config({**MINIMAL, "dealias": True})
+        assert info.value.path == "dealias"
+        with pytest.raises(ConfigError) as info:
             parse_config({**MINIMAL,
                           "noise": {"type": "default_family", "sigmaa": 1.0}})
         assert info.value.path == "noise.sigmaa"
@@ -77,6 +81,10 @@ class TestParseConfig:
             parse_config({**MINIMAL, "n": 8,
                           "noise": {"type": "default_family", "k_max": 4}})
         assert info.value.path == "noise.k_max"
+        with pytest.raises(ConfigError) as info:
+            parse_config({**MINIMAL, "n": 32,
+                          "initial": {"type": "random_hs", "band": 11}})
+        assert info.value.path == "initial.band"
 
     def test_stopping_levels_must_increase(self):
         with pytest.raises(ConfigError):
@@ -118,6 +126,17 @@ class TestInitialConditions:
         assert np.isfinite(sp.sobolev_norm(a.theta, 3.0))
         rec = compute_record(a)
         assert rec.is_finite()
+
+    def test_random_hs_matches_reference_draw(self):
+        for n in (32, 64, 128):
+            grid = sp.Grid(n)
+            for s in (1.0, 2.0, 2.5, 3.0):
+                for zero_mean in (True, False):
+                    ours = random_hs_field(grid, s, np.random.default_rng(3), 1.5,
+                                           zero_mean=zero_mean)
+                    ref = hs_field_reference(grid, s, np.random.default_rng(3), 1.5,
+                                             zero_mean=zero_mean)
+                    assert np.array_equal(ours.coeffs, ref.coeffs)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 """Steppers: scheme semantics, variants, conservation structure, blow-up
 bookkeeping, and the run loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,9 @@ from sbq.integrator import (
     SchemeConfig,
     TimeStepError,
     blowup_integrand,
-    drift_deterministic,
     eta_cutoff,
-    ito_correction,
     run,
     step,
-    step_hyper,
-    step_ito_euler,
-    step_stratonovich_heun,
-    step_truncated,
 )
 from sbq.noise import (
     BrownianIncrements,
@@ -28,6 +24,7 @@ from sbq.noise import (
     constant_shift_basis,
     sample_increments,
 )
+from sbq.operators import lie_derivative
 from sbq.state import SimState
 from oracles import fd_derivative
 
@@ -50,16 +47,24 @@ def stationary_state(grid):
                     sp.SpectralField.zero(grid))
 
 
+def ito_increment(state, basis, drift_enabled=True):
+    # one Ito-Euler step with dB = 0 at dt = 1: the increment is the drift
+    # (plus the Ito correction when the basis is not empty)
+    new = step(state, basis, BrownianIncrements(np.zeros(len(basis)), 1.0),
+               SchemeConfig("ito_euler", dt=1.0, drift_enabled=drift_enabled))
+    return new.omega - state.omega, new.theta - state.theta
+
+
 class TestDrift:
     def test_stationary_euler_state(self, grid):
-        domega, dtheta = drift_deterministic(stationary_state(grid))
+        domega, dtheta = ito_increment(stationary_state(grid), empty_basis(grid))
         assert sp.l2_norm(domega) == 0.0
         assert sp.l2_norm(dtheta) == 0.0
 
     def test_pure_buoyancy(self, grid):
         state = SimState(sp.SpectralField.zero(grid),
                          sp.SpectralField.from_physical(grid, np.cos(grid.x)))
-        domega, dtheta = drift_deterministic(state)
+        domega, dtheta = ito_increment(state, empty_basis(grid))
         assert np.allclose(domega.values(), -np.sin(grid.x), atol=1e-12)
         assert sp.l2_norm(dtheta) < 1e-13
 
@@ -70,7 +75,7 @@ class TestDrift:
         omega = sp.random_field(grid, rng, band=8, zero_mean=True)
         theta = sp.random_field(grid, rng, band=8)
         state = SimState(omega, theta)
-        domega, dtheta = drift_deterministic(state)
+        domega, dtheta = ito_increment(state, empty_basis(grid))
         u = sp.biot_savart(omega)
         factor, fine_n = 4, 256
         h = 2 * np.pi / fine_n
@@ -93,12 +98,12 @@ class TestItoCorrection:
         basis = constant_shift_basis("x", 1.0, grid)
         state = SimState(sp.SpectralField.from_physical(grid, np.sin(grid.x)),
                          sp.SpectralField.zero(grid))
-        comega, ctheta = ito_correction(state, basis)
+        comega, ctheta = ito_increment(state, basis, drift_enabled=False)
         assert np.allclose(comega.values(), -0.5 * np.sin(grid.x), atol=1e-12)
         assert sp.l2_norm(ctheta) == 0.0
 
     def test_empty_basis(self, grid):
-        c = ito_correction(stationary_state(grid), empty_basis(grid))
+        c = ito_increment(stationary_state(grid), empty_basis(grid), drift_enabled=False)
         assert sp.l2_norm(c[0]) == 0.0 and sp.l2_norm(c[1]) == 0.0
 
     def test_linearity_over_modes(self, grid):
@@ -107,7 +112,7 @@ class TestItoCorrection:
         basis = build_basis([((1, 0), "sine", 0.3), ((0, 1), "cosine", 0.2)], grid)
         omega = sp.random_field(grid, rng, band=10, zero_mean=True)
         state = SimState(omega, sp.SpectralField.zero(grid))
-        comega, _ = ito_correction(state, basis)
+        comega, _ = ito_increment(state, basis, drift_enabled=False)
         term_sum = 0.5 * (lie_second(basis.fields[0], omega)
                           + lie_second(basis.fields[1], omega))
         assert np.max(np.abs(comega.coeffs - term_sum.coeffs)) <= \
@@ -118,7 +123,7 @@ class TestItoEuler:
     def test_stationary_state_unchanged(self, grid):
         cfg = SchemeConfig("ito_euler", dt=0.02)
         state = stationary_state(grid)
-        new = step_ito_euler(state, empty_basis(grid), zero_increments(0.02), cfg)
+        new = step(state, empty_basis(grid), zero_increments(0.02), cfg)
         assert sp.l2_norm(new.omega - state.omega) <= 1e-12
         assert new.t == pytest.approx(0.02)
 
@@ -126,7 +131,7 @@ class TestItoEuler:
         cfg = SchemeConfig("ito_euler", dt=0.05)
         theta0 = sp.SpectralField.from_physical(grid, np.cos(grid.x))
         state = SimState(sp.SpectralField.zero(grid), theta0)
-        new = step_ito_euler(state, empty_basis(grid), zero_increments(0.05), cfg)
+        new = step(state, empty_basis(grid), zero_increments(0.05), cfg)
         assert np.allclose(new.omega.values(), -0.05 * np.sin(grid.x), atol=1e-12)
         assert np.allclose(new.theta.values(), theta0.values(), atol=1e-13)
 
@@ -136,16 +141,19 @@ class TestItoEuler:
         theta = sp.random_field(grid, rng, band=8)
         state = SimState(omega, theta)
         cfg = SchemeConfig("ito_euler", dt=0.01)
-        new = step_ito_euler(state, empty_basis(grid), zero_increments(0.01), cfg)
-        domega, dtheta = drift_deterministic(state)
-        assert np.array_equal(new.omega.coeffs, (omega + 0.01 * domega).coeffs)
-        assert np.array_equal(new.theta.coeffs, (theta + 0.01 * dtheta).coeffs)
+        new = step(state, empty_basis(grid), zero_increments(0.01), cfg)
+        u = sp.biot_savart(omega)
+        expect_omega = omega + 0.01 * (-lie_derivative(u, omega)
+                                       + sp.derivative(theta, "x"))
+        expect_theta = theta + 0.01 * (-lie_derivative(u, theta))
+        assert np.array_equal(new.omega.coeffs, expect_omega.coeffs)
+        assert np.array_equal(new.theta.coeffs, expect_theta.coeffs)
 
     def test_dt_mismatch_rejected(self, grid):
         cfg = SchemeConfig("ito_euler", dt=0.01)
         with pytest.raises(ValueError):
-            step_ito_euler(stationary_state(grid), empty_basis(grid),
-                           zero_increments(0.02), cfg)
+            step(stationary_state(grid), empty_basis(grid),
+                 zero_increments(0.02), cfg)
 
 
 class TestStratonovichHeun:
@@ -167,7 +175,7 @@ class TestStratonovichHeun:
         state = SimState(sp.SpectralField.zero(grid), theta0)
         cfg = SchemeConfig("stratonovich_heun", dt=0.01, drift_enabled=False)
         db = sample_increments(np.random.default_rng(4), 0.01, 1)
-        new = step_stratonovich_heun(state, basis, db, cfg)
+        new = step(state, basis, db, cfg)
         shift = db.values[0]
         err = np.max(np.abs(new.theta.values() - np.cos(grid.x - shift)))
         assert err <= abs(shift) ** 3 / 6 + 1e-12
@@ -226,9 +234,8 @@ class TestTruncated:
         db = sample_increments(np.random.default_rng(6), 0.01, 1)
         for scheme in ("ito_euler", "stratonovich_heun"):
             plain = step(state, basis, db, SchemeConfig(scheme, dt=0.01))
-            trunc = step_truncated(state, basis, db,
-                                   SchemeConfig(scheme, dt=0.01,
-                                                variant="truncated", r=big_r))
+            trunc = step(state, basis, db,
+                         SchemeConfig(scheme, dt=0.01, variant="truncated", r=big_r))
             assert np.array_equal(plain.omega.coeffs, trunc.omega.coeffs)
             assert np.array_equal(plain.theta.coeffs, trunc.theta.coeffs)
 
@@ -239,9 +246,8 @@ class TestTruncated:
         tiny_r = min(velocity_grad_sup(u), grad_sup(state.theta)) / 2.5
         assert tiny_r > 0  # both sup norms >= 2r
         db = sample_increments(np.random.default_rng(7), 0.01, 1)
-        trunc = step_truncated(state, basis, db,
-                               SchemeConfig("ito_euler", dt=0.01,
-                                            variant="truncated", r=tiny_r))
+        trunc = step(state, basis, db,
+                     SchemeConfig("ito_euler", dt=0.01, variant="truncated", r=tiny_r))
         hooked = step(state, basis, db,
                       SchemeConfig("ito_euler", dt=0.01, drift_enabled=False))
         # advection off leaves only buoyancy (still active in truncated form),
@@ -267,9 +273,8 @@ class TestTruncated:
         eta_u, eta_th = eta_cutoff(su, r), eta_cutoff(sth, r)
         assert 0.0 < eta_u < 1.0 and 0.0 < eta_th < 1.0
         db = zero_increments(0.01)
-        trunc = step_truncated(state, empty_basis(grid), db,
-                               SchemeConfig("ito_euler", dt=0.01,
-                                            variant="truncated", r=r))
+        trunc = step(state, empty_basis(grid), db,
+                     SchemeConfig("ito_euler", dt=0.01, variant="truncated", r=r))
         # factored oracle: eta-scaled advection plus full buoyancy
         from sbq.operators import lie_derivative
         adv_o = lie_derivative(u, state.omega)
@@ -301,12 +306,12 @@ class TestHyper:
         state = SimState(omega, theta)
         basis = build_basis([((0, 1), "sine", 0.1)], grid)
         db = sample_increments(np.random.default_rng(9), 0.01, 1)
-        trunc = step_truncated(state, basis, db,
-                               SchemeConfig("stratonovich_heun", dt=0.01,
-                                            variant="truncated", r=5.0))
-        hyper = step_hyper(state, basis, db,
-                           SchemeConfig("stratonovich_heun", dt=0.01,
-                                        variant="hyper", r=5.0, nu=0.0))
+        trunc = step(state, basis, db,
+                     SchemeConfig("stratonovich_heun", dt=0.01,
+                                  variant="truncated", r=5.0))
+        hyper = step(state, basis, db,
+                     SchemeConfig("stratonovich_heun", dt=0.01,
+                                  variant="hyper", r=5.0, nu=0.0))
         assert np.array_equal(trunc.omega.coeffs, hyper.omega.coeffs)
         assert np.array_equal(trunc.theta.coeffs, hyper.theta.coeffs)
 
@@ -315,8 +320,8 @@ class TestHyper:
         state = SimState(sp.SpectralField.from_physical(grid, np.cos(2 * grid.x)),
                          sp.SpectralField.from_physical(grid, np.cos(2 * grid.y)))
         cfg = SchemeConfig("stratonovich_heun", dt=dt, variant="hyper",
-                           r=1e9, nu=nu, drift_enabled=False, noise_enabled=False)
-        new = step_hyper(state, empty_basis(grid), zero_increments(dt), cfg)
+                           r=1e9, nu=nu, drift_enabled=False)
+        new = step(state, empty_basis(grid), zero_increments(dt), cfg)
         expect_omega = np.cos(2 * grid.x) * np.exp(-nu * 2.0**10 * dt)
         expect_theta = np.cos(2 * grid.y) * np.exp(-nu * 2.0**14 * dt)
         assert np.max(np.abs(new.omega.values() - expect_omega)) <= 1e-12
@@ -325,12 +330,12 @@ class TestHyper:
     def test_dissipative_substep_contracts_l2(self, grid):
         rng = np.random.default_rng(10)
         cfg = SchemeConfig("stratonovich_heun", dt=0.01, variant="hyper",
-                           r=1e9, nu=1e-5, drift_enabled=False, noise_enabled=False)
+                           r=1e9, nu=1e-5, drift_enabled=False)
         for _ in range(10):
             omega = sp.random_field(grid, rng, band=20, zero_mean=True)
             theta = sp.random_field(grid, rng, band=20)
             state = SimState(omega, theta)
-            new = step_hyper(state, empty_basis(grid), zero_increments(0.01), cfg)
+            new = step(state, empty_basis(grid), zero_increments(0.01), cfg)
             assert sp.l2_norm(new.omega) <= sp.l2_norm(omega) + 1e-14
             assert sp.l2_norm(new.theta) <= sp.l2_norm(theta) + 1e-14
 
@@ -388,6 +393,33 @@ class TestRun:
         cfg = SchemeConfig("stratonovich_heun", dt=0.015)
         traj = run(state, empty_basis(grid), cfg, T=0.1, diag_interval=10**9)
         assert traj.final_state.t == pytest.approx(0.1, abs=1e-14)
+
+    @pytest.mark.parametrize("t0, T, dt, nsteps", [
+        (1e6, 1e6 + 1.0, 0.1, 10),  # accumulated t drifts into a sliver step
+        (0.0, 2.0, 1e-3, 2000),     # accumulated t ends at 1.9999999999998905
+    ])
+    def test_step_times_exact(self, t0, T, dt, nsteps):
+        grid = sp.Grid(16)
+        state = replace(stationary_state(grid), t=t0)
+        times = []
+        traj = run(state, empty_basis(grid), SchemeConfig("ito_euler", dt=dt), T,
+                   observers=((nsteps // 10, lambda i, s, r: times.append((i, s.t))),),
+                   diag_interval=10**9)
+        assert traj.steps_taken == nsteps
+        assert traj.final_state.t == T
+        assert times == [(k, t0 + k * dt) for k in range(0, nsteps, nsteps // 10)] \
+            + [(nsteps, T)]
+
+    def test_precomputed_path_at_large_start_time(self):
+        grid = sp.Grid(16)
+        t0, dt = 1e6, 0.1
+        state = replace(stationary_state(grid), t=t0)
+        incr = np.random.default_rng(13).normal(0.0, np.sqrt(dt), (10, 1))
+        traj = run(state, constant_shift_basis("x", 1.0, grid),
+                   SchemeConfig("stratonovich_heun", dt=dt), t0 + 1.0,
+                   increments=incr, diag_interval=10**9)
+        assert traj.steps_taken == 10
+        assert traj.final_state.t == t0 + 1.0
 
     def test_long_run_stationarity(self, grid):
         state = stationary_state(grid)
