@@ -130,6 +130,9 @@ def _cmd_simulate(args) -> int:
     except TimeStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except AssertionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
 
     write_diagnostics_csv(out / "diagnostics.csv", traj.records)
     manifest = _manifest_base(cfg, [seed])

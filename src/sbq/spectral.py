@@ -24,6 +24,7 @@ functions here are safe to call concurrently from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +54,9 @@ class Grid:
     """Uniform n x n collocation grid on the torus [-pi, pi]^2.
 
     Precomputes integer wavenumber meshes, the 2/3-rule dealiasing mask and
-    physical coordinates.  Immutable after construction; two grids compare
-    equal iff they have the same ``n``.
+    physical coordinates; the first-order derivative multipliers are built
+    on first use and cached.  Immutable after construction; two grids
+    compare equal iff they have the same ``n``.
     """
 
     def __init__(self, n: int):
@@ -73,6 +75,16 @@ class Grid:
         self.y = np.ones((n, 1)) * coord[None, :]
         # index (n/2) along either axis is the unpaired Nyquist line
         self._nyquist = n // 2
+
+    @cached_property
+    def deriv_x(self) -> np.ndarray:
+        """Read-only multiplier of d_x: i * k1 with the Nyquist line zeroed."""
+        return _derivative_multiplier(self, "x", 1)
+
+    @cached_property
+    def deriv_y(self) -> np.ndarray:
+        """Read-only multiplier of d_y: i * k2 with the Nyquist line zeroed."""
+        return _derivative_multiplier(self, "y", 1)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n
@@ -209,6 +221,14 @@ def derivative(f: SpectralField, axis: str, order: int = 1) -> SpectralField:
     if order < 1:
         raise ValueError("derivative order must be a positive integer")
     g = f.grid
+    if order == 1:
+        mult = g.deriv_x if axis == "x" else g.deriv_y
+    else:
+        mult = _derivative_multiplier(g, axis, order)
+    return SpectralField(g, f.coeffs * mult)
+
+
+def _derivative_multiplier(g: Grid, axis: str, order: int) -> np.ndarray:
     k = g.k1 if axis == "x" else g.k2
     mult = (1j * k.astype(np.float64)) ** order
     if order % 2 == 1:
@@ -216,7 +236,8 @@ def derivative(f: SpectralField, axis: str, order: int = 1) -> SpectralField:
             mult[g._nyquist, :] = 0.0
         else:
             mult[:, g._nyquist] = 0.0
-    return SpectralField(g, f.coeffs * mult)
+    mult.setflags(write=False)
+    return mult
 
 
 def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:

@@ -66,6 +66,15 @@ class TestSimulate:
         assert manifest["blowup_suspected"] is True
         assert manifest["abort_step"] is not None
 
+    def test_assertion_exit_3(self, tmp_path, monkeypatch, capsys):
+        # e.g. the stepper's omega mean guard firing mid-run
+        def failing_run(*args, **kwargs):
+            raise AssertionError("omega mean mode drifted to 1.000e-03")
+        monkeypatch.setattr("sbq.cli.run", failing_run)
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 3
+        assert "error: omega mean mode drifted" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["simulate", "--config", str(cfg), "--quiet",

@@ -22,6 +22,7 @@ from sbq.noise import (
     NoiseBasis,
     build_basis,
     constant_shift_basis,
+    default_family,
     sample_increments,
 )
 from sbq.operators import lie_derivative
@@ -117,6 +118,48 @@ class TestItoCorrection:
                           + lie_second(basis.fields[1], omega))
         assert np.max(np.abs(comega.coeffs - term_sum.coeffs)) <= \
             1e-12 * max(1.0, np.max(np.abs(term_sum.coeffs)))
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("family", ["default", "constant_shift"])
+    def test_full_band_matches_composed_lie_second(self, n, family):
+        # fields filling the dealias ball, many modes: the physical-space sum
+        # agrees with sum_i 1/2 lie_second(xi_i, f) to round-off
+        from sbq.operators import lie_second
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n)
+        basis = (build_basis(default_family(g), g) if family == "default"
+                 else constant_shift_basis("x", 1.0, g))
+        omega = sp.random_field(g, rng, band=n // 3, zero_mean=True)
+        theta = sp.random_field(g, rng, band=n // 3)
+        increments = ito_increment(SimState(omega, theta), basis, drift_enabled=False)
+        for c, f in zip(increments, (omega, theta)):
+            ref = sp.SpectralField.zero(g)
+            for xi in basis.fields:
+                ref = ref + 0.5 * lie_second(xi, f)
+            assert np.max(np.abs(c.coeffs - ref.coeffs)) <= \
+                1e-13 * np.max(np.abs(ref.coeffs))
+            assert sp.inner(c, f) <= 0.0
+            assert c.hermitian_defect() <= 1e-14
+
+    def test_transforms_per_mode(self, grid, monkeypatch):
+        # 2-D FFT calls made by one Ito-Euler step grow by at most 6 per mode
+        rng = np.random.default_rng(4)
+        state = SimState(sp.random_field(grid, rng, band=10, zero_mean=True),
+                         sp.random_field(grid, rng, band=10))
+        calls = []
+        for m in (3, 6):
+            basis = build_basis(default_family(grid, max_modes=m), grid)
+            increments = sample_increments(rng, 1e-3, m)
+            count = [0]
+            with monkeypatch.context() as mp:
+                for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+                    def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                        count[0] += 1
+                        return _fn(*args, **kwargs)
+                    mp.setattr(np.fft, name, counted)
+                step(state, basis, increments, SchemeConfig("ito_euler", dt=1e-3))
+            calls.append(count[0])
+        assert calls[1] - calls[0] <= 18
 
 
 class TestItoEuler:

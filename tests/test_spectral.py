@@ -89,6 +89,22 @@ class TestDerivative:
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(ours - oracle)) <= 1e-6 * scale
 
+    def test_cached_first_order_multiplier_bit_identical(self):
+        # the grid builds the order-1 multipliers on first use; derivative
+        # must give exactly what the per-call expression gave
+        g = sp.Grid(48)
+        assert "deriv_x" not in vars(g) and "deriv_y" not in vars(g)
+        f = sp.random_field(g, np.random.default_rng(5), band=16)
+        for axis, k in (("x", g.k1), ("y", g.k2)):
+            mult = (1j * k.astype(np.float64)) ** 1
+            if axis == "x":
+                mult[g.n // 2, :] = 0.0
+            else:
+                mult[:, g.n // 2] = 0.0
+            assert np.array_equal(sp.derivative(f, axis, 1).coeffs, f.coeffs * mult)
+        assert g.deriv_x is g.deriv_x and not g.deriv_x.flags.writeable
+        assert not g.deriv_y.flags.writeable
+
     def test_rejects_bad_arguments(self, grid):
         f = sp.SpectralField.zero(grid)
         with pytest.raises(ValueError):
