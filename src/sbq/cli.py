@@ -46,6 +46,7 @@ from .io import (
     write_diagnostics_csv,
     write_manifest,
     write_snapshot,
+    write_summary_csv,
 )
 from .noise import mix_seed
 from .operators import run_verification
@@ -117,15 +118,9 @@ def _cmd_simulate(args) -> int:
         write_snapshot(snapdir / f"step_{index:08d}.sbq", state)
 
     snap_every = cfg.snapshot_interval if cfg.snapshot_interval > 0 else (1 << 62)
-    stopping = StoppingTimeReport.new(cfg.stopping_levels)
-
-    def stopping_observer(index, state, record):
-        update_stopping_report(stopping, record)
-
     try:
         traj = run(state0, basis, scheme, cfg.T, rng=rng,
-                   observers=((snap_every, snapshot_observer),
-                              (cfg.diagnostics_interval, stopping_observer)),
+                   observers=((snap_every, snapshot_observer),),
                    diag_interval=cfg.diagnostics_interval, p=cfg.p)
     except TimeStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -135,6 +130,9 @@ def _cmd_simulate(args) -> int:
         return EXIT_ASSERTION
 
     write_diagnostics_csv(out / "diagnostics.csv", traj.records)
+    stopping = StoppingTimeReport.new(cfg.stopping_levels)
+    for record in traj.records:
+        update_stopping_report(stopping, record)
     manifest = _manifest_base(cfg, [seed])
     manifest["blowup_suspected"] = traj.blowup_suspected
     manifest["abort_step"] = traj.abort_step
@@ -152,33 +150,6 @@ def _cmd_simulate(args) -> int:
         if traj.blowup_suspected:
             print(f"blow-up suspected at step {traj.abort_step}", file=sys.stderr)
     return EXIT_BLOWUP if traj.blowup_suspected else EXIT_OK
-
-
-def _summary_rows(summary):
-    fields = [f for f in RECORD_FIELDS if f != "t"]
-    header = ["t"]
-    for f in fields:
-        header += [f"{f}_mean", f"{f}_var", f"{f}_max"]
-    header.append("count")
-    rows = []
-    for j, t in enumerate(summary.times):
-        row = [t]
-        for f in fields:
-            row += [summary.stats[f]["mean"][j], summary.stats[f]["var"][j],
-                    summary.stats[f]["max"][j]]
-        row.append(summary.counts[j])
-        rows.append(row)
-    return header, rows
-
-
-def write_summary_csv(path, summary) -> None:
-    header, rows = _summary_rows(summary)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [format(float(v), ".17g") if isinstance(v, float) else str(v)
-                     for v in row]
-            fh.write(",".join(cells) + "\n")
 
 
 def _cmd_ensemble(args) -> int:
@@ -262,7 +233,8 @@ def _cmd_report(args) -> int:
         series = [getattr(r, f) for r in records]
         lines.append(f"{f.ljust(width)} {series[0]:>13.6g} {series[-1]:>13.6g} "
                      f"{min(series):>13.6g} {max(series):>13.6g}")
-    stopping = StoppingTimeReport.new(args.levels or (1, 2, 4, 8, 16, 32))
+    stopping = (StoppingTimeReport.new(args.levels) if args.levels
+                else StoppingTimeReport.new())
     for rec in records:
         update_stopping_report(stopping, rec)
     table = stopping.as_dict()

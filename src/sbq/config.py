@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .integrator import SchemeConfig
-from .noise import NoiseBasis, build_basis, constant_shift_basis, default_family
+from .noise import (NoiseBasis, build_basis, constant_shift_basis, default_family,
+                    empty_basis)
 from .spectral import Grid, SpectralField, random_field
 from .state import SimState
 
@@ -268,7 +269,7 @@ def build_noise_basis(cfg: RunConfig, grid: Grid) -> NoiseBasis:
     spec = cfg.noise
     kind = spec["type"]
     if kind == "none":
-        return NoiseBasis((), (), 0.0, grid, 0.0)
+        return empty_basis(grid)
     if kind == "constant":
         return constant_shift_basis(spec["direction"], spec["amplitude"], grid)
     if kind == "default_family":

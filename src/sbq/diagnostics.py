@@ -1,7 +1,10 @@
 """Conserved and monitored quantities per state, plus blow-up bookkeeping.
 
 One :class:`DiagnosticsRecord` is one row of the time series; the field
-order here is also the diagnostics CSV column order.
+order here is also the diagnostics CSV column order.  :func:`compute_record`
+takes the velocity, the gradient sups and the grad theta samples from the
+state's cache (see :mod:`sbq.state`), the same values the stepper reads for
+the blow-up integrand when it steps from that state.
 
 Energy accounting on the torus: the potential term integral of theta * y
 uses the coordinate y in [-pi, pi), which is discontinuous on the torus, so
@@ -18,14 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectral import (
-    SpectralField,
-    biot_savart,
-    derivative,
-    inner,
-    sobolev_norm,
-)
-from .integrator import grad_sup, velocity_grad_sup
+from .spectral import SpectralField, derivative, inner, sobolev_norm
 from .state import SimState
 
 __all__ = [
@@ -64,17 +60,16 @@ class DiagnosticsRecord:
 RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def lp_grad_theta(theta: SpectralField, p: float, oversample: int = 1) -> float:
+def lp_grad_theta(theta: SpectralField, p: float) -> float:
     """L^p norm of |grad theta| (pointwise Euclidean magnitude)."""
+    return _lp_magnitude(derivative(theta, "x").values(),
+                         derivative(theta, "y").values(), p)
+
+
+def _lp_magnitude(gx: np.ndarray, gy: np.ndarray, p: float) -> float:
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    tx = derivative(theta, "x")
-    ty = derivative(theta, "y")
-    if oversample > 1:
-        from .spectral import resample
-        tx = resample(tx, theta.grid.n * oversample)
-        ty = resample(ty, theta.grid.n * oversample)
-    mag = np.hypot(tx.values(), ty.values())
+    mag = np.hypot(gx, gy)
     spacing = 2.0 * np.pi / mag.shape[0]
     return float((np.sum(mag**p) * spacing**2) ** (1.0 / p))
 
@@ -88,7 +83,7 @@ def potential_term(state: SimState) -> float:
 
 def compute_record(state: SimState, p: float = 2.0) -> DiagnosticsRecord:
     """Evaluate every monitored quantity for one state."""
-    u = biot_savart(state.omega)
+    u = state.velocity
     ke = 0.5 * (inner(u.u1, u.u1) + inner(u.u2, u.u2))
     flux = inner(state.theta, u.u2)
     ens2 = inner(state.theta, state.theta)
@@ -97,9 +92,8 @@ def compute_record(state: SimState, p: float = 2.0) -> DiagnosticsRecord:
     ens4 = float(np.sum(theta_vals**4) * spacing**2)
     h2 = sobolev_norm(state.omega, 2.0)
     h3 = sobolev_norm(state.theta, 3.0)
-    gu = velocity_grad_sup(u)
-    gth = grad_sup(state.theta)
-    lp = lp_grad_theta(state.theta, p)
+    gu, gth = state.grad_sups
+    lp = _lp_magnitude(*state.grad_theta, p)
     denom = h2 + h3
     ratio = (gu + gth) / denom if denom > 0 else 0.0
     return DiagnosticsRecord(

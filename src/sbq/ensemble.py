@@ -7,9 +7,11 @@ worker count.  Realization ``i`` derives its stream seed as
 ``mix_seed(master_seed, i)``.
 
 A worker failure is isolated to its realization: the run is marked failed,
-excluded from aggregates, and counted.  Realizations that abort on a
-suspected blow-up keep their partial series; per-time statistics aggregate
-over the realizations that reached each time.
+excluded from aggregates, and counted.  A worker process that dies (a
+signal, out of memory) breaks the pool: every realization whose result had
+not come back by then is marked failed, the others keep their results.
+Realizations that abort on a suspected blow-up keep their partial series;
+per-time statistics aggregate over the realizations that reached each time.
 """
 
 from __future__ import annotations
@@ -105,9 +107,18 @@ def run_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleSummary, list]:
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             futures = [pool.submit(run_realization, cfg.run_config, cfg.master_seed, i)
                        for i in indices]
-            results = [f.result() for f in futures]
+            results = [_result_or_failure(f, cfg.master_seed, i)
+                       for i, f in zip(indices, futures)]
     results.sort(key=lambda r: r.index)
     return summarize(results), results
+
+
+def _result_or_failure(future, master_seed: int, index: int) -> RealizationResult:
+    try:
+        return future.result()
+    except Exception as exc:  # the worker process died, e.g. BrokenProcessPool
+        return RealizationResult(index=index, seed=mix_seed(master_seed, index),
+                                 failed=True, error=f"{type(exc).__name__}: {exc}")
 
 
 def summarize(results: list) -> EnsembleSummary:

@@ -37,10 +37,12 @@ Variants:
 
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
-endpoint, matching the adaptedness of the integrand).
+endpoint, matching the adaptedness of the integrand).  The integrand, the
+truncation cutoffs and the CFL speed are read from the start state's cache
+(:mod:`sbq.state`), which the record :func:`run` takes of it shares.
 
-States are never mutated; step returns a fresh SimState, so a state may
-be handed between threads across steps.
+States are never mutated apart from that cache; step returns a fresh
+SimState, so a state may be handed between threads across steps.
 """
 
 from __future__ import annotations
@@ -50,16 +52,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .diagnostics import compute_record
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
 from .operators import lie_derivative
-from .spectral import (
-    SpectralField,
-    VelocityField,
-    biot_savart,
-    derivative,
-    l2_norm,
-    linf_norm,
-)
+from .spectral import SpectralField, VelocityField, derivative, l2_norm
 from .state import SimState
 
 __all__ = [
@@ -68,8 +64,6 @@ __all__ = [
     "BlowUpSuspected",
     "TimeStepError",
     "eta_cutoff",
-    "grad_sup",
-    "blowup_integrand",
     "step",
     "run",
 ]
@@ -132,31 +126,14 @@ def eta_cutoff(x: float, r: float) -> float:
     return 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def grad_sup(f: SpectralField, oversample: int = 1) -> float:
-    """Collocation sup of the gradient: max over both partial derivatives."""
-    return max(linf_norm(derivative(f, "x"), oversample),
-               linf_norm(derivative(f, "y"), oversample))
-
-
-def velocity_grad_sup(u: VelocityField, oversample: int = 1) -> float:
-    return max(grad_sup(u.u1, oversample), grad_sup(u.u2, oversample))
-
-
-def blowup_integrand(u: VelocityField, theta: SpectralField) -> float:
-    """||grad u||_inf + ||grad theta||_inf, the blow-up criterion integrand."""
-    return velocity_grad_sup(u) + grad_sup(theta)
-
-
 @dataclass
 class _Stage:
     """Drift and noise coefficients evaluated at one state."""
 
-    u: VelocityField
     domega: SpectralField
     dtheta: SpectralField
     nomega: SpectralField  # noise contribution, already times -dB
     ntheta: SpectralField
-    integrand: float
 
 
 def _combine_noise(basis: NoiseBasis, db: np.ndarray) -> VelocityField:
@@ -170,24 +147,19 @@ def _combine_noise(basis: NoiseBasis, db: np.ndarray) -> VelocityField:
     return VelocityField(SpectralField(grid, c1), SpectralField(grid, c2))
 
 
-def _evaluate_stage(omega: SpectralField, theta: SpectralField, basis: NoiseBasis,
-                    db: np.ndarray, cfg: SchemeConfig, want_integrand: bool) -> _Stage:
-    grid = omega.grid
-    u = biot_savart(omega)
-    truncating = cfg.variant in ("truncated", "hyper")
-    integrand = float("nan")
-    if want_integrand or truncating:
-        gu, gth = velocity_grad_sup(u), grad_sup(theta)
-        integrand = gu + gth
-    zero = SpectralField.zero(grid)
+def _evaluate_stage(state: SimState, basis: NoiseBasis, db: np.ndarray,
+                    cfg: SchemeConfig) -> _Stage:
+    omega, theta = state.omega, state.theta
+    zero = SpectralField.zero(state.grid)
     domega, dtheta = zero, zero
     if cfg.drift_enabled:
         eta_u = eta_th = 1.0
-        if truncating:
+        if cfg.variant in ("truncated", "hyper"):
+            gu, gth = state.grad_sups
             eta_u = eta_cutoff(gu, cfg.r)
             eta_th = eta_cutoff(gth, cfg.r)
-        adv_omega = lie_derivative(u, omega)
-        adv_theta = lie_derivative(u, theta)
+        adv_omega = lie_derivative(state.velocity, omega)
+        adv_theta = lie_derivative(state.velocity, theta)
         domega = -eta_u * adv_omega + derivative(theta, "x")
         dtheta = -eta_th * adv_theta
     nomega, ntheta = zero, zero
@@ -199,7 +171,7 @@ def _evaluate_stage(omega: SpectralField, theta: SpectralField, basis: NoiseBasi
             comega, ctheta = _ito_correction(basis, omega, theta)
             domega = domega + comega
             dtheta = dtheta + ctheta
-    return _Stage(u, domega, dtheta, nomega, ntheta, integrand)
+    return _Stage(domega, dtheta, nomega, ntheta)
 
 
 def _ito_correction(basis: NoiseBasis, omega: SpectralField,
@@ -239,11 +211,11 @@ def _check_increments(increments: BrownianIncrements, basis: NoiseBasis, cfg: Sc
         raise ValueError("one Brownian increment per noise mode required")
 
 
-def _cfl_guard(stage: _Stage, basis: NoiseBasis, cfg: SchemeConfig):
+def _cfl_guard(state: SimState, basis: NoiseBasis, cfg: SchemeConfig):
     if cfg.cfl is None:
         return
-    speed = max(1.0, stage.u.sup_magnitude() + basis.sup_total)
-    bound = cfg.cfl * stage.u.grid.spacing / speed
+    speed = max(1.0, state.velocity.sup_magnitude() + basis.sup_total)
+    bound = cfg.cfl * state.grid.spacing / speed
     if cfg.dt > bound:
         raise TimeStepError(
             f"dt={cfg.dt:.3e} exceeds CFL bound {bound:.3e} "
@@ -256,11 +228,12 @@ _MAGNITUDE_LIMIT = 1e75
 
 
 def _finalize(state: SimState, omega: SpectralField, theta: SpectralField,
-              integrand: float, cfg: SchemeConfig, dt: float) -> SimState:
+              cfg: SchemeConfig, dt: float) -> SimState:
     if cfg.variant == "hyper" and cfg.nu:
         ksq = omega.grid.ksq
         omega = SpectralField(omega.grid, omega.coeffs * np.exp(-cfg.nu * ksq**5 * dt))
         theta = SpectralField(theta.grid, theta.coeffs * np.exp(-cfg.nu * ksq**7 * dt))
+    integrand = sum(state.grad_sups)  # left endpoint: the step's start state
     new = SimState(omega, theta, state.t + dt, state.blowup_accum + dt * integrand)
     if not new.is_finite():
         raise BlowUpSuspected(state)
@@ -279,20 +252,20 @@ def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
     _check_increments(increments, basis, cfg)
     dt = increments.dt
     db = increments.values
-    s0 = _evaluate_stage(state.omega, state.theta, basis, db, cfg, want_integrand=True)
-    _cfl_guard(s0, basis, cfg)
+    _cfl_guard(state, basis, cfg)
+    s0 = _evaluate_stage(state, basis, db, cfg)
     # Euler-Maruyama update; for Heun it is the predictor
     omega = state.omega + dt * s0.domega + s0.nomega
     theta = state.theta + dt * s0.dtheta + s0.ntheta
     if cfg.scheme == "stratonovich_heun":
         if not (omega.is_finite() and theta.is_finite()):
             raise BlowUpSuspected(state, "non-finite predictor")
-        s1 = _evaluate_stage(omega, theta, basis, db, cfg, want_integrand=False)
+        s1 = _evaluate_stage(SimState(omega, theta), basis, db, cfg)
         omega = state.omega + (0.5 * dt) * (s0.domega + s1.domega) \
             + 0.5 * (s0.nomega + s1.nomega)
         theta = state.theta + (0.5 * dt) * (s0.dtheta + s1.dtheta) \
             + 0.5 * (s0.ntheta + s1.ntheta)
-    return _finalize(state, omega, theta, s0.integrand, cfg, dt)
+    return _finalize(state, omega, theta, cfg, dt)
 
 
 @dataclass
@@ -325,8 +298,6 @@ def run(initial: SimState, basis: NoiseBasis, cfg: SchemeConfig, T: float,
     NaN/Inf abort the partial trajectory is returned with
     ``blowup_suspected`` set and records up to the last finite state.
     """
-    from .diagnostics import compute_record  # deferred: diagnostics sits above
-
     if T < initial.t:
         raise ValueError(f"final time {T} precedes initial time {initial.t}")
     if diag_interval < 1:

@@ -16,7 +16,10 @@ the spectral representation is recovered by a forward transform since all
 dynamical fields are band-limited.
 
 The diagnostics CSV has the exact column order of DiagnosticsRecord, a
-header row, "." as the decimal separator, and 17 significant digits.
+header row, "." as the decimal separator, and 17 significant digits.  The
+ensemble summary CSV has a ``t`` column, then ``<field>_mean``,
+``<field>_var`` and ``<field>_max`` for every other record field, then
+``count``; its floats use the same format.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "read_snapshot",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
+    "write_summary_csv",
     "write_manifest",
 ]
 
@@ -105,6 +109,16 @@ def read_diagnostics_csv(path) -> list:
             values = [float(v) for v in line.split(",")]
             records.append(DiagnosticsRecord(*values))
     return records
+
+
+def write_summary_csv(path, summary) -> None:
+    """Write an ``EnsembleSummary``, one row per record time."""
+    cols = [(f, s) for f in RECORD_FIELDS if f != "t" for s in ("mean", "var", "max")]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(["t"] + [f"{f}_{s}" for f, s in cols] + ["count"]) + "\n")
+        for j, t in enumerate(summary.times):
+            cells = [_fmt(t)] + [_fmt(summary.stats[f][s][j]) for f, s in cols]
+            fh.write(",".join(cells + [str(summary.counts[j])]) + "\n")
 
 
 def write_manifest(path, payload: dict) -> None:

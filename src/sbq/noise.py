@@ -30,6 +30,7 @@ __all__ = [
     "NoiseMode",
     "ConstantShift",
     "NoiseBasis",
+    "empty_basis",
     "BrownianIncrements",
     "build_basis",
     "default_family",
@@ -79,6 +80,11 @@ class NoiseBasis:
 
     def __len__(self) -> int:
         return len(self.fields)
+
+
+def empty_basis(grid: Grid) -> NoiseBasis:
+    """The basis with no modes: the noise is switched off."""
+    return NoiseBasis((), (), 0.0, grid, 0.0)
 
 
 def _h3_squared(v: VelocityField) -> float:

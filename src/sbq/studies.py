@@ -25,12 +25,11 @@ import numpy as np
 from .config import random_hs_field
 from .diagnostics import conservation_defects, gronwall_report, lp_grad_theta
 from .integrator import SchemeConfig, run
-from .noise import NoiseBasis
+from .noise import empty_basis
 from .spectral import Grid, SpectralField, l2_norm
 from .state import SimState
 
 __all__ = [
-    "empty_basis",
     "stationarity_study",
     "conservation_order_study",
     "run_conservation_battery",
@@ -38,10 +37,6 @@ __all__ = [
 
 ORDER2_WINDOW = (3.4, 4.6)
 ORDER3_WINDOW = (6.8, 9.2)
-
-
-def empty_basis(grid: Grid) -> NoiseBasis:
-    return NoiseBasis((), (), 0.0, grid, 0.0)
 
 
 def stationarity_study(n: int = 64, dt: float = 1e-2, T: float = 10.0) -> dict:

@@ -32,14 +32,7 @@ from sbq.diagnostics import (
     offline_blowup_quadrature,
     update_stopping_report,
 )
-from sbq.integrator import (
-    SchemeConfig,
-    blowup_integrand,
-    grad_sup,
-    run,
-    step,
-    velocity_grad_sup,
-)
+from sbq.integrator import SchemeConfig, run, step
 from sbq.noise import NoiseBasis, build_basis, constant_shift_basis, default_family
 from sbq.operators import (
     BASELINES,
@@ -320,16 +313,15 @@ def test_criterion_10_truncation_semantics():
     basis = build_basis([((1, 0), "sine", 0.1)], grid)
     from sbq.noise import sample_increments
     db = sample_increments(np.random.default_rng(111), 0.01, 1)
-    u = sp.biot_savart(omega)
     below_ok = True
-    big_r = 10.0 * blowup_integrand(u, theta) + 10.0
+    big_r = 10.0 * sum(state.grad_sups) + 10.0
     for scheme in ("ito_euler", "stratonovich_heun"):
         plain = step(state, basis, db, SchemeConfig(scheme, dt=0.01))
         trunc = step(state, basis, db, SchemeConfig(
             scheme, dt=0.01, variant="truncated", r=big_r))
         below_ok = below_ok and np.array_equal(plain.omega.coeffs, trunc.omega.coeffs) \
             and np.array_equal(plain.theta.coeffs, trunc.theta.coeffs)
-    tiny_r = min(velocity_grad_sup(u), grad_sup(theta)) / 2.5
+    tiny_r = min(state.grad_sups) / 2.5
     trunc0 = step(state, basis, db, SchemeConfig(
         "ito_euler", dt=0.01, variant="truncated", r=tiny_r))
     hooked = step(state, basis, db, SchemeConfig("ito_euler", dt=0.01,

@@ -3,6 +3,7 @@
 import json
 
 from sbq.cli import main
+from sbq.diagnostics import StoppingTimeReport, update_stopping_report
 from sbq.io import read_diagnostics_csv, read_snapshot
 
 
@@ -36,6 +37,19 @@ class TestSimulate:
         assert [s.name for s in snaps] == [
             "step_00000000.sbq", "step_00000002.sbq", "step_00000004.sbq",
             "step_00000005.sbq"]
+
+    def test_stopping_table_folds_the_written_records(self, tmp_path):
+        levels = [0.01, 0.02, 0.05, 1.0, 50.0]
+        cfg = write_config(tmp_path, T=0.1, diagnostics_interval=3,
+                           stopping_levels=levels)
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 0
+        out = tmp_path / "out"
+        stopping = StoppingTimeReport.new(levels)
+        for rec in read_diagnostics_csv(out / "diagnostics.csv"):
+            update_stopping_report(stopping, rec)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stopping"] == json.loads(json.dumps(stopping.as_dict()))
+        assert manifest["stopping"]["tauinf"]  # some level was crossed
 
     def test_zero_horizon_emits_initial_row_and_snapshot(self, tmp_path):
         cfg = write_config(tmp_path, T=0.0)

@@ -1,10 +1,13 @@
 """Ensemble determinism, aggregation, moment estimates."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from sbq.cli import main
 from sbq.config import parse_config
 from sbq.ensemble import (
     EnsembleConfig,
@@ -50,6 +53,37 @@ class TestRealization:
         res = run_realization(cfg, cfg.seed, 0)
         assert res.failed
         assert "ValueError" in res.error
+
+
+def dying_realization(cfg, master_seed, index):
+    # module level so forked pool workers can unpickle it
+    if index == 1:
+        os._exit(1)
+    return run_realization(cfg, master_seed, index)
+
+
+class TestDeadWorker:
+    def test_dead_worker_fails_its_realization(self, monkeypatch):
+        monkeypatch.setattr("sbq.ensemble.run_realization", dying_realization)
+        cfg = small_config(realizations=3)
+        summary, results = run_ensemble(EnsembleConfig(cfg, 3, cfg.seed, 2))
+        assert 1 in summary.failed
+        assert [r.index for r in results] == [0, 1, 2]
+        dead = results[1]
+        assert dead.seed == mix_seed(cfg.seed, 1)
+        assert dead.error and not dead.records
+
+    def test_ensemble_command_exits_3_with_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("sbq.ensemble.run_realization", dying_realization)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "n": 32, "T": 0.05, "dt": 0.01, "scheme": "stratonovich_heun",
+            "seed": 7, "initial": "taylor_green", "noise": {"type": "none"},
+            "realizations": 3, "workers": 2, "out": str(tmp_path / "out")}))
+        assert main(["ensemble", "--config", str(path), "--quiet"]) == 3
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert 1 in manifest["failed_realizations"]
+        assert (tmp_path / "out" / "summary.csv").exists()
 
 
 class TestEnsembleDeterminism:

@@ -8,11 +8,11 @@ import pytest
 
 from sbq import spectral as sp
 from sbq.config import random_hs_field
+from sbq.diagnostics import compute_record
 from sbq.integrator import (
     BlowUpSuspected,
     SchemeConfig,
     TimeStepError,
-    blowup_integrand,
     eta_cutoff,
     run,
     step,
@@ -46,6 +46,19 @@ def zero_increments(dt):
 def stationary_state(grid):
     return SimState(sp.SpectralField.from_physical(grid, np.cos(grid.x)),
                     sp.SpectralField.zero(grid))
+
+
+def count_ffts(monkeypatch, fn):
+    """Number of 2-D ``numpy.fft`` calls made by ``fn()``."""
+    count = [0]
+    with monkeypatch.context() as mp:
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                count[0] += 1
+                return _fn(*args, **kwargs)
+            mp.setattr(np.fft, name, counted)
+        fn()
+    return count[0]
 
 
 def ito_increment(state, basis, drift_enabled=True):
@@ -150,15 +163,8 @@ class TestItoCorrection:
         for m in (3, 6):
             basis = build_basis(default_family(grid, max_modes=m), grid)
             increments = sample_increments(rng, 1e-3, m)
-            count = [0]
-            with monkeypatch.context() as mp:
-                for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-                    def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-                        count[0] += 1
-                        return _fn(*args, **kwargs)
-                    mp.setattr(np.fft, name, counted)
-                step(state, basis, increments, SchemeConfig("ito_euler", dt=1e-3))
-            calls.append(count[0])
+            calls.append(count_ffts(monkeypatch, lambda: step(
+                state, basis, increments, SchemeConfig("ito_euler", dt=1e-3))))
         assert calls[1] - calls[0] <= 18
 
 
@@ -272,8 +278,7 @@ class TestTruncated:
 
     def test_below_threshold_bit_identical(self, grid):
         state, basis = self._state_and_basis(grid)
-        u = sp.biot_savart(state.omega)
-        big_r = 10.0 * blowup_integrand(u, state.theta) + 10.0
+        big_r = 10.0 * sum(state.grad_sups) + 10.0
         db = sample_increments(np.random.default_rng(6), 0.01, 1)
         for scheme in ("ito_euler", "stratonovich_heun"):
             plain = step(state, basis, db, SchemeConfig(scheme, dt=0.01))
@@ -284,9 +289,7 @@ class TestTruncated:
 
     def test_above_threshold_zero_advection(self, grid):
         state, basis = self._state_and_basis(grid)
-        u = sp.biot_savart(state.omega)
-        from sbq.integrator import grad_sup, velocity_grad_sup
-        tiny_r = min(velocity_grad_sup(u), grad_sup(state.theta)) / 2.5
+        tiny_r = min(state.grad_sups) / 2.5
         assert tiny_r > 0  # both sup norms >= 2r
         db = sample_increments(np.random.default_rng(7), 0.01, 1)
         trunc = step(state, basis, db,
@@ -306,11 +309,10 @@ class TestTruncated:
         state, basis = self._state_and_basis(grid)
         u = sp.biot_savart(state.omega)
         # rescale theta so both sup norms coincide, then r puts them mid-band
-        from sbq.integrator import grad_sup, velocity_grad_sup
-        su = velocity_grad_sup(u)
-        theta = state.theta * (su / grad_sup(state.theta))
+        su, sth0 = state.grad_sups
+        theta = state.theta * (su / sth0)
         state = SimState(state.omega, theta)
-        sth = grad_sup(theta)
+        sth = state.grad_sups[1]
         r = 0.8 * min(su, sth)
         assert r < su < 2 * r and r < sth < 2 * r
         eta_u, eta_th = eta_cutoff(su, r), eta_cutoff(sth, r)
@@ -386,8 +388,7 @@ class TestHyper:
 class TestBlowUpBookkeeping:
     def test_accumulates_left_endpoint(self, grid):
         state = stationary_state(grid)
-        u = sp.biot_savart(state.omega)
-        integrand = blowup_integrand(u, state.theta)
+        integrand = sum(SimState(state.omega, state.theta).grad_sups)
         cfg = SchemeConfig("stratonovich_heun", dt=0.25)
         new = step(state, empty_basis(grid), zero_increments(0.25), cfg)
         assert new.blowup_accum == pytest.approx(0.25 * integrand, abs=1e-15)
@@ -420,6 +421,46 @@ class TestBlowUpBookkeeping:
         traj = run(state, basis, cfg, T=0.5, rng=rng, diag_interval=10**9)
         assert abs(traj.final_state.omega.mean()) <= 1e-13
         assert traj.final_state.theta.mean() == pytest.approx(theta_mean0, abs=1e-13)
+
+
+class TestSharedGradients:
+    def _state(self, grid, seed=14):
+        rng = np.random.default_rng(seed)
+        return SimState(sp.random_field(grid, rng, band=10, zero_mean=True),
+                        sp.random_field(grid, rng, band=10))
+
+    def test_record_then_step_adds_only_theta_samples(self, grid, monkeypatch):
+        # the record fills the state's gradient cache and the step reads it:
+        # taking the record first costs at most theta's own samples
+        cfg = SchemeConfig("stratonovich_heun", dt=0.01)
+        state, fresh = self._state(grid), self._state(grid)
+
+        def record_then_step():
+            compute_record(state)
+            step(state, empty_basis(grid), zero_increments(0.01), cfg)
+
+        alone = count_ffts(monkeypatch, lambda: step(
+            fresh, empty_basis(grid), zero_increments(0.01), cfg))
+        both = count_ffts(monkeypatch, record_then_step)
+        assert both - alone <= 1
+
+    def test_grad_sups_match_derivative_samples(self, grid, monkeypatch):
+        state = self._state(grid)
+        u = sp.biot_savart(state.omega)
+        gu = max(np.max(np.abs(sp.derivative(c, axis).values()))
+                 for c in (u.u1, u.u2) for axis in ("x", "y"))
+        tx, ty = (sp.derivative(state.theta, axis).values() for axis in ("x", "y"))
+        gth = max(np.max(np.abs(tx)), np.max(np.abs(ty)))
+        assert state.grad_sups == (gu, gth)
+        assert np.array_equal(state.grad_theta[0], tx)
+        assert np.array_equal(state.grad_theta[1], ty)
+        assert np.array_equal(state.velocity.u1.coeffs, u.u1.coeffs)
+        assert np.array_equal(state.velocity.u2.coeffs, u.u2.coeffs)
+        assert count_ffts(monkeypatch, lambda: (
+            state.grad_sups, state.grad_theta, state.velocity)) == 0
+        # replace builds a state with its own cache
+        doubled = replace(state, theta=2.0 * state.theta)
+        assert doubled.grad_sups == (gu, 2.0 * gth)
 
 
 class TestRun:
