@@ -125,7 +125,10 @@ def _cmd_simulate(args) -> int:
     except TimeStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AssertionError as exc:
+    except AssertionError as exc:  # the stepper's omega mean guard
+        manifest = _manifest_base(cfg, [seed])
+        manifest["abort_reason"] = str(exc)
+        write_manifest(out / "manifest.json", manifest)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 

@@ -30,6 +30,7 @@ __all__ = [
     "compute_record",
     "potential_term",
     "lp_grad_theta",
+    "lp_magnitude",
     "StoppingTimeReport",
     "update_stopping_report",
     "conservation_defects",
@@ -62,11 +63,13 @@ RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 def lp_grad_theta(theta: SpectralField, p: float) -> float:
     """L^p norm of |grad theta| (pointwise Euclidean magnitude)."""
-    return _lp_magnitude(derivative(theta, "x").values(),
-                         derivative(theta, "y").values(), p)
+    return lp_magnitude(derivative(theta, "x").values(),
+                        derivative(theta, "y").values(), p)
 
 
-def _lp_magnitude(gx: np.ndarray, gy: np.ndarray, p: float) -> float:
+def lp_magnitude(gx: np.ndarray, gy: np.ndarray, p: float) -> float:
+    """L^p norm of the pointwise magnitude of physical samples (gx, gy);
+    with ``SimState.grad_theta`` it is ||grad theta||_p without a transform."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     mag = np.hypot(gx, gy)
@@ -93,7 +96,7 @@ def compute_record(state: SimState, p: float = 2.0) -> DiagnosticsRecord:
     h2 = sobolev_norm(state.omega, 2.0)
     h3 = sobolev_norm(state.theta, 3.0)
     gu, gth = state.grad_sups
-    lp = _lp_magnitude(*state.grad_theta, p)
+    lp = lp_magnitude(*state.grad_theta, p)
     denom = h2 + h3
     ratio = (gu + gth) / denom if denom > 0 else 0.0
     return DiagnosticsRecord(

@@ -9,7 +9,8 @@ worker count.  Realization ``i`` derives its stream seed as
 A worker failure is isolated to its realization: the run is marked failed,
 excluded from aggregates, and counted.  A worker process that dies (a
 signal, out of memory) breaks the pool: every realization whose result had
-not come back by then is marked failed, the others keep their results.
+not come back by then is resubmitted once to a fresh pool, and those lost a
+second time are marked failed; the others keep their results.
 Realizations that abort on a suspected blow-up keep their partial series;
 per-time statistics aggregate over the realizations that reached each time.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,21 +106,36 @@ def run_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleSummary, list]:
     if cfg.parallelism == 1 or cfg.realizations == 1:
         results = [run_realization(cfg.run_config, cfg.master_seed, i) for i in indices]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            futures = [pool.submit(run_realization, cfg.run_config, cfg.master_seed, i)
-                       for i in indices]
-            results = [_result_or_failure(f, cfg.master_seed, i)
-                       for i, f in zip(indices, futures)]
+        results, lost = _run_pool(cfg, indices)
+        if lost:  # seeds are per index, so a second attempt gives the same results
+            retried, lost = _run_pool(cfg, list(lost))
+            results += retried
+        results += [RealizationResult(index=i, seed=mix_seed(cfg.master_seed, i),
+                                      failed=True, error=f"{type(exc).__name__}: {exc}")
+                    for i, exc in lost.items()]
     results.sort(key=lambda r: r.index)
     return summarize(results), results
 
 
-def _result_or_failure(future, master_seed: int, index: int) -> RealizationResult:
-    try:
-        return future.result()
-    except Exception as exc:  # the worker process died, e.g. BrokenProcessPool
-        return RealizationResult(index=index, seed=mix_seed(master_seed, index),
-                                 failed=True, error=f"{type(exc).__name__}: {exc}")
+def _run_pool(cfg: EnsembleConfig, indices: list) -> tuple[list, dict]:
+    """Run ``indices`` on a fresh pool; returns the results that came back and
+    {index: exception} for those lost with a dead worker process."""
+    results, lost = [], {}
+    with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        futures = []
+        for i in indices:
+            try:
+                futures.append(
+                    pool.submit(run_realization, cfg.run_config, cfg.master_seed, i))
+            except BrokenProcessPool as exc:  # a worker died before all were queued
+                lost.update(dict.fromkeys(indices[len(futures):], exc))
+                break
+        for i, future in zip(indices, futures):
+            try:
+                results.append(future.result())
+            except Exception as exc:  # the worker process died, e.g. BrokenProcessPool
+                lost[i] = exc
+    return results, lost
 
 
 def summarize(results: list) -> EnsembleSummary:

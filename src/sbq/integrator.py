@@ -16,13 +16,15 @@ predictor states, same Brownian increment).  The Euler-Maruyama update is
 also the Heun predictor.
 
 The Ito correction 1/2 sum_i L_{xi_i}^2 f is the composed dealiased
-transport of :func:`sbq.operators.lie_second`, evaluated by one kernel for
-omega and theta together: grad f goes to physical space once, each mode
-then costs one forward transform (L_{xi_i} f, its two products summed
-before the transform) and one inverse transform (the gradient of that),
-and the second products of all modes are summed in physical space and
-brought back by a single forward transform.  It agrees with the
-mode-by-mode ``lie_second`` sum to round-off.
+transport of :func:`sbq.operators.lie_second`, summed over the modes.  Each
+noise field has Fourier support at +-k_i only, so the sum is a Fourier
+operator with a few shifted diagonals (offsets 0 and +-2 k_i), built
+exactly from the modes on the first Ito step and cached on the basis
+(``NoiseBasis.ito_diagonals``).  Cosine/sine pairs of equal amplitude
+cancel their +-2 k_i diagonals, so for the default family the correction is
+one multiplier, -1/2 a |k|^2 inside the dealias ball (the constant eddy
+diffusivity of homogeneous transport noise), and a step pays no transform
+for it.  It agrees with the mode-by-mode ``lie_second`` sum to round-off.
 
 Variants:
 
@@ -176,31 +178,18 @@ def _evaluate_stage(state: SimState, basis: NoiseBasis, db: np.ndarray,
 
 def _ito_correction(basis: NoiseBasis, omega: SpectralField,
                     theta: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """1/2 sum_i L_{xi_i}^2 f for f = omega and theta, summed in physical space.
+    """1/2 sum_i L_{xi_i}^2 f for f = omega and theta, applied in Fourier space.
 
-    With P the 2/3-rule projection and X_1, X_2 the samples of xi_i,
-    g_i = L_{xi_i} f = P FFT(X_1 F_x + X_2 F_y) with F = IFFT(P grad f), and
-    sum_i L_{xi_i} g_i = P FFT(S) with S = sum_i X_1 G_x + X_2 G_y and
-    G = IFFT(grad g_i).  omega and theta share every transform, in the
-    real-FFT half layout, so each mode costs one forward and one inverse
-    call.
+    The composed dealiased operator is a sum of shifted diagonals
+    (``basis.ito_diagonals``, built on the first call): a multiplier plus
+    one rolled term per remaining offset, with no transform.
     """
-    grid = omega.grid
-    n = grid.n
-    half = n // 2 + 1  # rfft2 keeps the fft2 columns k2 = 0..n/2
-    keep = grid.dealias_keep[:, :half]
-    dx, dy = grid.deriv_x[:, :half] * keep, grid.deriv_y[:, :half] * keep  # P d_x, P d_y
-    f = np.stack((omega.coeffs[:, :half], theta.coeffs[:, :half]))
-    fx, fy = np.fft.irfft2(np.stack((f * dx, f * dy)), s=(n, n))
-    total = np.zeros((2, n, n))
-    for xi in basis.fields:
-        x1, x2 = xi.u1.values(), xi.u2.values()
-        g = np.fft.rfft2(x1 * fx + x2 * fy)
-        gx, gy = np.fft.irfft2(np.stack((g * dx, g * dy)), s=(n, n))
-        total += x1 * gx
-        total += x2 * gy
-    c = np.where(grid.dealias_keep, 0.5 * np.fft.fft2(total), 0.0)
-    return SpectralField(grid, c[0]), SpectralField(grid, c[1])
+    d0, shifted = basis.ito_diagonals
+    f = np.stack((omega.coeffs, theta.coeffs))
+    c = d0 * f
+    for offset, d in shifted:
+        c += d * np.roll(f, offset, axis=(1, 2))
+    return SpectralField(omega.grid, c[0]), SpectralField(omega.grid, c[1])
 
 
 def _check_increments(increments: BrownianIncrements, basis: NoiseBasis, cfg: SchemeConfig):

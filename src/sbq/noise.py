@@ -15,6 +15,7 @@ here so runs are reproducible for a given package version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,74 @@ class NoiseBasis:
 
     def __len__(self) -> int:
         return len(self.fields)
+
+    @cached_property
+    def ito_diagonals(self) -> tuple[np.ndarray, tuple]:
+        """Fourier form of the Ito correction C f = 1/2 sum_i P L_xi_i P L_xi_i P f.
+
+        Returns ``(d0, shifted)`` with ``shifted`` a tuple of ``(offset, d)``
+        pairs, so that in the fft2 layout
+        ``(C f)^[m] = d0[m] f^[m] + sum d[m] f^[m - offset]`` (indices mod n),
+        i.e. ``d * np.roll(f^, offset)``.  Built on first use, from the modes
+        alone (see :func:`_ito_diagonals`).
+        """
+        return _ito_diagonals(self.modes, self.grid)
+
+
+def _ito_diagonals(modes: tuple, grid: Grid) -> tuple[np.ndarray, tuple]:
+    """Exact diagonals of 1/2 sum_i P L_xi_i P L_xi_i P for the given modes.
+
+    A mode psi = a trig(k . x) gives xi = grad-perp psi, whose fft2
+    coefficients sit at +-k only: n^2 s (a/2) g_+- k_perp, with
+    k_perp = (-k2, k1), s = (-1)^(k1 + k2) (the grid starts at x = -pi), and
+    g_+ = i, g_- = -i for a cosine, g_+ = g_- = 1 for a sine.  With K[m] the
+    signed wavenumber of index m, P the 2/3-rule mask and
+    E[m] = P[m] (k_perp . K[m]), one dealiased transport reads, indices mod n,
+
+        (P L_xi P f)^[m] = i s (a/2) sum_+- g_+- P[m] E[m -+ k] f^[m -+ k].
+
+    Composing two of them gives the diagonals
+
+    * offset 0:      -(a^2 / 8) E[m] (E[m - k] + E[m + k])   (g_+ g_- = 1),
+    * offset +-2k:   -(w / 2) P[m] E[m -+ k] E[m -+ 2k],
+
+    with w = (sum_sine a^2 - sum_cosine a^2) / 4 over the modes at +-k
+    (g_+^2 = g_-^2 = -1 for a cosine and +1 for a sine; s^2 = 1).  A
+    cosine/sine pair of equal amplitude has w == 0 exactly, so its +-2k
+    diagonals are never built: the default family reduces to ``d0``, which
+    is -1/2 a |m|^2 away from the dealias edge, where
+    sum_i xi_i (x) xi_i = a I (the constant eddy diffusivity).  A constant
+    shift of amplitude A along one axis contributes -1/2 A^2 K_axis^2 P to d0.
+    """
+    keep = grid.dealias_keep.astype(np.float64)
+    k1, k2 = grid.k1.astype(np.float64), grid.k2.astype(np.float64)
+    d0 = np.zeros((grid.n, grid.n))
+    # modes at +-k share their diagonals: one entry per half-plane wavevector
+    squares = {}  # k -> [sum of a^2, sum over sines of a^2 - sum over cosines]
+    for mode in modes:
+        if isinstance(mode, ConstantShift):
+            kk = k1 if mode.direction == "x" else k2
+            d0 -= 0.5 * mode.amplitude**2 * kk**2 * keep
+            continue
+        k = mode.wavevector
+        if k[0] < 0 or (k[0] == 0 and k[1] < 0):
+            k = (-k[0], -k[1])
+        entry = squares.setdefault(k, [0.0, 0.0])
+        entry[0] += mode.amplitude**2
+        entry[1] += mode.amplitude**2 if mode.phase == "sine" else -mode.amplitude**2
+    shifted = []
+    for k, (total, signed) in squares.items():
+        e = keep * (k[0] * k2 - k[1] * k1)
+        # E[m - s] for s = k and s = -k
+        e_shift = {s: np.roll(e, s, axis=(0, 1)) for s in (k, (-k[0], -k[1]))}
+        d0 -= (total / 8.0) * e * sum(e_shift.values())
+        if signed != 0.0:
+            for s, e_s in e_shift.items():
+                d = (-signed / 8.0) * keep * e_s * np.roll(e_s, s, axis=(0, 1))
+                d.setflags(write=False)
+                shifted.append(((2 * s[0], 2 * s[1]), d))
+    d0.setflags(write=False)
+    return d0, tuple(shifted)
 
 
 def empty_basis(grid: Grid) -> NoiseBasis:

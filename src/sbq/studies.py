@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import random_hs_field
-from .diagnostics import conservation_defects, gronwall_report, lp_grad_theta
+from .diagnostics import conservation_defects, gronwall_report, lp_magnitude
 from .integrator import SchemeConfig, run
 from .noise import empty_basis
 from .spectral import Grid, SpectralField, l2_norm
@@ -80,8 +80,9 @@ def conservation_order_study(n: int = 128, dts=(1e-2, 5e-3, 2.5e-3),
         lp_series = {2.0: [], 4.0: [], 8.0: []}
 
         def collect(index, state, record, series=lp_series):
+            # compute_record has just cached the grad theta samples
             for p in series:
-                series[p].append(lp_grad_theta(state.theta, p))
+                series[p].append(lp_magnitude(*state.grad_theta, p))
 
         traj = run(state0, basis, SchemeConfig("stratonovich_heun", dt=dt), T,
                    diag_interval=1, observers=((1, collect),))

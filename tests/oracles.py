@@ -8,6 +8,9 @@ a genuine cross-check rather than a tautology.
 Refinement reuses ``sbq.spectral.resample`` (pure zero padding); its
 correctness is pinned separately by the subsample round-trip test in
 test_spectral.py, which involves no differentiation at all.
+
+:func:`count_ffts` counts the 2-D transforms a call makes, for the tests
+that pin how many a step, a record or a study pays.
 """
 
 from __future__ import annotations
@@ -117,3 +120,16 @@ def hs_field_reference(grid: Grid, s: float, rng: np.random.Generator,
     f = SpectralField(grid, sym)
     norm = l2_norm(f)
     return f * (amplitude / norm) if norm > 0 else f
+
+
+def count_ffts(monkeypatch, fn):
+    """Number of 2-D ``numpy.fft`` calls made by ``fn()``."""
+    count = [0]
+    with monkeypatch.context() as mp:
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                count[0] += 1
+                return _fn(*args, **kwargs)
+            mp.setattr(np.fft, name, counted)
+        fn()
+    return count[0]

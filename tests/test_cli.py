@@ -5,6 +5,7 @@ import json
 from sbq.cli import main
 from sbq.diagnostics import StoppingTimeReport, update_stopping_report
 from sbq.io import read_diagnostics_csv, read_snapshot
+from sbq.noise import mix_seed
 
 
 def write_config(tmp_path, **overrides):
@@ -88,6 +89,20 @@ class TestSimulate:
         cfg = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == 3
         assert "error: omega mean mode drifted" in capsys.readouterr().err
+
+    def test_assertion_exit_3_writes_manifest(self, tmp_path, monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise AssertionError("omega mean mode drifted to 1.000e-03")
+        monkeypatch.setattr("sbq.cli.run", failing_run)
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 3
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["abort_reason"] == "omega mean mode drifted to 1.000e-03"
+        config = json.loads(cfg.read_text())
+        assert manifest["master_seed"] == config["seed"]
+        assert manifest["realization_seeds"] == [mix_seed(config["seed"], 0)]
+        for key in ("config", "format_versions", "package_version", "build_id"):
+            assert key in manifest
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path)

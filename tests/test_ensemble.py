@@ -1,5 +1,6 @@
 """Ensemble determinism, aggregation, moment estimates."""
 
+import functools
 import json
 import math
 import os
@@ -62,6 +63,14 @@ def dying_realization(cfg, master_seed, index):
     return run_realization(cfg, master_seed, index)
 
 
+def dying_once_realization(marker, cfg, master_seed, index):
+    # the first attempt at index 1 leaves the marker and kills its worker
+    if index == 1 and not marker.exists():
+        marker.touch()
+        os._exit(1)
+    return run_realization(cfg, master_seed, index)
+
+
 class TestDeadWorker:
     def test_dead_worker_fails_its_realization(self, monkeypatch):
         monkeypatch.setattr("sbq.ensemble.run_realization", dying_realization)
@@ -84,6 +93,22 @@ class TestDeadWorker:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert 1 in manifest["failed_realizations"]
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_lost_realizations_resubmitted_once(self, tmp_path, monkeypatch):
+        cfg = small_config(realizations=4)
+        serial, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 1))
+        marker = tmp_path / "died"
+        monkeypatch.setattr("sbq.ensemble.run_realization",
+                            functools.partial(dying_once_realization, marker))
+        summary, results = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
+        assert marker.exists()
+        assert summary.failed == []
+        assert [r.index for r in results] == [0, 1, 2, 3]
+        assert np.array_equal(summary.times, serial.times)
+        assert np.array_equal(summary.counts, serial.counts)
+        for f in serial.stats:
+            for stat in ("mean", "var", "max"):
+                assert np.array_equal(summary.stats[f][stat], serial.stats[f][stat])
 
 
 class TestEnsembleDeterminism:

@@ -27,7 +27,7 @@ from sbq.noise import (
 )
 from sbq.operators import lie_derivative
 from sbq.state import SimState
-from oracles import fd_derivative
+from oracles import count_ffts, fd_derivative
 
 
 @pytest.fixture(scope="module")
@@ -46,19 +46,6 @@ def zero_increments(dt):
 def stationary_state(grid):
     return SimState(sp.SpectralField.from_physical(grid, np.cos(grid.x)),
                     sp.SpectralField.zero(grid))
-
-
-def count_ffts(monkeypatch, fn):
-    """Number of 2-D ``numpy.fft`` calls made by ``fn()``."""
-    count = [0]
-    with monkeypatch.context() as mp:
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-                count[0] += 1
-                return _fn(*args, **kwargs)
-            mp.setattr(np.fft, name, counted)
-        fn()
-    return count[0]
 
 
 def ito_increment(state, basis, drift_enabled=True):
@@ -166,6 +153,65 @@ class TestItoCorrection:
             calls.append(count_ffts(monkeypatch, lambda: step(
                 state, basis, increments, SchemeConfig("ito_euler", dt=1e-3))))
         assert calls[1] - calls[0] <= 18
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_default_family_interior_is_eddy_diffusivity(self, n):
+        # cosine/sine pairs cancel the +-2k diagonals: one multiplier, equal
+        # to -1/2 a |m|^2 away from the outer 2 k_max shell, where
+        # sum_i xi_i (x) xi_i = a I in physical space
+        g = sp.Grid(n)
+        basis = build_basis(default_family(g), g)
+        d0, shifted = basis.ito_diagonals
+        assert shifted == ()
+        x1 = np.array([xi.u1.values() for xi in basis.fields])
+        x2 = np.array([xi.u2.values() for xi in basis.fields])
+        a = np.mean(np.sum(x1 * x1, axis=0))
+        assert np.max(np.abs(np.sum(x1 * x1, axis=0) - a)) <= 1e-13 * a
+        assert np.max(np.abs(np.sum(x2 * x2, axis=0) - a)) <= 1e-13 * a
+        assert np.max(np.abs(np.sum(x1 * x2, axis=0))) <= 1e-13 * a
+        assert a == pytest.approx(0.0107029, rel=1e-5)
+        interior = (np.maximum(np.abs(g.k1), np.abs(g.k2)) <= n / 3 - 2 * 4) & (g.ksq > 0)
+        measured = -2.0 * d0[interior] / g.ksq[interior]
+        assert np.max(np.abs(measured - a)) <= 1e-14 * a
+        assert np.all(d0[~g.dealias_keep] == 0.0)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("modes", ["max_modes_3", "single_sine", "max_modes_5"])
+    def test_unpaired_bases_match_composed_lie_second(self, n, modes):
+        # an unpaired mode keeps its +-2k diagonals; full-band fields
+        from sbq.operators import lie_second
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n + 1)
+        spec = {"max_modes_3": default_family(g, max_modes=3),
+                "single_sine": [((2, -1), "sine", 0.3)],
+                "max_modes_5": default_family(g, max_modes=5)}[modes]
+        basis = build_basis(spec, g)
+        assert len(basis.ito_diagonals[1]) == 2
+        omega = sp.random_field(g, rng, band=n // 3, zero_mean=True)
+        theta = sp.random_field(g, rng, band=n // 3)
+        increments = ito_increment(SimState(omega, theta), basis, drift_enabled=False)
+        for c, f in zip(increments, (omega, theta)):
+            ref = sp.SpectralField.zero(g)
+            for xi in basis.fields:
+                ref = ref + 0.5 * lie_second(xi, f)
+            assert np.max(np.abs(c.coeffs - ref.coeffs)) <= \
+                1e-13 * np.max(np.abs(ref.coeffs))
+
+    def test_transforms_independent_of_mode_count(self, grid, monkeypatch):
+        # the correction makes no transform: 3 and 48 modes cost the same
+        rng = np.random.default_rng(5)
+        state = SimState(sp.random_field(grid, rng, band=10, zero_mean=True),
+                         sp.random_field(grid, rng, band=10))
+        calls = []
+        for m in (3, 48):
+            basis = build_basis(default_family(grid, max_modes=m), grid)
+            assert len(basis) == m
+            increments = sample_increments(rng, 1e-3, m)
+            # a fresh copy each time: a stepped-from state keeps its gradients
+            calls.append(count_ffts(monkeypatch, lambda: step(
+                replace(state), basis, increments, SchemeConfig("ito_euler", dt=1e-3))))
+        assert calls[0] == calls[1]
+        assert calls[1] <= 32
 
 
 class TestItoEuler:
