@@ -35,7 +35,20 @@ Variants:
   correction and the buoyancy term are never truncated.
 * ``hyper(nu, r)`` composes the truncated explicit step with exact
   integrating-factor decay exp(-nu |k|^10 dt) on omega and
-  exp(-nu |k|^14 dt) on theta (Lie-Trotter splitting).
+  exp(-nu |k|^14 dt) on theta (Lie-Trotter splitting); the two factors are
+  built once per (grid, nu, dt).
+
+Transforms: a stage makes two calls of the half-spectrum kernel of
+:mod:`sbq.spectral`.  One batched inverse takes grad omega, grad theta, u
+and the noise field w = sum_i dB_i xi_i (formed from the modes' exact
+coefficients, ``NoiseBasis.transport_half``, never from a stack of fields)
+to physical space; one batched forward brings back L_u omega, L_u theta,
+L_w omega and L_w theta, each with both products summed in physical space
+as :func:`sbq.operators.lie_derivative` sums them, so the stage's terms
+equal the public operator's bit for bit.  With the start state's own
+batched inverse (see below), a Heun step makes 5 transform calls (6 when
+the variant truncates and reads the predictor's sups) and an Ito-Euler step
+3; the CFL guard, when on, adds two for the start state's velocity samples.
 
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
@@ -51,13 +64,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .diagnostics import compute_record
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
-from .operators import lie_derivative
-from .spectral import SpectralField, VelocityField, derivative, l2_norm
+from .spectral import Grid, SpectralField, derivative, l2_norm
+from .spectral import _gradient_half, _to_fourier, _to_physical, _velocity_half
 from .state import SimState
 
 __all__ = [
@@ -138,39 +152,41 @@ class _Stage:
     ntheta: SpectralField
 
 
-def _combine_noise(basis: NoiseBasis, db: np.ndarray) -> VelocityField:
-    """Effective transport field sum_i dB_i xi_i (noise is linear in xi)."""
-    grid = basis.grid
-    c1 = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    c2 = np.zeros_like(c1)
-    for xi, b in zip(basis.fields, db):
-        c1 += float(b) * xi.u1.coeffs
-        c2 += float(b) * xi.u2.coeffs
-    return VelocityField(SpectralField(grid, c1), SpectralField(grid, c2))
-
-
 def _evaluate_stage(state: SimState, basis: NoiseBasis, db: np.ndarray,
                     cfg: SchemeConfig) -> _Stage:
-    omega, theta = state.omega, state.theta
-    zero = SpectralField.zero(state.grid)
-    domega, dtheta = zero, zero
+    grid = state.grid
+    zero = SpectralField.zero(grid)
+    domega, dtheta, nomega, ntheta = zero, zero, zero, zero
+    if not (cfg.drift_enabled or len(basis)):
+        return _Stage(domega, dtheta, nomega, ntheta)
+    # one inverse: grad omega, grad theta, then one (v1, v2) pair per
+    # transport field (u for the drift, w = sum_i dB_i xi_i for the noise)
+    planes = [_gradient_half(state.omega), _gradient_half(state.theta)]
+    if cfg.drift_enabled:
+        planes.append(_velocity_half(state.velocity))
+    if len(basis):
+        planes.append(basis.transport_half(db))
+    phys = _to_physical(np.concatenate(planes), grid, dealias=True)
+    n = grid.n
+    grads, velocities = phys[:4].reshape(2, 2, n, n), phys[4:].reshape(-1, 2, n, n)
+    # one forward: v . grad f for each transport field v and f = omega, theta,
+    # both products summed before the transform, as in lie_derivative
+    products = np.stack([v[0] * g[0] + v[1] * g[1] for v in velocities for g in grads])
+    transports = iter(SpectralField(grid, c)
+                      for c in _to_fourier(products, grid, dealias=True))
     if cfg.drift_enabled:
         eta_u = eta_th = 1.0
         if cfg.variant in ("truncated", "hyper"):
             gu, gth = state.grad_sups
             eta_u = eta_cutoff(gu, cfg.r)
             eta_th = eta_cutoff(gth, cfg.r)
-        adv_omega = lie_derivative(state.velocity, omega)
-        adv_theta = lie_derivative(state.velocity, theta)
-        domega = -eta_u * adv_omega + derivative(theta, "x")
-        dtheta = -eta_th * adv_theta
-    nomega, ntheta = zero, zero
+        domega = -eta_u * next(transports) + derivative(state.theta, "x")
+        dtheta = -eta_th * next(transports)
     if len(basis):
-        w = _combine_noise(basis, db)
-        nomega = -lie_derivative(w, omega)
-        ntheta = -lie_derivative(w, theta)
+        nomega = -next(transports)
+        ntheta = -next(transports)
         if cfg.scheme == "ito_euler":
-            comega, ctheta = _ito_correction(basis, omega, theta)
+            comega, ctheta = _ito_correction(basis, state.omega, state.theta)
             domega = domega + comega
             dtheta = dtheta + ctheta
     return _Stage(domega, dtheta, nomega, ntheta)
@@ -211,6 +227,16 @@ def _cfl_guard(state: SimState, basis: NoiseBasis, cfg: SchemeConfig):
             f"(cfl={cfg.cfl}, speed={speed:.3e})")
 
 
+@lru_cache(maxsize=8)
+def _hyper_decay(grid: Grid, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrating-factor decay exp(-nu |k|^10 dt) and exp(-nu |k|^14 dt)."""
+    ksq = grid.ksq
+    out = np.exp(-nu * ksq**5 * dt), np.exp(-nu * ksq**7 * dt)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 # beyond this magnitude float products corrupt the exact conservation
 # structure well before Inf appears; treat it as numerical blow-up
 _MAGNITUDE_LIMIT = 1e75
@@ -219,9 +245,9 @@ _MAGNITUDE_LIMIT = 1e75
 def _finalize(state: SimState, omega: SpectralField, theta: SpectralField,
               cfg: SchemeConfig, dt: float) -> SimState:
     if cfg.variant == "hyper" and cfg.nu:
-        ksq = omega.grid.ksq
-        omega = SpectralField(omega.grid, omega.coeffs * np.exp(-cfg.nu * ksq**5 * dt))
-        theta = SpectralField(theta.grid, theta.coeffs * np.exp(-cfg.nu * ksq**7 * dt))
+        decay_omega, decay_theta = _hyper_decay(omega.grid, cfg.nu, dt)
+        omega = SpectralField(omega.grid, omega.coeffs * decay_omega)
+        theta = SpectralField(theta.grid, theta.coeffs * decay_theta)
     integrand = sum(state.grad_sups)  # left endpoint: the step's start state
     new = SimState(omega, theta, state.t + dt, state.blowup_accum + dt * integrand)
     if not new.is_finite():

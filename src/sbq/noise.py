@@ -14,18 +14,13 @@ here so runs are reproducible for a given package version.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    SpectralField,
-    VelocityField,
-    sobolev_norm,
-    stream_to_velocity,
-)
+from .spectral import Grid, SpectralField, VelocityField
 
 __all__ = [
     "NoiseMode",
@@ -94,14 +89,41 @@ class NoiseBasis:
         """
         return _ito_diagonals(self.modes, self.grid)
 
+    @cached_property
+    def _half_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, matrix)``: the flat half-spectrum positions the fields
+        occupy and, per velocity component and position, each mode's
+        coefficient there (shape (2, positions, modes)).  Built on first use
+        from the modes alone."""
+        n = self.grid.n
+        h = n // 2 + 1
+        positions = {}
+        entries = []
+        for i, mode in enumerate(self.modes):
+            for row, col, c1, c2 in _mode_coefficients(mode, n):
+                if col < h:
+                    p = positions.setdefault(row * h + col, len(positions))
+                    entries.append((p, i, c1, c2))
+        matrix = np.zeros((2, len(positions), len(self.modes)), dtype=np.complex128)
+        for p, i, c1, c2 in entries:
+            matrix[:, p, i] += (c1, c2)
+        return np.fromiter(positions, dtype=np.intp, count=len(positions)), matrix
+
+    def transport_half(self, db: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients (2, n, n/2 + 1) of the transport field
+        w = sum_i db_i xi_i, formed from the modes' exact coefficients."""
+        index, matrix = self._half_coefficients
+        n = self.grid.n
+        out = np.zeros((2, n * (n // 2 + 1)), dtype=np.complex128)
+        out[:, index] = matrix @ np.asarray(db, dtype=np.float64)
+        return out.reshape(2, n, -1)
+
 
 def _ito_diagonals(modes: tuple, grid: Grid) -> tuple[np.ndarray, tuple]:
     """Exact diagonals of 1/2 sum_i P L_xi_i P L_xi_i P for the given modes.
 
-    A mode psi = a trig(k . x) gives xi = grad-perp psi, whose fft2
-    coefficients sit at +-k only: n^2 s (a/2) g_+- k_perp, with
-    k_perp = (-k2, k1), s = (-1)^(k1 + k2) (the grid starts at x = -pi), and
-    g_+ = i, g_- = -i for a cosine, g_+ = g_- = 1 for a sine.  With K[m] the
+    Each field's fft2 coefficients sit at +-k only, n^2 s (a/2) g_+- k_perp
+    in the notation of :func:`_mode_coefficients`.  With K[m] the
     signed wavenumber of index m, P the 2/3-rule mask and
     E[m] = P[m] (k_perp . K[m]), one dealiased transport reads, indices mod n,
 
@@ -156,16 +178,48 @@ def empty_basis(grid: Grid) -> NoiseBasis:
     return NoiseBasis((), (), 0.0, grid, 0.0)
 
 
-def _h3_squared(v: VelocityField) -> float:
-    return sobolev_norm(v.u1, 3.0) ** 2 + sobolev_norm(v.u2, 3.0) ** 2
+def _mode_coefficients(mode, n: int) -> list[tuple[int, int, complex, complex]]:
+    """fft2-layout coefficients of one noise field as (row, column, u1, u2)
+    entries; every other coefficient is zero.
+
+    A mode psi = a trig(k . x) gives xi = grad-perp psi = (-d_y psi, d_x psi),
+    whose coefficients sit at +-k only: n^2 s (a/2) g_+- k_perp, with
+    k_perp = (-k2, k1), s = (-1)^(k1 + k2) (the grid starts at x = -pi), and
+    g_+ = i, g_- = -i for a cosine, g_+ = g_- = 1 for a sine.  A constant
+    shift of amplitude A along one axis is n^2 A at k = 0 in that component.
+    """
+    if isinstance(mode, ConstantShift):
+        c = n * n * mode.amplitude
+        return [(0, 0, c, 0.0) if mode.direction == "x" else (0, 0, 0.0, c)]
+    k1, k2 = mode.wavevector
+    base = n * n * (-1) ** (k1 + k2) * mode.amplitude / 2.0
+    g = (1j, -1j) if mode.phase == "cosine" else (1.0, 1.0)
+    return [((sign * k1) % n, (sign * k2) % n, -k2 * base * g_s, k1 * base * g_s)
+            for sign, g_s in zip((1, -1), g)]
+
+
+def _realize(mode, grid: Grid) -> tuple[VelocityField, float]:
+    """A mode's field from its exact coefficients, and its squared H^3 norm."""
+    n = grid.n
+    u1 = np.zeros((n, n), dtype=np.complex128)
+    u2 = np.zeros((n, n), dtype=np.complex128)
+    h3 = 0.0
+    for row, col, c1, c2 in _mode_coefficients(mode, n):
+        u1[row, col], u2[row, col] = c1, c2
+        h3 += (1.0 + grid.ksq[row, col]) ** 3 * (abs(c1) ** 2 + abs(c2) ** 2)
+    xi = VelocityField(SpectralField(grid, u1), SpectralField(grid, u2))
+    return xi, h3 * (2.0 * np.pi) ** 2 / n**4
 
 
 def build_basis(spec: list, grid: Grid) -> NoiseBasis:
     """Realize stream-function modes as divergence-free velocity fields.
 
-    Rejects the zero wavevector (constant stream function, zero field) and
-    wavevectors outside the dealiasing ball, which would be destroyed by the
-    2/3 rule before reaching the dynamics.
+    Each field is built from its exact Fourier coefficients
+    (:func:`_mode_coefficients`) and ``sup_total`` from samples of the
+    trigonometric gradient, with no transform.  Rejects the zero wavevector
+    (constant stream function, zero field) and wavevectors outside the
+    dealiasing ball, which would be destroyed by the 2/3 rule before
+    reaching the dynamics.
     """
     modes = []
     for entry in spec:
@@ -175,6 +229,7 @@ def build_basis(spec: list, grid: Grid) -> NoiseBasis:
             k, phase, amp = entry
             modes.append(NoiseMode((int(k[0]), int(k[1])), phase, float(amp)))
     fields = []
+    budget = sup = 0.0
     for mode in modes:
         k1, k2 = mode.wavevector
         if k1 == 0 and k2 == 0:
@@ -187,12 +242,16 @@ def build_basis(spec: list, grid: Grid) -> NoiseBasis:
             raise ValueError(f"phase must be 'cosine' or 'sine', got {mode.phase!r}")
         if mode.amplitude <= 0:
             raise ValueError("noise mode amplitude must be positive")
-        arg = k1 * grid.x + k2 * grid.y
-        trig = np.cos(arg) if mode.phase == "cosine" else np.sin(arg)
-        psi = SpectralField.from_physical(grid, mode.amplitude * trig)
-        fields.append(stream_to_velocity(psi))
-    budget = sum(_h3_squared(v) for v in fields)
-    sup = sum(v.sup_magnitude() for v in fields)
+        xi, h3 = _realize(mode, grid)
+        fields.append(xi)
+        budget += h3
+        # |xi| = a |k| |trig'(k . x)|, |sin| for a cosine stream and |cos|
+        # for a sine; over the grid k . x takes the values
+        # -pi (k1 + k2) + m 2 pi / n, m running over multiples of gcd(k1, k2, n)
+        stride = math.gcd(k1, k2, grid.n)
+        arg = -np.pi * (k1 + k2) + grid.spacing * np.arange(0, grid.n, stride)
+        slope = np.sin(arg) if mode.phase == "cosine" else np.cos(arg)
+        sup += mode.amplitude * float(np.hypot(k1, k2)) * float(np.max(np.abs(slope)))
     return NoiseBasis(tuple(modes), tuple(fields), budget, grid, sup)
 
 
@@ -234,12 +293,9 @@ def constant_shift_basis(direction: str, amplitude: float, grid: Grid) -> NoiseB
         raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
     if amplitude == 0:
         raise ValueError("constant shift amplitude must be nonzero")
-    const = SpectralField.from_physical(
-        grid, float(amplitude) * np.ones((grid.n, grid.n)))
-    zero = SpectralField.zero(grid)
-    v = VelocityField(const, zero) if direction == "x" else VelocityField(zero, const)
-    return NoiseBasis((ConstantShift(direction, float(amplitude)),), (v,),
-                      _h3_squared(v), grid, abs(float(amplitude)))
+    mode = ConstantShift(direction, float(amplitude))
+    xi, h3 = _realize(mode, grid)
+    return NoiseBasis((mode,), (xi,), h3, grid, abs(float(amplitude)))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .spectral import (
     sobolev_norm,
     stream_to_velocity,
 )
+from .spectral import _gradient_half, _to_fourier, _to_physical, _velocity_half
 
 __all__ = [
     "FirstOrderOp",
@@ -61,11 +62,18 @@ __all__ = [
 
 
 def lie_derivative(xi: VelocityField, f: SpectralField) -> SpectralField:
-    """Transport term xi . grad f for a scalar f."""
+    """Transport term xi . grad f for a scalar f.
+
+    Both products of the 2/3-rule pseudospectral product are summed in
+    physical space, xi1 * d_x f + xi2 * d_y f, before one forward transform;
+    the stepper forms its transport terms the same way.
+    """
     if xi.grid != f.grid:
         raise ValueError("grid mismatch")
-    return (product(xi.u1, derivative(f, "x"))
-            + product(xi.u2, derivative(f, "y")))
+    grid = f.grid
+    planes = np.concatenate((_velocity_half(xi), _gradient_half(f)))
+    x1, x2, fx, fy = _to_physical(planes, grid, dealias=True)
+    return SpectralField(grid, _to_fourier(x1 * fx + x2 * fy, grid, dealias=True))
 
 
 def lie_second(xi: VelocityField, f: SpectralField) -> SpectralField:

@@ -5,7 +5,16 @@ Conventions used throughout the package:
 
 * Coefficients follow the numpy ``fft2`` layout: the forward transform carries
   no normalisation factor, the inverse carries ``1/n**2``.  Integer wavenumbers
-  ``k = (k1, k2)`` run over ``fftfreq(n) * n``.
+  ``k = (k1, k2)`` run over ``fftfreq(n) * n``.  That is the public layout;
+  the transforms themselves are internal half-spectrum transforms
+  (``irfft2`` of the columns ``k2 = 0..n/2``, ``rfft2`` back), batched over
+  a leading axis, and every coefficient array they return is completed to
+  the full layout by its Hermitian mirror, so it is exactly Hermitian:
+  ``coeff(-k) == conj(coeff(k))`` bit for bit.  :meth:`SpectralField.values`,
+  :meth:`SpectralField.from_physical`, :func:`product`,
+  :func:`sbq.operators.lie_derivative` and the stepper all go through this
+  one pair of transforms, so the stepper's transport terms equal the public
+  operators' bit for bit.
 * All L2-type norms and inner products include the ``(2*pi)**2`` measure of the
   torus, so e.g. ``||sin x||_L2 = pi * sqrt(2)``.
 * Every quadratic nonlinearity goes through :func:`product`, the one
@@ -86,6 +95,27 @@ class Grid:
         """Read-only multiplier of d_y: i * k2 with the Nyquist line zeroed."""
         return _derivative_multiplier(self, "y", 1)
 
+    @cached_property
+    def _deriv_half(self) -> np.ndarray:
+        """(d_x, d_y) multipliers on the half spectrum, stacked (2, n, n/2 + 1)."""
+        out = np.stack((_half(self.deriv_x), _half(self.deriv_y)))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _drop_half(self) -> np.ndarray:
+        """Half-spectrum modes the 2/3 rule removes."""
+        out = ~_half(self.dealias_keep)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _mirror_rows(self) -> np.ndarray:
+        """Row index of -k1 for each row k1."""
+        out = (-np.arange(self.n)) % self.n
+        out.setflags(write=False)
+        return out
+
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n
 
@@ -102,8 +132,9 @@ class SpectralField:
 
     Coefficients of a real field satisfy Hermitian symmetry
     ``coeff(-k) == conj(coeff(k))``; fields built through
-    :meth:`from_physical` or the module operations keep that property to
-    round-off.
+    :meth:`from_physical` or the module's products hold it exactly, and
+    the linear operations keep it.  :meth:`values` reads the half spectrum
+    ``k2 >= 0`` only, which determines a Hermitian array.
 
     Physical samples are cached (read-only): a field built from physical
     values returns exactly those values, which is what makes snapshot
@@ -122,7 +153,7 @@ class SpectralField:
         if values.flags.writeable:
             values = values.copy()
             values.setflags(write=False)
-        return cls(grid, np.fft.fft2(values), values)
+        return cls(grid, _to_fourier(values, grid), values)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
@@ -131,7 +162,7 @@ class SpectralField:
     def values(self) -> np.ndarray:
         """Physical-space samples on the collocation grid (read-only array)."""
         if self._values is None:
-            out = np.real(np.fft.ifft2(self.coeffs))
+            out = _to_physical(_half(self.coeffs), self.grid)
             out.setflags(write=False)
             object.__setattr__(self, "_values", out)
         return self._values
@@ -314,11 +345,64 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     f._check(g)
     grid = f.grid
-    keep = grid.dealias_keep
-    a = np.real(np.fft.ifft2(np.where(keep, f.coeffs, 0.0)))
-    b = np.real(np.fft.ifft2(np.where(keep, g.coeffs, 0.0)))
-    out = np.fft.fft2(a * b)
-    return SpectralField(grid, np.where(keep, out, 0.0))
+    a, b = _to_physical(np.stack((_half(f.coeffs), _half(g.coeffs))), grid,
+                        dealias=True)
+    return SpectralField(grid, _to_fourier(a * b, grid, dealias=True))
+
+
+# ----------------------------------------------------------------------------
+# the transform kernel: every physical <-> Fourier transform goes through
+# these two functions, one numpy.fft call per (batched) direction
+
+
+def _half(coeffs: np.ndarray) -> np.ndarray:
+    """The columns k2 = 0..n/2 of fft2-layout coefficients (a view)."""
+    return coeffs[..., :coeffs.shape[-1] // 2 + 1]
+
+
+def _velocity_half(v: VelocityField) -> np.ndarray:
+    """Half-spectrum coefficients of (u1, u2), stacked (2, n, n/2 + 1)."""
+    return np.stack((_half(v.u1.coeffs), _half(v.u2.coeffs)))
+
+
+def _gradient_half(f: SpectralField) -> np.ndarray:
+    """Half-spectrum coefficients of (d_x f, d_y f), stacked (2, n, n/2 + 1);
+    equal to the half of :func:`derivative`'s output."""
+    return _half(f.coeffs) * f.grid._deriv_half
+
+
+def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False) -> np.ndarray:
+    """Physical samples of half-spectrum planes (..., n, n/2 + 1).
+
+    One ``irfft2`` call for the whole stack.  ``dealias`` first zeroes the
+    modes the 2/3 rule removes, in place: pass an array the caller owns.
+    """
+    if dealias:
+        np.copyto(half, 0.0, where=grid._drop_half)
+    return np.fft.irfft2(half, s=(grid.n, grid.n))
+
+
+def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False) -> np.ndarray:
+    """fft2-layout coefficients of real planes (..., n, n): one ``rfft2``
+    call for the stack, optionally under the 2/3 rule, completed to the full
+    layout by the Hermitian mirror.
+
+    The columns k2 = 0 and n/2 are their own mirror images; they are
+    replaced by their Hermitian parts, so the output is exactly Hermitian.
+    """
+    n, h = grid.n, grid.n // 2 + 1
+    half = np.fft.rfft2(values)
+    if dealias:
+        np.copyto(half, 0.0, where=grid._drop_half)
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = half
+    for j in (0, n // 2):
+        col = half[..., j]
+        out[..., j] = 0.5 * (col + np.conj(col[..., grid._mirror_rows]))
+    # coeff(k1, -k2) = conj(coeff(-k1, k2)); row -0 is row 0, row -k1 is n - k1
+    np.conjugate(half[..., :1, h - 2:0:-1], out=out[..., :1, h:])
+    np.conjugate(half[..., :0:-1, h - 2:0:-1], out=out[..., 1:, h:])
+    return out
 
 
 def _physical(f: SpectralField, oversample: int) -> np.ndarray:

@@ -2,9 +2,11 @@
 running blow-up integral, plus the quantities derived from the fields.
 
 The derived quantities are computed on first use and cached, as
-``SpectralField.values()`` caches samples.  The stepper and
+``SpectralField.values()`` caches samples: the velocity, and the physical
+samples of grad u and grad theta from one batched inverse transform.  The
+stepper (blow-up integrand, truncation cutoffs, CFL speed) and
 ``compute_record`` both read them, so ``run``, which records a state before
-stepping from it, evaluates each state's gradient sups once.
+stepping from it, evaluates each state's samples once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import SpectralField, VelocityField, biot_savart, derivative, linf_norm
+from .spectral import SpectralField, VelocityField, biot_savart
+from .spectral import _gradient_half, _to_physical
 
 
 @dataclass(frozen=True)
@@ -51,17 +54,26 @@ class SimState:
         return biot_savart(self.omega)
 
     @cached_property
+    def _samples(self) -> np.ndarray:
+        """Physical samples, from one batched inverse transform, of
+        d_x u1, d_y u1, d_x u2, d_y u2, d_x theta, d_y theta; each plane
+        equals the ``values()`` of the corresponding derivative."""
+        u = self.velocity
+        half = np.concatenate((_gradient_half(u.u1), _gradient_half(u.u2),
+                               _gradient_half(self.theta)))
+        out = _to_physical(half, self.grid)
+        out.setflags(write=False)
+        return out
+
+    @property
     def grad_theta(self) -> tuple[np.ndarray, np.ndarray]:
         """Physical samples of (d_x theta, d_y theta)."""
-        return (derivative(self.theta, "x").values(),
-                derivative(self.theta, "y").values())
+        return self._samples[4], self._samples[5]
 
     @cached_property
     def grad_sups(self) -> tuple[float, float]:
         """(||grad u||_inf, ||grad theta||_inf), each the collocation sup
         over every partial derivative; their sum is the blow-up integrand."""
-        u = self.velocity
-        gu = max(linf_norm(derivative(c, axis))
-                 for c in (u.u1, u.u2) for axis in ("x", "y"))
+        gu = max(float(np.max(np.abs(g))) for g in self._samples[:4])
         gth = max(float(np.max(np.abs(g))) for g in self.grad_theta)
         return gu, gth

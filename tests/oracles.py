@@ -11,13 +11,26 @@ test_spectral.py, which involves no differentiation at all.
 
 :func:`count_ffts` counts the 2-D transforms a call makes, for the tests
 that pin how many a step, a record or a study pays.
+
+:func:`product_fft2_reference` and :func:`build_basis_reference` are the
+earlier full complex ``fft2`` implementations of the dealiased product and
+of the noise basis, kept as round-off references for the half-spectrum
+kernel and the exact-coefficient builder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sbq.spectral import Grid, SpectralField, l2_norm, resample
+from sbq.spectral import (
+    Grid,
+    SpectralField,
+    VelocityField,
+    l2_norm,
+    resample,
+    sobolev_norm,
+    stream_to_velocity,
+)
 
 # centered stencil coefficients: offsets 1..K with antisymmetric/symmetric use
 _D1_COEFFS = {
@@ -133,3 +146,37 @@ def count_ffts(monkeypatch, fn):
             mp.setattr(np.fft, name, counted)
         fn()
     return count[0]
+
+
+def product_fft2_reference(f: SpectralField, g: SpectralField) -> SpectralField:
+    """The 2/3-rule product through full complex transforms."""
+    keep = f.grid.dealias_keep
+    a = np.real(np.fft.ifft2(np.where(keep, f.coeffs, 0.0)))
+    b = np.real(np.fft.ifft2(np.where(keep, g.coeffs, 0.0)))
+    out = np.fft.fft2(a * b)
+    return SpectralField(f.grid, np.where(keep, out, 0.0))
+
+
+def lie_derivative_fft2_reference(xi: VelocityField, f: SpectralField) -> SpectralField:
+    """xi . grad f as the Fourier-space sum of two reference products."""
+    fx = SpectralField(f.grid, f.coeffs * f.grid.deriv_x)
+    fy = SpectralField(f.grid, f.coeffs * f.grid.deriv_y)
+    return product_fft2_reference(xi.u1, fx) + product_fft2_reference(xi.u2, fy)
+
+
+def build_basis_reference(modes, grid: Grid) -> tuple[list, float, float]:
+    """(fields, h3_budget, sup_total) of stream modes by sampling each
+    stream function, ``fft2``, and ``ifft2`` samples of the velocity."""
+    fields = []
+    for mode in modes:
+        k1, k2 = mode.wavevector
+        arg = k1 * grid.x + k2 * grid.y
+        trig = np.cos(arg) if mode.phase == "cosine" else np.sin(arg)
+        psi = SpectralField(grid, np.fft.fft2(mode.amplitude * trig))
+        fields.append(stream_to_velocity(psi))
+    budget = sum(sobolev_norm(v.u1, 3.0) ** 2 + sobolev_norm(v.u2, 3.0) ** 2
+                 for v in fields)
+    sup = sum(float(np.max(np.hypot(np.real(np.fft.ifft2(v.u1.coeffs)),
+                                    np.real(np.fft.ifft2(v.u2.coeffs)))))
+              for v in fields)
+    return fields, budget, sup

@@ -244,6 +244,26 @@ class TestItoEuler:
         assert np.array_equal(new.omega.coeffs, expect_omega.coeffs)
         assert np.array_equal(new.theta.coeffs, expect_theta.coeffs)
 
+    def test_noise_transport_matches_lie_derivative(self, grid):
+        # the stage forms w = sum_i dB_i xi_i from the modes' coefficients;
+        # its transport agrees with the public operator on the summed field
+        rng = np.random.default_rng(12)
+        omega = sp.random_field(grid, rng, band=20, zero_mean=True)
+        theta = sp.random_field(grid, rng, band=20)
+        state = SimState(omega, theta)
+        basis = build_basis(default_family(grid), grid)
+        db = sample_increments(rng, 1e-3, len(basis))
+        new = step(state, basis, db, SchemeConfig("ito_euler", dt=1e-3, drift_enabled=False))
+        w = sp.VelocityField(*(sp.SpectralField(grid, sum(
+            b * getattr(xi, c).coeffs for b, xi in zip(db.values, basis.fields)))
+            for c in ("u1", "u2")))
+        correction = ito_increment(state, basis, drift_enabled=False)
+        for got, f, c in zip((new.omega, new.theta), (omega, theta), correction):
+            transport = lie_derivative(w, f)
+            expect = f + 1e-3 * c - transport
+            assert np.max(np.abs(got.coeffs - expect.coeffs)) <= \
+                1e-14 * np.max(np.abs(transport.coeffs))
+
     def test_dt_mismatch_rejected(self, grid):
         cfg = SchemeConfig("ito_euler", dt=0.01)
         with pytest.raises(ValueError):
@@ -406,6 +426,26 @@ class TestHyper:
         assert np.array_equal(trunc.omega.coeffs, hyper.omega.coeffs)
         assert np.array_equal(trunc.theta.coeffs, hyper.theta.coeffs)
 
+    def test_cached_decay_factors_bit_identical(self, grid):
+        # the factors are built once per (grid, nu, dt) with the per-step
+        # expression: the hyper step is the truncated step times them
+        from sbq.integrator import _hyper_decay
+        rng = np.random.default_rng(13)
+        state = SimState(sp.random_field(grid, rng, band=20, zero_mean=True),
+                         sp.random_field(grid, rng, band=20))
+        nu, dt = 1e-9, 0.01
+        trunc = step(state, empty_basis(grid), zero_increments(dt),
+                     SchemeConfig("stratonovich_heun", dt=dt, variant="truncated", r=5.0))
+        for _ in range(2):
+            hyper = step(state, empty_basis(grid), zero_increments(dt),
+                         SchemeConfig("stratonovich_heun", dt=dt, variant="hyper",
+                                      r=5.0, nu=nu))
+            assert np.array_equal(hyper.omega.coeffs,
+                                  trunc.omega.coeffs * np.exp(-nu * grid.ksq**5 * dt))
+            assert np.array_equal(hyper.theta.coeffs,
+                                  trunc.theta.coeffs * np.exp(-nu * grid.ksq**7 * dt))
+        assert _hyper_decay(grid, nu, dt) is _hyper_decay(sp.Grid(64), nu, dt)
+
     def test_pure_dissipation_decay(self, grid):
         nu, dt = 1e-4, 0.01
         state = SimState(sp.SpectralField.from_physical(grid, np.cos(2 * grid.x)),
@@ -507,6 +547,27 @@ class TestSharedGradients:
         # replace builds a state with its own cache
         doubled = replace(state, theta=2.0 * state.theta)
         assert doubled.grad_sups == (gu, 2.0 * gth)
+
+
+class TestTransformCounts:
+    @pytest.mark.parametrize("m", [0, 3, 48])
+    @pytest.mark.parametrize("variant", ["plain", "truncated", "hyper"])
+    def test_step_transform_budget(self, grid, monkeypatch, m, variant):
+        # one batched inverse for the start state's samples, then per stage
+        # one batched inverse and one batched forward
+        rng = np.random.default_rng(14)
+        state = SimState(sp.random_field(grid, rng, band=10, zero_mean=True),
+                         sp.random_field(grid, rng, band=10))
+        basis = build_basis(default_family(grid, max_modes=m), grid) if m \
+            else empty_basis(grid)
+        params = {"plain": {}, "truncated": {"r": 0.5},
+                  "hyper": {"r": 0.5, "nu": 1e-12}}[variant]
+        for scheme, budget in (("stratonovich_heun", 6), ("ito_euler", 3)):
+            cfg = SchemeConfig(scheme, dt=1e-3, variant=variant, **params)
+            increments = sample_increments(rng, 1e-3, m)
+            calls = count_ffts(monkeypatch, lambda: step(
+                replace(state), basis, increments, cfg))
+            assert calls <= budget
 
 
 class TestRun:

@@ -12,6 +12,7 @@ from sbq.noise import (
     sample_increments,
 )
 from sbq.operators import lie_derivative
+from oracles import build_basis_reference, count_ffts
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,39 @@ class TestBuildBasis:
         for xi in basis.fields:
             scale = max(np.hypot(sp.l2_norm(xi.u1), sp.l2_norm(xi.u2)), 1e-30)
             assert sp.l2_norm(xi.divergence()) <= 1e-10 * scale
+
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_fft2_reference_builder(self, n):
+        # exact coefficients against sampled stream functions through fft2
+        g = sp.Grid(n)
+        wide = [((k, -k // 2), "sine", 0.01 * k) for k in range(1, n // 3 + 1)]
+        negative = [((-2, -3), "cosine", 0.2), ((0, -1), "sine", 0.5), ((-4, 0), "cosine", 0.1)]
+        for spec in (default_family(g), wide, negative):
+            basis = build_basis(spec, g)
+            fields, budget, sup = build_basis_reference(basis.modes, g)
+            for xi, ref in zip(basis.fields, fields):
+                scale = max(np.max(np.abs(ref.u1.coeffs)), np.max(np.abs(ref.u2.coeffs)))
+                for ours, want in ((xi.u1, ref.u1), (xi.u2, ref.u2)):
+                    assert np.max(np.abs(ours.coeffs - want.coeffs)) <= 1e-13 * scale
+            assert basis.h3_budget == pytest.approx(budget, rel=1e-13)
+            assert basis.sup_total == pytest.approx(sup, rel=1e-13)
+
+    def test_builds_without_transforms(self, monkeypatch):
+        g = sp.Grid(64)
+        assert count_ffts(monkeypatch, lambda: build_basis(default_family(g), g)) == 0
+
+    def test_transport_half_is_the_weighted_sum(self, grid):
+        # w = sum_i db_i xi_i from the modes' coefficients, on the half spectrum
+        basis = build_basis(default_family(grid), grid)
+        db = np.random.default_rng(5).normal(0.0, 0.1, len(basis))
+        w1 = sum(b * xi.u1.coeffs for b, xi in zip(db, basis.fields))
+        w2 = sum(b * xi.u2.coeffs for b, xi in zip(db, basis.fields))
+        half = basis.transport_half(db)
+        assert half.shape == (2, 64, 33)
+        scale = max(np.max(np.abs(w1)), np.max(np.abs(w2)))
+        assert np.max(np.abs(half[0] - w1[:, :33])) <= 1e-15 * scale
+        assert np.max(np.abs(half[1] - w2[:, :33])) <= 1e-15 * scale
 
 
 class TestDefaultFamily:

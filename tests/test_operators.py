@@ -12,6 +12,7 @@ import pytest
 
 from sbq import spectral as sp
 from sbq import operators as op
+from oracles import lie_derivative_fft2_reference
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,20 @@ class TestLieDerivative:
         xi = const_xi(grid)
         with pytest.raises(ValueError):
             op.lie_derivative(xi, sp.SpectralField.zero(sp.Grid(32)))
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_fft2_reference(self, n):
+        # both products summed before one half-spectrum transform, against
+        # two full complex products summed in Fourier space; full band
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n + 11)
+        xi = sp.random_divergence_free(g, rng, band=n // 2 - 1)
+        f = sp.random_field(g, rng, band=n // 2 - 1)
+        ref = lie_derivative_fft2_reference(xi, f)
+        ours = op.lie_derivative(xi, f)
+        assert np.max(np.abs(ours.coeffs - ref.coeffs)) <= \
+            1e-14 * np.max(np.abs(ref.coeffs))
+        assert ours.hermitian_defect() == 0.0
 
 
 class TestLieSecond:

@@ -12,6 +12,7 @@ from sbq import spectral as sp
 from oracles import (
     fd_derivative_on_refined,
     fine_values,
+    product_fft2_reference,
     quadrature_sobolev_sq,
 )
 
@@ -59,6 +60,17 @@ class TestSpectralField:
     def test_shape_validation(self, grid):
         with pytest.raises(ValueError):
             sp.SpectralField.from_physical(grid, np.zeros((32, 32)))
+
+    def test_transforms_exactly_hermitian(self, grid):
+        # the half-spectrum transforms mirror their output: every coefficient
+        # pair matches bit for bit, the Nyquist lines included
+        rng = np.random.default_rng(2)
+        f = field(grid, rng.standard_normal((64, 64)))
+        assert f.hermitian_defect() == 0.0
+        assert sp.product(f, f).hermitian_defect() == 0.0
+        ref = np.real(np.fft.ifft2(f.coeffs))
+        assert np.max(np.abs(sp.SpectralField(grid, f.coeffs).values() - ref)) <= \
+            1e-14 * np.max(np.abs(ref))
 
     def test_arithmetic_grid_mismatch(self, grid):
         f = sp.SpectralField.zero(grid)
@@ -254,6 +266,19 @@ class TestDealiasedProduct:
         with pytest.raises(ValueError):
             sp.product(sp.SpectralField.zero(grid),
                                  sp.SpectralField.zero(sp.Grid(32)))
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_fft2_reference(self, n):
+        # full-band inputs: the half-spectrum kernel moves only round-off
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n + 7)
+        f = sp.random_field(g, rng, band=n // 2 - 1)
+        h = sp.random_field(g, rng, band=n // 2 - 1)
+        ref = product_fft2_reference(f, h)
+        ours = sp.product(f, h)
+        assert np.max(np.abs(ours.coeffs - ref.coeffs)) <= \
+            1e-14 * np.max(np.abs(ref.coeffs))
+        assert ours.hermitian_defect() == 0.0
 
     def test_high_modes_zeroed(self, grid):
         rng = np.random.default_rng(11)
