@@ -92,7 +92,7 @@ def compute_record(state: SimState, p: float = 2.0) -> DiagnosticsRecord:
     ens2 = inner(state.theta, state.theta)
     theta_vals = state.theta.values()
     spacing = state.grid.spacing
-    ens4 = float(np.sum(theta_vals**4) * spacing**2)
+    ens4 = float(np.sum(np.square(np.square(theta_vals))) * spacing**2)
     h2 = sobolev_norm(state.omega, 2.0)
     h3 = sobolev_norm(state.theta, 3.0)
     gu, gth = state.grad_sups

@@ -38,17 +38,20 @@ Variants:
   exp(-nu |k|^14 dt) on theta (Lie-Trotter splitting); the two factors are
   built once per (grid, nu, dt).
 
-Transforms: a stage makes two calls of the half-spectrum kernel of
-:mod:`sbq.spectral`.  One batched inverse takes grad omega, grad theta, u
-and the noise field w = sum_i dB_i xi_i (formed from the modes' exact
-coefficients, ``NoiseBasis.transport_half``, never from a stack of fields)
-to physical space; one batched forward brings back L_u omega, L_u theta,
-L_w omega and L_w theta, each with both products summed in physical space
-as :func:`sbq.operators.lie_derivative` sums them, so the stage's terms
-equal the public operator's bit for bit.  With the start state's own
-batched inverse (see below), a Heun step makes 5 transform calls (6 when
-the variant truncates and reads the predictor's sups) and an Ito-Euler step
-3; the CFL guard, when on, adds two for the start state's velocity samples.
+Transport: a stage carries each field f by one stochastic velocity
+v_f = eta_f u + w / dt, w = sum_i dB_i xi_i (Holm's u dt + sum_i xi_i o dB_i
+over dt), so dt * L_{v_f} f is its drift and noise transport together.  w / dt
+is formed once per step from the modes' exact coefficients
+(``NoiseBasis.transport_half``) and added to eta_f u on the half spectrum.
+A stage makes two calls of the half-spectrum kernel of :mod:`sbq.spectral`:
+one batched inverse of grad omega, grad theta and the velocities (6 planes
+when eta_u == eta_th and omega and theta share one velocity, 8 otherwise),
+and one batched forward of the 2 transports, each with both products summed
+in physical space as :func:`sbq.operators.lie_derivative` sums them.  With
+the start state's own batched inverse (see below), a Heun step makes 5
+transform calls (6 when the variant truncates and reads the predictor's
+sups) and an Ito-Euler step 3; the CFL guard, when on, adds two for the
+start state's velocity samples.
 
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
@@ -142,54 +145,38 @@ def eta_cutoff(x: float, r: float) -> float:
     return 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-@dataclass
-class _Stage:
-    """Drift and noise coefficients evaluated at one state."""
-
-    domega: SpectralField
-    dtheta: SpectralField
-    nomega: SpectralField  # noise contribution, already times -dB
-    ntheta: SpectralField
-
-
-def _evaluate_stage(state: SimState, basis: NoiseBasis, db: np.ndarray,
-                    cfg: SchemeConfig) -> _Stage:
+def _evaluate_stage(state: SimState, basis: NoiseBasis, noise: np.ndarray,
+                    cfg: SchemeConfig) -> tuple[SpectralField, SpectralField]:
+    """Rates (d omega, d theta) at one state, ``noise`` being the half
+    spectrum of w / dt: each field f is transported once, by eta_f u + w / dt."""
     grid = state.grid
-    zero = SpectralField.zero(grid)
-    domega, dtheta, nomega, ntheta = zero, zero, zero, zero
     if not (cfg.drift_enabled or len(basis)):
-        return _Stage(domega, dtheta, nomega, ntheta)
-    # one inverse: grad omega, grad theta, then one (v1, v2) pair per
-    # transport field (u for the drift, w = sum_i dB_i xi_i for the noise)
-    planes = [_gradient_half(state.omega), _gradient_half(state.theta)]
+        zero = SpectralField.zero(grid)
+        return zero, zero
+    velocities = [noise]
     if cfg.drift_enabled:
-        planes.append(_velocity_half(state.velocity))
-    if len(basis):
-        planes.append(basis.transport_half(db))
-    phys = _to_physical(np.concatenate(planes), grid, dealias=True)
-    n = grid.n
-    grads, velocities = phys[:4].reshape(2, 2, n, n), phys[4:].reshape(-1, 2, n, n)
-    # one forward: v . grad f for each transport field v and f = omega, theta,
-    # both products summed before the transform, as in lie_derivative
-    products = np.stack([v[0] * g[0] + v[1] * g[1] for v in velocities for g in grads])
-    transports = iter(SpectralField(grid, c)
-                      for c in _to_fourier(products, grid, dealias=True))
-    if cfg.drift_enabled:
-        eta_u = eta_th = 1.0
+        etas = (1.0, 1.0)
         if cfg.variant in ("truncated", "hyper"):
-            gu, gth = state.grad_sups
-            eta_u = eta_cutoff(gu, cfg.r)
-            eta_th = eta_cutoff(gth, cfg.r)
-        domega = -eta_u * next(transports) + derivative(state.theta, "x")
-        dtheta = -eta_th * next(transports)
-    if len(basis):
-        nomega = -next(transports)
-        ntheta = -next(transports)
-        if cfg.scheme == "ito_euler":
-            comega, ctheta = _ito_correction(basis, state.omega, state.theta)
-            domega = domega + comega
-            dtheta = dtheta + ctheta
-    return _Stage(domega, dtheta, nomega, ntheta)
+            etas = tuple(eta_cutoff(x, cfg.r) for x in state.grad_sups)
+        u = _velocity_half(state.velocity)
+        # omega and theta share one velocity when their cutoffs agree
+        velocities = [eta * u + noise for eta in dict.fromkeys(etas)]
+    # one inverse: grad omega, grad theta, then the velocities; one forward:
+    # v_f . grad f for f = omega, theta, both products summed before the
+    # transform, as in lie_derivative
+    planes = [_gradient_half(state.omega), _gradient_half(state.theta), *velocities]
+    phys = _to_physical(np.concatenate(planes), grid, dealias=True)
+    phys = phys.reshape(-1, 2, grid.n, grid.n)
+    transports = _to_fourier(np.sum(phys[2:] * phys[:2], axis=1), grid, dealias=True)
+    domega = SpectralField(grid, -transports[0])
+    dtheta = SpectralField(grid, -transports[1])
+    if cfg.drift_enabled:
+        domega = domega + derivative(state.theta, "x")
+    if len(basis) and cfg.scheme == "ito_euler":
+        comega, ctheta = _ito_correction(basis, state.omega, state.theta)
+        domega = domega + comega
+        dtheta = dtheta + ctheta
+    return domega, dtheta
 
 
 def _ito_correction(basis: NoiseBasis, omega: SpectralField,
@@ -266,20 +253,18 @@ def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
     """Advance one step with the scheme and variant the config selects."""
     _check_increments(increments, basis, cfg)
     dt = increments.dt
-    db = increments.values
     _cfl_guard(state, basis, cfg)
-    s0 = _evaluate_stage(state, basis, db, cfg)
+    noise = basis.transport_half(increments.values / dt)
+    domega, dtheta = _evaluate_stage(state, basis, noise, cfg)
     # Euler-Maruyama update; for Heun it is the predictor
-    omega = state.omega + dt * s0.domega + s0.nomega
-    theta = state.theta + dt * s0.dtheta + s0.ntheta
+    omega = state.omega + dt * domega
+    theta = state.theta + dt * dtheta
     if cfg.scheme == "stratonovich_heun":
         if not (omega.is_finite() and theta.is_finite()):
             raise BlowUpSuspected(state, "non-finite predictor")
-        s1 = _evaluate_stage(SimState(omega, theta), basis, db, cfg)
-        omega = state.omega + (0.5 * dt) * (s0.domega + s1.domega) \
-            + 0.5 * (s0.nomega + s1.nomega)
-        theta = state.theta + (0.5 * dt) * (s0.dtheta + s1.dtheta) \
-            + 0.5 * (s0.ntheta + s1.ntheta)
+        domega1, dtheta1 = _evaluate_stage(SimState(omega, theta), basis, noise, cfg)
+        omega = state.omega + (0.5 * dt) * (domega + domega1)
+        theta = state.theta + (0.5 * dt) * (dtheta + dtheta1)
     return _finalize(state, omega, theta, cfg, dt)
 
 

@@ -33,7 +33,7 @@ functions here are safe to call concurrently from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -275,11 +275,16 @@ def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
     """Apply |k|^s; the k = 0 mode maps to 0.  Requires s >= 0."""
     if s < 0:
         raise ValueError(f"fractional Laplacian exponent must be >= 0, got {s}")
-    g = f.grid
-    mag = np.sqrt(g.ksq)
+    return SpectralField(f.grid, f.coeffs * _fractional_multiplier(f.grid, s))
+
+
+@lru_cache(maxsize=16)
+def _fractional_multiplier(g: Grid, s: float) -> np.ndarray:
+    """Read-only |k|^s with the k = 0 entry 0, built once per (grid, s)."""
     with np.errstate(divide="ignore"):
-        mult = np.where(mag > 0, mag**s, 0.0)
-    return SpectralField(g, f.coeffs * mult)
+        mult = np.where(g.ksq > 0, np.sqrt(g.ksq) ** s, 0.0)
+    mult.setflags(write=False)
+    return mult
 
 
 def bessel_multiplier(f: SpectralField, s: float) -> SpectralField:
@@ -302,9 +307,17 @@ def l2_norm(f: SpectralField) -> float:
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm: L2 norm of (I - Lap)^(s/2) f, via Parseval."""
     g = f.grid
-    w = (1.0 + g.ksq) ** s
+    w = _sobolev_weight(g, s)
     total = float(np.sum(w * np.abs(f.coeffs) ** 2)) * (2.0 * np.pi) ** 2 / g.n**4
     return float(np.sqrt(total))
+
+
+@lru_cache(maxsize=16)
+def _sobolev_weight(g: Grid, s: float) -> np.ndarray:
+    """Read-only (1 + |k|^2)^s, built once per (grid, s)."""
+    w = (1.0 + g.ksq) ** s
+    w.setflags(write=False)
+    return w
 
 
 def velocity_sobolev_norm(v: VelocityField, s: float) -> float:

@@ -9,28 +9,36 @@ Refinement reuses ``sbq.spectral.resample`` (pure zero padding); its
 correctness is pinned separately by the subsample round-trip test in
 test_spectral.py, which involves no differentiation at all.
 
-:func:`count_ffts` counts the 2-D transforms a call makes, for the tests
-that pin how many a step, a record or a study pays.
+:func:`count_ffts` counts the 2-D transforms a call makes, and
+:func:`fft_planes` the planes each of them carries, for the tests that pin
+how many a step, a record or a study pays.
 
 :func:`product_fft2_reference` and :func:`build_basis_reference` are the
 earlier full complex ``fft2`` implementations of the dealiased product and
 of the noise basis, kept as round-off references for the half-spectrum
-kernel and the exact-coefficient builder.
+kernel and the exact-coefficient builder.  :func:`step_two_transport_reference`
+is the earlier stage that transports each field by u and by the noise field
+separately, the reference for the stepper's single stochastic velocity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from sbq.integrator import eta_cutoff
+from sbq.operators import lie_derivative, lie_second
 from sbq.spectral import (
     Grid,
     SpectralField,
     VelocityField,
+    biot_savart,
+    derivative,
     l2_norm,
     resample,
     sobolev_norm,
     stream_to_velocity,
 )
+from sbq.state import SimState
 
 # centered stencil coefficients: offsets 1..K with antisymmetric/symmetric use
 _D1_COEFFS = {
@@ -146,6 +154,60 @@ def count_ffts(monkeypatch, fn):
             mp.setattr(np.fft, name, counted)
         fn()
     return count[0]
+
+
+def fft_planes(monkeypatch, fn) -> dict:
+    """Planes carried by each 2-D ``numpy.fft`` call ``fn()`` makes:
+    transform name -> list of plane counts, in call order."""
+    planes = {}
+    with monkeypatch.context() as mp:
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                planes.setdefault(_name, []).append(int(np.prod(np.shape(a)[:-2])))
+                return _fn(a, *args, **kwargs)
+            mp.setattr(np.fft, name, counted)
+        fn()
+    return planes
+
+
+def step_two_transport_reference(state: SimState, basis, increments, cfg):
+    """(omega, theta) after one step of the earlier stage form.
+
+    Each stage transports omega and theta twice through the public
+    ``lie_derivative``: by the cut-off velocity, as the drift, and by
+    w = sum_i dB_i xi_i, as the noise term; the update adds dt times the
+    drift and the noise terms.  The Ito correction is sum_i 1/2
+    ``lie_second``.  ``cfg.drift_enabled`` is assumed on.
+    """
+    grid, dt = state.grid, increments.dt
+    w = VelocityField(*(SpectralField(grid, sum(
+        (b * getattr(xi, c).coeffs for b, xi in zip(increments.values, basis.fields)),
+        np.zeros((grid.n, grid.n), dtype=np.complex128))) for c in ("u1", "u2")))
+
+    def stage(s):
+        eta_u = eta_th = 1.0
+        if cfg.variant != "plain":
+            eta_u, eta_th = (eta_cutoff(x, cfg.r) for x in s.grad_sups)
+        u = biot_savart(s.omega)
+        d_omega = -eta_u * lie_derivative(u, s.omega) + derivative(s.theta, "x")
+        d_theta = -eta_th * lie_derivative(u, s.theta)
+        if cfg.scheme == "ito_euler":
+            for xi in basis.fields:
+                d_omega = d_omega + 0.5 * lie_second(xi, s.omega)
+                d_theta = d_theta + 0.5 * lie_second(xi, s.theta)
+        return d_omega, d_theta, -lie_derivative(w, s.omega), -lie_derivative(w, s.theta)
+
+    d0 = stage(state)
+    omega = state.omega + dt * d0[0] + d0[2]
+    theta = state.theta + dt * d0[1] + d0[3]
+    if cfg.scheme == "stratonovich_heun":
+        d1 = stage(SimState(omega, theta))
+        omega = state.omega + (0.5 * dt) * (d0[0] + d1[0]) + 0.5 * (d0[2] + d1[2])
+        theta = state.theta + (0.5 * dt) * (d0[1] + d1[1]) + 0.5 * (d0[3] + d1[3])
+    if cfg.variant == "hyper" and cfg.nu:
+        omega = SpectralField(grid, omega.coeffs * np.exp(-cfg.nu * grid.ksq**5 * dt))
+        theta = SpectralField(grid, theta.coeffs * np.exp(-cfg.nu * grid.ksq**7 * dt))
+    return omega, theta
 
 
 def product_fft2_reference(f: SpectralField, g: SpectralField) -> SpectralField:

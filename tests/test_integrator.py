@@ -27,7 +27,7 @@ from sbq.noise import (
 )
 from sbq.operators import lie_derivative
 from sbq.state import SimState
-from oracles import count_ffts, fd_derivative
+from oracles import count_ffts, fd_derivative, fft_planes, step_two_transport_reference
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,15 @@ def zero_increments(dt):
 def stationary_state(grid):
     return SimState(sp.SpectralField.from_physical(grid, np.cos(grid.x)),
                     sp.SpectralField.zero(grid))
+
+
+def two_cutoff_state(grid, rng, band):
+    # ||grad theta||_inf = 1.3 ||grad u||_inf: with r = 0.9 ||grad u||_inf
+    # both cutoffs lie strictly inside (0, 1) and differ
+    omega = sp.random_field(grid, rng, band=band, zero_mean=True)
+    theta = sp.random_field(grid, rng, band=band)
+    gu, gth = SimState(omega, theta).grad_sups
+    return SimState(omega, (1.3 * gu / gth) * theta)
 
 
 def ito_increment(state, basis, drift_enabled=True):
@@ -568,6 +577,54 @@ class TestTransformCounts:
             calls = count_ffts(monkeypatch, lambda: step(
                 replace(state), basis, increments, cfg))
             assert calls <= budget
+
+
+    @pytest.mark.parametrize("variant", ["plain", "truncated"])
+    def test_heun_plane_budget(self, grid, monkeypatch, variant):
+        # a stage inverts grad omega, grad theta and one velocity pair per
+        # distinct cutoff, and forwards one transport per field; the state's
+        # own gradient samples are one more inverse of 6 planes
+        rng = np.random.default_rng(15)
+        state = two_cutoff_state(grid, rng, band=10)
+        gu, gth = state.grad_sups
+        params = {"plain": {}, "truncated": {"r": 0.9 * gu}}[variant]
+        cfg = SchemeConfig("stratonovich_heun", dt=1e-3, variant=variant, **params)
+        basis = build_basis(default_family(grid), grid)
+        planes = fft_planes(monkeypatch, lambda: step(
+            replace(state), basis, sample_increments(rng, 1e-3, len(basis)), cfg))
+        assert planes["rfft2"] == [2, 2]
+        if variant == "plain":
+            assert planes["irfft2"] == [6, 6, 6]
+        else:
+            # the predictor's cutoffs differ too: its sups are read as well
+            assert planes["irfft2"] == [6, 8, 6, 8]
+
+
+class TestOneVelocityStage:
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("m", [0, 3, 48])
+    @pytest.mark.parametrize("variant", ["plain", "truncated", "hyper"])
+    @pytest.mark.parametrize("scheme", ["ito_euler", "stratonovich_heun"])
+    def test_matches_two_transport_reference(self, n, m, variant, scheme):
+        # transporting by eta_f u + w/dt once equals transporting by u and by
+        # w separately, to round-off
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n + m)
+        state = two_cutoff_state(g, rng, band=n // 3)
+        gu, gth = state.grad_sups
+        r = 0.9 * gu
+        params = {"plain": {}, "truncated": {"r": r}, "hyper": {"r": r, "nu": 1e-12}}[variant]
+        cfg = SchemeConfig(scheme, dt=1e-3, variant=variant, **params)
+        if variant != "plain":
+            eta_u, eta_th = eta_cutoff(gu, r), eta_cutoff(gth, r)
+            assert 0.0 < eta_u < 1.0 and 0.0 < eta_th < 1.0 and eta_u != eta_th
+        basis = build_basis(default_family(g, max_modes=m), g) if m else empty_basis(g)
+        increments = sample_increments(rng, 1e-3, m) if m else zero_increments(1e-3)
+        new = step(state, basis, increments, cfg)
+        ref = step_two_transport_reference(state, basis, increments, cfg)
+        for got, want in zip((new.omega, new.theta), ref):
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= \
+                1e-14 * np.max(np.abs(want.coeffs))
 
 
 class TestRun:

@@ -153,6 +153,27 @@ class TestMultipliers:
         b = sp.fractional_laplacian(f, 2.0)
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12 * np.max(np.abs(b.coeffs))
 
+    def test_cached_fractional_multiplier_bit_identical(self):
+        # |k|^s is built once per (grid, s), on first use, with the per-call
+        # expression
+        g = sp.Grid(40)
+        f = sp.random_field(g, np.random.default_rng(7), band=13)
+        mag = np.sqrt(g.ksq)
+        for s in (0.0, 0.7, 2.0, 3.0):
+            with np.errstate(divide="ignore"):
+                mult = np.where(mag > 0, mag**s, 0.0)
+            assert np.array_equal(sp.fractional_laplacian(f, s).coeffs, f.coeffs * mult)
+        cached = sp._fractional_multiplier(g, 0.7)
+        assert cached is sp._fractional_multiplier(g, 0.7) and not cached.flags.writeable
+
+    def test_weights_not_built_at_setup(self):
+        from sbq.noise import build_basis, default_family
+        caches = (sp._fractional_multiplier, sp._sobolev_weight)
+        before = [c.cache_info().misses for c in caches]
+        g = sp.Grid(44)
+        build_basis(default_family(g), g)
+        assert [c.cache_info().misses for c in caches] == before
+
     def test_bessel_single_mode(self, grid):
         f = field(grid, np.sin(grid.x))
         assert np.allclose(sp.bessel_multiplier(f, 1.0).values(),
@@ -178,6 +199,19 @@ class TestSobolevNorm:
         ours = sp.sobolev_norm(f, 2.0)
         oracle = np.sqrt(quadrature_sobolev_sq(f, 2, factor=8))
         assert ours == pytest.approx(oracle, rel=1e-8)
+
+    def test_cached_weight_bit_identical(self):
+        # (1 + |k|^2)^s is built once per (grid, s), on first use, with the
+        # per-call expression
+        g = sp.Grid(40)
+        f = sp.random_field(g, np.random.default_rng(8), band=13)
+        for s in (0.0, 1.0, 2.0, 2.5, 3.0):
+            w = (1.0 + g.ksq) ** s
+            assert np.array_equal(sp._sobolev_weight(g, s), w)
+            total = float(np.sum(w * np.abs(f.coeffs) ** 2)) * (2.0 * np.pi) ** 2 / g.n**4
+            assert sp.sobolev_norm(f, s) == float(np.sqrt(total))
+        cached = sp._sobolev_weight(g, 2.0)
+        assert cached is sp._sobolev_weight(g, 2.0) and not cached.flags.writeable
 
     def test_parseval(self, grid):
         rng = np.random.default_rng(6)
