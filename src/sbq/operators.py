@@ -16,6 +16,13 @@ xi band-limited to b_xi and f to b_f, a grid with n >= 3 * (b_xi + b_f)
 represents every intermediate product without truncation, which turns the
 analytic identity into an exact-zero numerical statement (round-off only).
 
+``lie_derivative`` and ``apply_first_order`` share one first-order kernel:
+one batched inverse transform of the dealiased (d_x f, d_y f), plus f for
+Q, the products with the coefficients' physical samples summed in physical
+space, and one forward transform under the 2/3 rule.  The coefficient
+samples are computed on first use and cached on the ``VelocityField`` or
+``FirstOrderOp``, so a repeated xi or Q is never transformed again.
+
 The unspecified constants in the weighted estimates are handled as recorded
 regression baselines: ``BASELINES`` stores the maximal ratios measured over
 the fixed standard random ensemble at build time, and verification asserts
@@ -25,6 +32,7 @@ that re-measured ratios never exceed 1.5x those values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +50,7 @@ from .spectral import (
     sobolev_norm,
     stream_to_velocity,
 )
-from .spectral import _gradient_half, _to_fourier, _to_physical, _velocity_half
+from .spectral import _gradient_half, _half, _to_fourier, _to_physical
 
 __all__ = [
     "FirstOrderOp",
@@ -61,19 +69,35 @@ __all__ = [
 ]
 
 
+def _first_order(samples: np.ndarray, f: SpectralField) -> SpectralField:
+    """a * d_x f + b * d_y f (+ c * f) under the 2/3 rule, for the physical
+    coefficient samples (a, b[, c]) stacked in ``samples``.
+
+    One batched inverse of the dealiased (d_x f, d_y f[, f]), the products
+    summed in physical space in that order, one forward transform.
+    """
+    grid = f.grid
+    half = _gradient_half(f)
+    if len(samples) == 3:
+        half = np.concatenate((half, _half(f.coeffs)[None]))
+    planes = _to_physical(half, grid, dealias=True)
+    out = samples[0] * planes[0] + samples[1] * planes[1]
+    if len(samples) == 3:
+        out += samples[2] * planes[2]
+    return SpectralField(grid, _to_fourier(out, grid, dealias=True))
+
+
 def lie_derivative(xi: VelocityField, f: SpectralField) -> SpectralField:
     """Transport term xi . grad f for a scalar f.
 
     Both products of the 2/3-rule pseudospectral product are summed in
     physical space, xi1 * d_x f + xi2 * d_y f, before one forward transform;
-    the stepper forms its transport terms the same way.
+    the stepper forms its transport terms the same way.  xi's dealiased
+    samples are computed on its first use and cached on xi.
     """
     if xi.grid != f.grid:
         raise ValueError("grid mismatch")
-    grid = f.grid
-    planes = np.concatenate((_velocity_half(xi), _gradient_half(f)))
-    x1, x2, fx, fy = _to_physical(planes, grid, dealias=True)
-    return SpectralField(grid, _to_fourier(x1 * fx + x2 * fy, grid, dealias=True))
+    return _first_order(xi._dealiased_samples, f)
 
 
 def lie_second(xi: VelocityField, f: SpectralField) -> SpectralField:
@@ -127,13 +151,23 @@ class FirstOrderOp:
     def grid(self) -> Grid:
         return self.a.grid
 
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        """Physical samples of (a, b, c), stacked (3, n, n), read-only; the
+        coefficients are already inside the dealiasing ball."""
+        half = np.stack([_half(f.coeffs) for f in (self.a, self.b, self.c)])
+        out = _to_physical(half, self.grid)
+        out.setflags(write=False)
+        return out
+
 
 def apply_first_order(q: FirstOrderOp, f: SpectralField) -> SpectralField:
+    """Qf = a f_x + b f_y + c f, the three 2/3-rule products summed in
+    physical space before one forward transform; Q's coefficient samples are
+    computed on its first use and cached on Q."""
     if q.grid != f.grid:
         raise ValueError("grid mismatch")
-    return (product(q.a, derivative(f, "x"))
-            + product(q.b, derivative(f, "y"))
-            + product(q.c, f))
+    return _first_order(q._samples, f)
 
 
 def zero_order_defect(q: FirstOrderOp) -> SpectralField:

@@ -17,9 +17,10 @@ Conventions used throughout the package:
   operators' bit for bit.
 * All L2-type norms and inner products include the ``(2*pi)**2`` measure of the
   torus, so e.g. ``||sin x||_L2 = pi * sqrt(2)``.
-* Every quadratic nonlinearity goes through :func:`product`, the one
-  physical-space product, which always applies the 2/3 rule: modes with
-  ``max(|k1|, |k2|) > n/3`` are zeroed in both inputs and in the output.
+* Every quadratic nonlinearity is a physical-space product under the 2/3
+  rule (:func:`product`, the first-order kernel of :mod:`sbq.operators`,
+  the stepper's transports): modes with ``max(|k1|, |k2|) > n/3`` are
+  zeroed in both inputs and in the output.
   This also removes the Nyquist modes ``|k| = n/2`` before any dynamics
   touches them, and it is what makes the discrete transport exactly
   skew-adjoint.
@@ -173,16 +174,11 @@ class SpectralField:
 
     def hermitian_defect(self) -> float:
         """Relative departure from coeff(-k) == conj(coeff(k))."""
-        flipped = np.conj(self.coeffs[self._flip_index()])
+        flipped = np.conj(_mirror(self.coeffs))
         scale = np.max(np.abs(self.coeffs))
         if scale == 0.0:
             return 0.0
         return float(np.max(np.abs(self.coeffs - flipped)) / scale)
-
-    def _flip_index(self):
-        n = self.grid.n
-        idx = (-np.arange(n)) % n
-        return np.ix_(idx, idx)
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.coeffs)))
@@ -239,6 +235,15 @@ class VelocityField:
 
     def is_finite(self) -> bool:
         return self.u1.is_finite() and self.u2.is_finite()
+
+    @cached_property
+    def _dealiased_samples(self) -> np.ndarray:
+        """Physical samples of (u1, u2) under the 2/3 rule, stacked
+        (2, n, n), read-only; the coefficient planes of the transport
+        L_u f in :func:`sbq.operators.lie_derivative`."""
+        out = _to_physical(_velocity_half(self), self.grid, dealias=True)
+        out.setflags(write=False)
+        return out
 
 
 def derivative(f: SpectralField, axis: str, order: int = 1) -> SpectralField:
@@ -297,7 +302,10 @@ def inner(f: SpectralField, g: SpectralField) -> float:
     """L2 inner product over the torus, integral of f*g dV."""
     f._check(g)
     n = f.grid.n
-    return float(np.real(np.vdot(f.coeffs, g.coeffs))) * (2.0 * np.pi) ** 2 / n**4
+    # vecdot, not the BLAS vdot: the same sum bit for bit, without the
+    # thread start-up stalls of an unpinned BLAS
+    dot = np.vecdot(f.coeffs.ravel(), g.coeffs.ravel())
+    return float(np.real(dot)) * (2.0 * np.pi) ** 2 / n**4
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -418,6 +426,13 @@ def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False) -> np.nda
     return out
 
 
+def _mirror(coeffs: np.ndarray) -> np.ndarray:
+    """fft2-layout array at -k: index 0 stays and index j moves to n - j on
+    both axes, i.e. the reversed array shifted by one (a copy; faster than a
+    fancy-index gather)."""
+    return np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1))
+
+
 def _physical(f: SpectralField, oversample: int) -> np.ndarray:
     if oversample == 1:
         return f.values()
@@ -477,9 +492,8 @@ def random_field(grid: Grid, rng: np.random.Generator, band: int,
     raw = np.where(keep, raw, 0.0)
     if decay:
         raw = raw * (1.0 + grid.ksq) ** (-decay / 2.0)
-    f = SpectralField(grid, raw)
     # make real: average with the reflected conjugate
-    sym = 0.5 * (f.coeffs + np.conj(f.coeffs[f._flip_index()]))
+    sym = 0.5 * (raw + np.conj(_mirror(raw)))
     if zero_mean:
         sym[0, 0] = 0.0
     f = SpectralField(grid, sym)

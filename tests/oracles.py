@@ -19,6 +19,9 @@ of the noise basis, kept as round-off references for the half-spectrum
 kernel and the exact-coefficient builder.  :func:`step_two_transport_reference`
 is the earlier stage that transports each field by u and by the noise field
 separately, the reference for the stepper's single stochastic velocity.
+:func:`apply_first_order_reference` (three products summed in Fourier
+space) and :func:`lie_derivative_four_plane_reference` (xi inverted with
+f on every call) are the earlier forms of the first-order kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from sbq.integrator import eta_cutoff
-from sbq.operators import lie_derivative, lie_second
+from sbq.operators import FirstOrderOp, lie_derivative, lie_second
 from sbq.spectral import (
     Grid,
     SpectralField,
@@ -34,10 +37,12 @@ from sbq.spectral import (
     biot_savart,
     derivative,
     l2_norm,
+    product,
     resample,
     sobolev_norm,
     stream_to_velocity,
 )
+from sbq.spectral import _gradient_half, _to_fourier, _to_physical, _velocity_half
 from sbq.state import SimState
 
 # centered stencil coefficients: offsets 1..K with antisymmetric/symmetric use
@@ -224,6 +229,24 @@ def lie_derivative_fft2_reference(xi: VelocityField, f: SpectralField) -> Spectr
     fx = SpectralField(f.grid, f.coeffs * f.grid.deriv_x)
     fy = SpectralField(f.grid, f.coeffs * f.grid.deriv_y)
     return product_fft2_reference(xi.u1, fx) + product_fft2_reference(xi.u2, fy)
+
+
+def apply_first_order_reference(q: FirstOrderOp, f: SpectralField) -> SpectralField:
+    """Qf as three 2/3-rule products, each forward transformed, summed in
+    Fourier space."""
+    return (product(q.a, derivative(f, "x"))
+            + product(q.b, derivative(f, "y"))
+            + product(q.c, f))
+
+
+def lie_derivative_four_plane_reference(xi: VelocityField,
+                                        f: SpectralField) -> SpectralField:
+    """xi . grad f from one inverse of (xi1, xi2, d_x f, d_y f), nothing
+    cached on xi."""
+    grid = f.grid
+    planes = np.concatenate((_velocity_half(xi), _gradient_half(f)))
+    x1, x2, fx, fy = _to_physical(planes, grid, dealias=True)
+    return SpectralField(grid, _to_fourier(x1 * fx + x2 * fy, grid, dealias=True))
 
 
 def build_basis_reference(modes, grid: Grid) -> tuple[list, float, float]:

@@ -12,7 +12,12 @@ import pytest
 
 from sbq import spectral as sp
 from sbq import operators as op
-from oracles import lie_derivative_fft2_reference
+from oracles import (
+    apply_first_order_reference,
+    fft_planes,
+    lie_derivative_fft2_reference,
+    lie_derivative_four_plane_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +71,27 @@ class TestLieDerivative:
         assert np.max(np.abs(ours.coeffs - ref.coeffs)) <= \
             1e-14 * np.max(np.abs(ref.coeffs))
         assert ours.hermitian_defect() == 0.0
+
+    def test_cached_samples_match_four_plane_form(self, grid):
+        # xi's samples from their own inverse, cached, against xi inverted
+        # with grad f: bit for bit on the first call and on later calls
+        rng = np.random.default_rng(12)
+        xi = sp.random_divergence_free(grid, rng, band=grid.n // 2 - 1)
+        f = sp.random_field(grid, rng, band=grid.n // 2 - 1)
+        g = sp.random_field(grid, rng, band=grid.n // 2 - 1)
+        for h in (f, f, g):
+            assert np.array_equal(op.lie_derivative(xi, h).coeffs,
+                                  lie_derivative_four_plane_reference(xi, h).coeffs)
+
+    def test_plane_budget(self, grid, monkeypatch):
+        # the first call inverts xi (2 planes), then grad f (2 planes)
+        rng = np.random.default_rng(13)
+        xi = sp.random_divergence_free(grid, rng, band=8)
+        f = sp.random_field(grid, rng, band=8)
+        first = fft_planes(monkeypatch, lambda: op.lie_derivative(xi, f))
+        assert first == {"irfft2": [2, 2], "rfft2": [1]}
+        again = fft_planes(monkeypatch, lambda: op.lie_derivative(xi, f))
+        assert again == {"irfft2": [2], "rfft2": [1]}
 
 
 class TestLieSecond:
@@ -204,6 +230,33 @@ class TestFirstOrderOp:
         q = op.FirstOrderOp(wide, wide, wide)
         outside = ~grid.dealias_keep
         assert np.max(np.abs(q.a.coeffs[outside])) == 0.0
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_three_product_reference(self, n):
+        # the three products summed in physical space before one forward
+        # transform, against three transformed products summed in Fourier
+        # space; full band
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n + 17)
+        q = op.FirstOrderOp(*(sp.random_field(g, rng, band=n // 2 - 1)
+                              for _ in range(3)))
+        f = sp.random_field(g, rng, band=n // 2 - 1)
+        for _ in range(2):
+            ours = op.apply_first_order(q, f)
+            ref = apply_first_order_reference(q, f)
+            assert np.max(np.abs(ours.coeffs - ref.coeffs)) <= \
+                1e-14 * np.max(np.abs(ref.coeffs))
+            assert ours.hermitian_defect() == 0.0
+
+    def test_plane_budget(self, grid, monkeypatch):
+        # the first call inverts (a, b, c), then (d_x f, d_y f, f)
+        rng = np.random.default_rng(14)
+        q = op.FirstOrderOp(*(sp.random_field(grid, rng, band=4) for _ in range(3)))
+        f = sp.random_field(grid, rng, band=8)
+        first = fft_planes(monkeypatch, lambda: op.apply_first_order(q, f))
+        assert first == {"irfft2": [3, 3], "rfft2": [1]}
+        again = fft_planes(monkeypatch, lambda: op.apply_first_order(q, f))
+        assert again == {"irfft2": [3], "rfft2": [1]}
 
 
 class TestAdjointDefect:
