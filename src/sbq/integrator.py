@@ -53,6 +53,17 @@ transform calls (6 when the variant truncates and reads the predictor's
 sups) and an Ito-Euler step 3; the CFL guard, when on, adds two for the
 start state's velocity samples.
 
+Allocation: a stage's half planes, physical samples, products and rates
+live in a per-thread workspace (``spectral._workspace``), written with
+``out=``; the products and their two-term sums run in place, and the rates
+of each stage accumulate the negated transports, the buoyancy term and the
+Ito diagonals in their own buffer.  Freed and reallocated every stage,
+those 0.1-1 MB temporaries went back to the kernel and cost hundreds of
+minor page faults per step (about 700 for Heun at n = 128).  ``irfft2``
+drops ``out=``, so the inverse runs as its two passes, ``ifft`` over the
+rows then ``irfft``; the transform counts above count it as one.  The
+updates, and so every returned state, use fresh arrays.
+
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
 endpoint, matching the adaptedness of the integrand).  The integrand, the
@@ -60,7 +71,8 @@ truncation cutoffs and the CFL speed are read from the start state's cache
 (:mod:`sbq.state`), which the record :func:`run` takes of it shares.
 
 States are never mutated apart from that cache; step returns a fresh
-SimState, so a state may be handed between threads across steps.
+SimState that shares no memory with the workspace, so a state may be
+handed between threads across steps, and threads may step concurrently.
 """
 
 from __future__ import annotations
@@ -73,8 +85,8 @@ import numpy as np
 
 from .diagnostics import compute_record
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
-from .spectral import Grid, SpectralField, derivative, l2_norm
-from .spectral import _gradient_half, _to_fourier, _to_physical, _velocity_half
+from .spectral import Grid, SpectralField, l2_norm
+from .spectral import _gradient_half, _half, _to_fourier, _to_physical, _workspace
 from .state import SimState
 
 __all__ = [
@@ -146,53 +158,69 @@ def eta_cutoff(x: float, r: float) -> float:
 
 
 def _evaluate_stage(state: SimState, basis: NoiseBasis, noise: np.ndarray,
-                    cfg: SchemeConfig) -> tuple[SpectralField, SpectralField]:
-    """Rates (d omega, d theta) at one state, ``noise`` being the half
-    spectrum of w / dt: each field f is transported once, by eta_f u + w / dt."""
+                    cfg: SchemeConfig, stage: int) -> np.ndarray:
+    """Rates (d omega, d theta) at one state, stacked (2, n, n) in this
+    thread's workspace for ``stage``, ``noise`` being the half spectrum of
+    w / dt: each field f is transported once, by eta_f u + w / dt."""
     grid = state.grid
+    n, h = grid.n, grid.n // 2 + 1
+    rates = _workspace(f"rates{stage}", (2, n, n))
     if not (cfg.drift_enabled or len(basis)):
-        zero = SpectralField.zero(grid)
-        return zero, zero
-    velocities = [noise]
+        rates.fill(0.0)
+        return rates
+    etas = ()
     if cfg.drift_enabled:
         etas = (1.0, 1.0)
         if cfg.variant in ("truncated", "hyper"):
             etas = tuple(eta_cutoff(x, cfg.r) for x in state.grad_sups)
-        u = _velocity_half(state.velocity)
         # omega and theta share one velocity when their cutoffs agree
-        velocities = [eta * u + noise for eta in dict.fromkeys(etas)]
+        etas = tuple(dict.fromkeys(etas))
     # one inverse: grad omega, grad theta, then the velocities; one forward:
     # v_f . grad f for f = omega, theta, both products summed before the
     # transform, as in lie_derivative
-    planes = [_gradient_half(state.omega), _gradient_half(state.theta), *velocities]
-    phys = _to_physical(np.concatenate(planes), grid, dealias=True)
-    phys = phys.reshape(-1, 2, grid.n, grid.n)
-    transports = _to_fourier(np.sum(phys[2:] * phys[:2], axis=1), grid, dealias=True)
-    domega = SpectralField(grid, -transports[0])
-    dtheta = SpectralField(grid, -transports[1])
+    half = _workspace("stage-half", (4 + 2 * max(1, len(etas)), n, h))
+    _gradient_half(state.omega, out=half[0:2])
+    _gradient_half(state.theta, out=half[2:4])
+    velocities = half[4:].reshape(-1, 2, n, h)
+    if not etas:
+        velocities[0] = noise
+    for v, eta in zip(velocities, etas):
+        u = state.velocity
+        np.multiply(eta, _half(u.u1.coeffs), out=v[0])
+        np.multiply(eta, _half(u.u2.coeffs), out=v[1])
+        v += noise
+    phys = _workspace("stage-phys", (len(half), n, n), np.float64)
+    phys = _to_physical(half, grid, dealias=True, out=phys).reshape(-1, 2, n, n)
+    products = phys[:2]
+    np.multiply(phys[2:], products, out=products)
+    np.add(products[:, 0], products[:, 1], out=products[:, 0])
+    _to_fourier(products[:, 0], grid, dealias=True, out=rates)
+    np.negative(rates, out=rates)
     if cfg.drift_enabled:
-        domega = domega + derivative(state.theta, "x")
+        buoyancy = _workspace("buoyancy", (n, n))
+        rates[0] += np.multiply(state.theta.coeffs, grid.deriv_x, out=buoyancy)
     if len(basis) and cfg.scheme == "ito_euler":
-        comega, ctheta = _ito_correction(basis, state.omega, state.theta)
-        domega = domega + comega
-        dtheta = dtheta + ctheta
-    return domega, dtheta
+        rates += _ito_correction(basis, state.omega, state.theta)
+    return rates
 
 
 def _ito_correction(basis: NoiseBasis, omega: SpectralField,
-                    theta: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """1/2 sum_i L_{xi_i}^2 f for f = omega and theta, applied in Fourier space.
+                    theta: SpectralField) -> np.ndarray:
+    """1/2 sum_i L_{xi_i}^2 f for f = omega and theta, applied in Fourier
+    space, stacked (2, n, n) in this thread's workspace.
 
     The composed dealiased operator is a sum of shifted diagonals
     (``basis.ito_diagonals``, built on the first call): a multiplier plus
     one rolled term per remaining offset, with no transform.
     """
     d0, shifted = basis.ito_diagonals
-    f = np.stack((omega.coeffs, theta.coeffs))
-    c = d0 * f
-    for offset, d in shifted:
-        c += d * np.roll(f, offset, axis=(1, 2))
-    return SpectralField(omega.grid, c[0]), SpectralField(omega.grid, c[1])
+    c = _workspace("ito", (2,) + d0.shape)
+    term = _workspace("ito-term", d0.shape)
+    for i, f in enumerate((omega.coeffs, theta.coeffs)):
+        np.multiply(d0, f, out=c[i])
+        for offset, d in shifted:
+            c[i] += np.multiply(d, np.roll(f, offset, axis=(0, 1)), out=term)
+    return c
 
 
 def _check_increments(increments: BrownianIncrements, basis: NoiseBasis, cfg: SchemeConfig):
@@ -248,6 +276,15 @@ def _finalize(state: SimState, omega: SpectralField, theta: SpectralField,
     return new
 
 
+def _update(state: SimState, dt: float,
+            rates: np.ndarray) -> tuple[SpectralField, SpectralField]:
+    """(omega, theta) + dt * rates, in fresh coefficient arrays."""
+    grid = state.grid
+    scaled = np.multiply(rates, dt, out=_workspace("update", rates.shape))
+    return (SpectralField(grid, state.omega.coeffs + scaled[0]),
+            SpectralField(grid, state.theta.coeffs + scaled[1]))
+
+
 def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
          cfg: SchemeConfig) -> SimState:
     """Advance one step with the scheme and variant the config selects."""
@@ -255,16 +292,14 @@ def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
     dt = increments.dt
     _cfl_guard(state, basis, cfg)
     noise = basis.transport_half(increments.values / dt)
-    domega, dtheta = _evaluate_stage(state, basis, noise, cfg)
+    rates = _evaluate_stage(state, basis, noise, cfg, 0)
     # Euler-Maruyama update; for Heun it is the predictor
-    omega = state.omega + dt * domega
-    theta = state.theta + dt * dtheta
+    omega, theta = _update(state, dt, rates)
     if cfg.scheme == "stratonovich_heun":
         if not (omega.is_finite() and theta.is_finite()):
             raise BlowUpSuspected(state, "non-finite predictor")
-        domega1, dtheta1 = _evaluate_stage(SimState(omega, theta), basis, noise, cfg)
-        omega = state.omega + (0.5 * dt) * (domega + domega1)
-        theta = state.theta + (0.5 * dt) * (dtheta + dtheta1)
+        rates1 = _evaluate_stage(SimState(omega, theta), basis, noise, cfg, 1)
+        omega, theta = _update(state, 0.5 * dt, np.add(rates, rates1, out=rates1))
     return _finalize(state, omega, theta, cfg, dt)
 
 

@@ -14,7 +14,11 @@ Conventions used throughout the package:
   :meth:`SpectralField.from_physical`, :func:`product`,
   :func:`sbq.operators.lie_derivative` and the stepper all go through this
   one pair of transforms, so the stepper's transport terms equal the public
-  operators' bit for bit.
+  operators' bit for bit.  The stepper passes ``out=`` buffers from a
+  per-thread workspace (:func:`_workspace`) so a step allocates no large
+  temporaries; ``irfft2`` ignores ``out=``, so an inverse into a buffer runs
+  as its own two passes, ``ifft`` over the rows then ``irfft``, bit for bit
+  the same.
 * All L2-type norms and inner products include the ``(2*pi)**2`` measure of the
   torus, so e.g. ``||sin x||_L2 = pi * sqrt(2)``.
 * Every quadratic nonlinearity is a physical-space product under the 2/3
@@ -28,11 +32,13 @@ Conventions used throughout the package:
   to evaluate on a zero-padded finer grid when the default is too coarse.
 
 Fields are immutable values: every operation returns a new field, so the
-functions here are safe to call concurrently from multiple threads.
+functions here are safe to call concurrently from multiple threads (the
+workspace is per thread and never escapes into a field).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -373,7 +379,9 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
 
 # ----------------------------------------------------------------------------
 # the transform kernel: every physical <-> Fourier transform goes through
-# these two functions, one numpy.fft call per (batched) direction
+# these two functions, one numpy.fft call per (batched) direction (two for
+# an inverse into a caller's buffer), plus the per-thread workspace the
+# stepper hands them
 
 
 def _half(coeffs: np.ndarray) -> np.ndarray:
@@ -386,37 +394,52 @@ def _velocity_half(v: VelocityField) -> np.ndarray:
     return np.stack((_half(v.u1.coeffs), _half(v.u2.coeffs)))
 
 
-def _gradient_half(f: SpectralField) -> np.ndarray:
+def _gradient_half(f: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients of (d_x f, d_y f), stacked (2, n, n/2 + 1);
     equal to the half of :func:`derivative`'s output."""
-    return _half(f.coeffs) * f.grid._deriv_half
+    return np.multiply(_half(f.coeffs), f.grid._deriv_half, out=out)
 
 
-def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False) -> np.ndarray:
+def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples of half-spectrum planes (..., n, n/2 + 1).
 
     One ``irfft2`` call for the whole stack.  ``dealias`` first zeroes the
     modes the 2/3 rule removes, in place: pass an array the caller owns.
+
+    With ``out`` (float, (..., n, n)) the samples are written there and
+    ``half`` is overwritten: the inverse runs as the two passes ``irfft2``
+    itself makes, ``ifft`` over the rows in place on ``half``, then
+    ``irfft`` over the columns into ``out``, with the same bits.  ``irfft2``
+    drops an ``out=`` argument (numpy 2.4), so this is the form that writes
+    into caller-owned memory instead of allocating.
     """
     if dealias:
         np.copyto(half, 0.0, where=grid._drop_half)
-    return np.fft.irfft2(half, s=(grid.n, grid.n))
+    if out is None:
+        return np.fft.irfft2(half, s=(grid.n, grid.n))
+    np.fft.ifft(half, axis=-2, out=half)
+    return np.fft.irfft(half, n=grid.n, axis=-1, out=out)
 
 
-def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False) -> np.ndarray:
+def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False,
+                out: np.ndarray | None = None) -> np.ndarray:
     """fft2-layout coefficients of real planes (..., n, n): one ``rfft2``
     call for the stack, optionally under the 2/3 rule, completed to the full
     layout by the Hermitian mirror.
 
     The columns k2 = 0 and n/2 are their own mirror images; they are
     replaced by their Hermitian parts, so the output is exactly Hermitian.
+    With ``out`` (complex, (..., n, n)) the half spectrum is transformed
+    straight into its first n/2 + 1 columns and completed there.
     """
     n, h = grid.n, grid.n // 2 + 1
-    half = np.fft.rfft2(values)
+    half = np.fft.rfft2(values, out=None if out is None else out[..., :h])
     if dealias:
         np.copyto(half, 0.0, where=grid._drop_half)
-    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :h] = half
+    if out is None:
+        out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+        out[..., :h] = half
     for j in (0, n // 2):
         col = half[..., j]
         out[..., j] = 0.5 * (col + np.conj(col[..., grid._mirror_rows]))
@@ -424,6 +447,31 @@ def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False) -> np.nda
     np.conjugate(half[..., :1, h - 2:0:-1], out=out[..., :1, h:])
     np.conjugate(half[..., :0:-1, h - 2:0:-1], out=out[..., 1:, h:])
     return out
+
+
+_scratch = threading.local()
+
+
+def _workspace(user: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """This thread's scratch array for ``user`` (uninitialised contents).
+
+    The stepper's per-stage planes, products and rates live here rather
+    than in fresh temporaries: allocated and freed every stage, those
+    0.1-1 MB arrays went back to the kernel and were faulted in again on
+    each step (hundreds of minor page faults per step).  Buffers are keyed
+    by (user, shape, dtype), so two uses that are live at once must name
+    different users; they are per thread, so states may be stepped
+    concurrently.  A workspace array must never be returned to a caller or
+    cached on a value.
+    """
+    bufs = _scratch.__dict__.setdefault("bufs", {})
+    key = (user, shape, np.dtype(dtype))
+    buf = bufs.get(key)
+    if buf is None:
+        if len(bufs) >= 64:  # many grid sizes in one thread: start over
+            bufs.clear()
+        buf = bufs[key] = np.empty(shape, dtype=dtype)
+    return buf
 
 
 def _mirror(coeffs: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ The derived quantities are computed on first use and cached, as
 samples of grad u and grad theta from one batched inverse transform.  The
 stepper (blow-up integrand, truncation cutoffs, CFL speed) and
 ``compute_record`` both read them, so ``run``, which records a state before
-stepping from it, evaluates each state's samples once.
+stepping from it, evaluates each state's samples once.  The samples' half
+planes are built in the per-thread workspace of :mod:`sbq.spectral` and
+inverted into a fresh array, which the state owns.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import SpectralField, VelocityField, biot_savart
-from .spectral import _gradient_half, _to_physical
+from .spectral import _gradient_half, _to_physical, _workspace
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,11 @@ class SimState:
         """Physical samples, from one batched inverse transform, of
         d_x u1, d_y u1, d_x u2, d_y u2, d_x theta, d_y theta; each plane
         equals the ``values()`` of the corresponding derivative."""
-        u = self.velocity
-        half = np.concatenate((_gradient_half(u.u1), _gradient_half(u.u2),
-                               _gradient_half(self.theta)))
-        out = _to_physical(half, self.grid)
+        u, n = self.velocity, self.grid.n
+        half = _workspace("state-samples", (6, n, n // 2 + 1))
+        for i, f in enumerate((u.u1, u.u2, self.theta)):
+            _gradient_half(f, out=half[2 * i:2 * i + 2])
+        out = _to_physical(half, self.grid, out=np.empty((6, n, n)))
         out.setflags(write=False)
         return out
 

@@ -11,14 +11,18 @@ test_spectral.py, which involves no differentiation at all.
 
 :func:`count_ffts` counts the 2-D transforms a call makes, and
 :func:`fft_planes` the planes each of them carries, for the tests that pin
-how many a step, a record or a study pays.
+how many a step, a record or a study pays; the stepper's inverse into its
+workspace (``ifft`` over the rows, then ``irfft``) counts as one ``irfft2``.
 
 :func:`product_fft2_reference` and :func:`build_basis_reference` are the
 earlier full complex ``fft2`` implementations of the dealiased product and
 of the noise basis, kept as round-off references for the half-spectrum
 kernel and the exact-coefficient builder.  :func:`step_two_transport_reference`
 is the earlier stage that transports each field by u and by the noise field
-separately, the reference for the stepper's single stochastic velocity.
+separately, the reference for the stepper's single stochastic velocity;
+:func:`step_allocating_reference` and :func:`samples_allocating_reference`
+are the stage and the state's gradient samples as they were before the
+per-thread workspace, in fresh arrays, the bit-for-bit references for it.
 :func:`apply_first_order_reference` (three products summed in Fourier
 space) and :func:`lie_derivative_four_plane_reference` (xi inverted with
 f on every call) are the earlier forms of the first-order kernel.
@@ -148,31 +152,98 @@ def hs_field_reference(grid: Grid, s: float, rng: np.random.Generator,
     return f * (amplitude / norm) if norm > 0 else f
 
 
-def count_ffts(monkeypatch, fn):
-    """Number of 2-D ``numpy.fft`` calls made by ``fn()``."""
-    count = [0]
+def _fft_calls(monkeypatch, fn) -> list[tuple[str, int]]:
+    """(name, planes) of each 2-D ``numpy.fft`` transform ``fn()`` makes, in
+    call order.  The inverse into a caller's buffer, ``ifft`` over axis -2
+    and then ``irfft``, is the two passes of one ``irfft2`` and counts as
+    one, with its planes."""
+    calls, first_pass = [], []
     with monkeypatch.context() as mp:
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-                count[0] += 1
-                return _fn(*args, **kwargs)
-            mp.setattr(np.fft, name, counted)
-        fn()
-    return count[0]
-
-
-def fft_planes(monkeypatch, fn) -> dict:
-    """Planes carried by each 2-D ``numpy.fft`` call ``fn()`` makes:
-    transform name -> list of plane counts, in call order."""
-    planes = {}
-    with monkeypatch.context() as mp:
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "ifft", "irfft"):
             def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                planes.setdefault(_name, []).append(int(np.prod(np.shape(a)[:-2])))
+                planes = int(np.prod(np.shape(a)[:-2]))
+                if _name == "ifft" and kwargs.get("axis") == -2:
+                    first_pass.append(planes)
+                elif _name == "irfft" and first_pass:
+                    calls.append(("irfft2", first_pass.pop()))
+                else:
+                    calls.append((_name, planes))
                 return _fn(a, *args, **kwargs)
             mp.setattr(np.fft, name, counted)
         fn()
+    assert not first_pass, "an ifft over axis -2 without its irfft"
+    return calls
+
+
+def count_ffts(monkeypatch, fn) -> int:
+    """Number of 2-D ``numpy.fft`` transforms made by ``fn()``."""
+    return len(_fft_calls(monkeypatch, fn))
+
+
+def fft_planes(monkeypatch, fn) -> dict:
+    """Planes carried by each 2-D ``numpy.fft`` transform ``fn()`` makes:
+    transform name -> list of plane counts, in call order."""
+    planes = {}
+    for name, count in _fft_calls(monkeypatch, fn):
+        planes.setdefault(name, []).append(count)
     return planes
+
+
+def step_allocating_reference(state: SimState, basis, increments, cfg) -> SimState:
+    """One step with the earlier stage, which builds every plane, product
+    and rate in a fresh array and inverts by one ``irfft2`` call, the
+    reference for the stepper's workspace stage."""
+    from sbq.integrator import _finalize
+
+    grid, dt = state.grid, increments.dt
+    noise = basis.transport_half(increments.values / dt)
+
+    def stage(s):
+        if not (cfg.drift_enabled or len(basis)):
+            zero = SpectralField.zero(grid)
+            return zero, zero
+        velocities = [noise]
+        if cfg.drift_enabled:
+            etas = (1.0, 1.0)
+            if cfg.variant in ("truncated", "hyper"):
+                etas = tuple(eta_cutoff(x, cfg.r) for x in s.grad_sups)
+            u = _velocity_half(s.velocity)
+            velocities = [eta * u + noise for eta in dict.fromkeys(etas)]
+        planes = [_gradient_half(s.omega), _gradient_half(s.theta), *velocities]
+        phys = _to_physical(np.concatenate(planes), grid, dealias=True)
+        phys = phys.reshape(-1, 2, grid.n, grid.n)
+        transports = _to_fourier(np.sum(phys[2:] * phys[:2], axis=1), grid,
+                                 dealias=True)
+        d_omega = SpectralField(grid, -transports[0])
+        d_theta = SpectralField(grid, -transports[1])
+        if cfg.drift_enabled:
+            d_omega = d_omega + derivative(s.theta, "x")
+        if len(basis) and cfg.scheme == "ito_euler":
+            d0, shifted = basis.ito_diagonals
+            f = np.stack((s.omega.coeffs, s.theta.coeffs))
+            c = d0 * f
+            for offset, d in shifted:
+                c += d * np.roll(f, offset, axis=(1, 2))
+            d_omega = d_omega + SpectralField(grid, c[0])
+            d_theta = d_theta + SpectralField(grid, c[1])
+        return d_omega, d_theta
+
+    d_omega, d_theta = stage(state)
+    omega = state.omega + dt * d_omega
+    theta = state.theta + dt * d_theta
+    if cfg.scheme == "stratonovich_heun":
+        d_omega1, d_theta1 = stage(SimState(omega, theta))
+        omega = state.omega + (0.5 * dt) * (d_omega + d_omega1)
+        theta = state.theta + (0.5 * dt) * (d_theta + d_theta1)
+    return _finalize(state, omega, theta, cfg, dt)
+
+
+def samples_allocating_reference(state: SimState) -> np.ndarray:
+    """``SimState._samples`` by one ``irfft2`` of freshly stacked planes."""
+    u = state.velocity
+    half = np.concatenate((_gradient_half(u.u1), _gradient_half(u.u2),
+                           _gradient_half(state.theta)))
+    return _to_physical(half, state.grid)
 
 
 def step_two_transport_reference(state: SimState, basis, increments, cfg):

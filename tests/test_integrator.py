@@ -1,6 +1,10 @@
 """Steppers: scheme semantics, variants, conservation structure, blow-up
 bookkeeping, and the run loop."""
 
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +31,14 @@ from sbq.noise import (
 )
 from sbq.operators import lie_derivative
 from sbq.state import SimState
-from oracles import count_ffts, fd_derivative, fft_planes, step_two_transport_reference
+from oracles import (
+    count_ffts,
+    fd_derivative,
+    fft_planes,
+    samples_allocating_reference,
+    step_allocating_reference,
+    step_two_transport_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -579,6 +590,20 @@ class TestTransformCounts:
             assert calls <= budget
 
 
+    @pytest.mark.parametrize("m", [0, 3, 48])
+    def test_exact_transform_counts(self, grid, monkeypatch, m):
+        # from a fresh state: the state's samples, then one inverse and one
+        # forward per stage
+        rng = np.random.default_rng(16)
+        state = SimState(sp.random_field(grid, rng, band=10, zero_mean=True),
+                         sp.random_field(grid, rng, band=10))
+        basis = build_basis(default_family(grid, max_modes=m), grid) if m \
+            else empty_basis(grid)
+        for scheme, calls in (("stratonovich_heun", 5), ("ito_euler", 3)):
+            increments = sample_increments(rng, 1e-3, m)
+            assert count_ffts(monkeypatch, lambda: step(
+                replace(state), basis, increments, SchemeConfig(scheme, dt=1e-3))) == calls
+
     @pytest.mark.parametrize("variant", ["plain", "truncated"])
     def test_heun_plane_budget(self, grid, monkeypatch, variant):
         # a stage inverts grad omega, grad theta and one velocity pair per
@@ -625,6 +650,141 @@ class TestOneVelocityStage:
         for got, want in zip((new.omega, new.theta), ref):
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= \
                 1e-14 * np.max(np.abs(want.coeffs))
+
+
+def _workspace_buffers():
+    return list(sp._scratch.__dict__.get("bufs", {}).values())
+
+
+def _steps(state, basis, cfg, increments):
+    for db in increments:
+        state = step(state, basis, db, cfg)
+    return state
+
+
+_FAULTS_SCRIPT = """
+import resource, sys
+import numpy as np
+from sbq import spectral as sp
+from sbq.integrator import SchemeConfig, step
+from sbq.noise import build_basis, default_family, sample_increments
+from sbq.state import SimState
+scheme, n = sys.argv[1], int(sys.argv[2])
+g = sp.Grid(n)
+rng = np.random.default_rng(3)
+state = SimState(sp.random_field(g, rng, band=n // 3, zero_mean=True),
+                 sp.random_field(g, rng, band=n // 3))
+basis = build_basis(default_family(g), g)
+variant = {"ito_euler": {"variant": "truncated", "r": 0.5}}.get(scheme, {})
+cfg = SchemeConfig(scheme, dt=1e-3, **variant)
+path = [sample_increments(rng, 1e-3, len(basis)) for _ in range(70)]
+for db in path[:20]:
+    state = step(state, basis, db, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for db in path[20:]:
+    state = step(state, basis, db, cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("case", [
+        "plain", "truncated", "hyper", "unpaired", "no_drift", "empty_basis"])
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_matches_allocating_reference(self, scheme, case):
+        # the workspace changes where values live, never their bits
+        g = sp.Grid(32)
+        rng = np.random.default_rng(21)
+        state = two_cutoff_state(g, rng, band=10)
+        gu, gth = state.grad_sups
+        r = 0.9 * gu
+        assert eta_cutoff(gu, r) != eta_cutoff(gth, r)  # 8 inverse planes
+        params = {"truncated": {"variant": "truncated", "r": r},
+                  "hyper": {"variant": "hyper", "r": r, "nu": 1e-9},
+                  "no_drift": {"drift_enabled": False}}.get(case, {})
+        cfg = SchemeConfig(scheme, dt=1e-3, **params)
+        if case == "empty_basis":
+            basis = empty_basis(g)
+        elif case == "unpaired":
+            basis = build_basis(default_family(g, max_modes=3), g)
+            assert basis.ito_diagonals[1]  # shifted diagonals
+        else:
+            basis = build_basis(default_family(g), g)
+        ref = state
+        for _ in range(20):
+            db = sample_increments(rng, 1e-3, len(basis))
+            state, ref = step(state, basis, db, cfg), step_allocating_reference(
+                ref, basis, db, cfg)
+            assert np.array_equal(state.omega.coeffs, ref.omega.coeffs)
+            assert np.array_equal(state.theta.coeffs, ref.theta.coeffs)
+            assert state.blowup_accum == ref.blowup_accum
+            assert np.array_equal(state._samples, samples_allocating_reference(ref))
+
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_states_own_their_memory(self, grid, scheme):
+        rng = np.random.default_rng(22)
+        state = two_cutoff_state(grid, rng, band=10)
+        basis = build_basis(default_family(grid, max_modes=3), grid)
+        cfg = SchemeConfig(scheme, dt=1e-3, variant="truncated",
+                           r=0.9 * state.grad_sups[0])
+        held = step(state, basis, sample_increments(rng, 1e-3, 3), cfg)
+        arrays = (held.omega.coeffs, held.theta.coeffs, held._samples,
+                  held.velocity.u1.coeffs, held.velocity.u2.coeffs)
+        copies = [a.copy() for a in arrays]
+        bad = BrownianIncrements(np.array([np.nan, 0.0, 0.0]), 1e-3)
+        with pytest.raises(BlowUpSuspected) as info:
+            step(held, basis, bad, cfg)
+        assert info.value.last_state is held
+        later = _steps(held, basis, cfg, [sample_increments(rng, 1e-3, 3) for _ in range(3)])
+        buffers = _workspace_buffers()
+        assert buffers
+        for a in arrays + (later.omega.coeffs, later.theta.coeffs, later._samples):
+            assert not any(np.shares_memory(a, b) for b in buffers)
+        for a, c in zip(arrays, copies):
+            assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("sizes", [(32, 32), (32, 64)])
+    def test_threads_match_sequential(self, sizes):
+        # each thread steps with its own workspace
+        jobs = []
+        for i, n in enumerate(sizes):
+            g = sp.Grid(n)
+            rng = np.random.default_rng(30 + i)
+            state = two_cutoff_state(g, rng, band=n // 3)
+            basis = build_basis(default_family(g), g)
+            cfg = SchemeConfig(("stratonovich_heun", "ito_euler")[i], dt=1e-3,
+                               variant="truncated", r=0.9 * state.grad_sups[0])
+            jobs.append((state, basis, cfg,
+                         [sample_increments(rng, 1e-3, len(basis)) for _ in range(30)]))
+        sequential = [_steps(*job) for job in jobs]
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def work(i):
+            start.wait()
+            results[i] = _steps(*jobs[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for got, want in zip(results, sequential):
+            assert np.array_equal(got.omega.coeffs, want.omega.coeffs)
+            assert np.array_equal(got.theta.coeffs, want.theta.coeffs)
+            assert got.blowup_accum == want.blowup_accum
+
+    @pytest.mark.parametrize("pad", [1, 3000])
+    @pytest.mark.parametrize("scheme, n", [("stratonovich_heun", 128), ("ito_euler", 64)])
+    def test_steps_take_no_page_faults(self, scheme, n, pad):
+        # freed per-stage temporaries used to come back as hundreds of minor
+        # page faults per step; the environment size moves the heap layout
+        src = os.path.dirname(os.path.dirname(sp.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   SBQ_TEST_PAD="x" * pad)
+        out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, scheme, str(n)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout) <= 10.0
 
 
 class TestRun:
