@@ -128,6 +128,7 @@ def _cmd_simulate(args) -> int:
     except AssertionError as exc:  # the stepper's omega mean guard
         manifest = _manifest_base(cfg, [seed])
         manifest["abort_reason"] = str(exc)
+        manifest["abort_step"] = getattr(exc, "step", None)
         write_manifest(out / "manifest.json", manifest)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION

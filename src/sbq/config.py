@@ -7,6 +7,7 @@ offending field path (e.g. ``noise.sigma``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -76,8 +77,8 @@ def _check_keys(obj: dict, allowed: set, path: str):
 
 
 def _number(obj, path):
-    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool),
-             path, "expected a number")
+    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool)
+             and abs(obj) <= sys.float_info.max, path, "expected a finite number")
     return float(obj)
 
 
@@ -106,7 +107,7 @@ def _parse_noise(obj, path="noise") -> dict:
         obj = {"type": "default_family"}
     _require(isinstance(obj, dict), path, "expected an object")
     kind = obj.get("type")
-    _require(kind in _NOISE_KEYS, f"{path}.type",
+    _require(isinstance(kind, str) and kind in _NOISE_KEYS, f"{path}.type",
              f"expected one of {sorted(_NOISE_KEYS)}")
     _check_keys(obj, _NOISE_KEYS[kind] | {"type"}, path)
     out = {"type": kind}
@@ -156,7 +157,7 @@ def _parse_initial(obj, path="initial") -> dict:
         obj = {"type": obj}
     _require(isinstance(obj, dict), path, "expected an object or preset name")
     kind = obj.get("type")
-    _require(kind in _INITIAL_KEYS, f"{path}.type",
+    _require(isinstance(kind, str) and kind in _INITIAL_KEYS, f"{path}.type",
              f"expected one of {sorted(_INITIAL_KEYS)}")
     _check_keys(obj, _INITIAL_KEYS[kind] | {"type"}, path)
     out = {"type": kind}

@@ -40,29 +40,22 @@ Variants:
 
 Transport: a stage carries each field f by one stochastic velocity
 v_f = eta_f u + w / dt, w = sum_i dB_i xi_i (Holm's u dt + sum_i xi_i o dB_i
-over dt), so dt * L_{v_f} f is its drift and noise transport together.  w / dt
-is formed once per step from the modes' exact coefficients
-(``NoiseBasis.transport_half``) and added to eta_f u on the half spectrum.
-A stage makes two calls of the half-spectrum kernel of :mod:`sbq.spectral`:
-one batched inverse of grad omega, grad theta and the velocities (6 planes
-when eta_u == eta_th and omega and theta share one velocity, 8 otherwise),
-and one batched forward of the 2 transports, each with both products summed
-in physical space as :func:`sbq.operators.lie_derivative` sums them.  With
-the start state's own batched inverse (see below), a Heun step makes 5
-transform calls (6 when the variant truncates and reads the predictor's
-sups) and an Ito-Euler step 3; the CFL guard, when on, adds two for the
-start state's velocity samples.
+over dt), so dt * L_{v_f} f is its drift and noise transport together; w / dt
+comes once per step from the modes' exact coefficients
+(``NoiseBasis.transport_half``).  A stage makes one batched inverse of
+grad omega, grad theta and the velocities (6 planes when eta_u == eta_th and
+omega and theta share one velocity, 8 otherwise) and one batched forward of
+the 2 transports, each with both products summed in physical space as
+:func:`sbq.operators.lie_derivative` sums them.  With the start state's own
+batched inverse, a Heun step makes 5 transform calls (6 when the variant
+truncates and reads the predictor's sups) and an Ito-Euler step 3; the CFL
+guard, when on, adds two.
 
-Allocation: a stage's half planes, physical samples, products and rates
-live in a per-thread workspace (``spectral._workspace``), written with
-``out=``; the products and their two-term sums run in place, and the rates
-of each stage accumulate the negated transports, the buoyancy term and the
-Ito diagonals in their own buffer.  Freed and reallocated every stage,
-those 0.1-1 MB temporaries went back to the kernel and cost hundreds of
-minor page faults per step (about 700 for Heun at n = 128).  ``irfft2``
-drops ``out=``, so the inverse runs as its two passes, ``ifft`` over the
-rows then ``irfft``; the transform counts above count it as one.  The
-updates, and so every returned state, use fresh arrays.
+Storage: every coefficient array is a half spectrum (:mod:`sbq.spectral`).
+A stage's planes, samples, products and rates live in the per-thread
+workspace (``spectral._workspace``), written with ``out=``, so a step takes
+no page faults; the inverse into it runs as ``ifft`` over the rows then
+``irfft``, counted as one transform above.  Updates use fresh arrays.
 
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
@@ -86,7 +79,7 @@ import numpy as np
 from .diagnostics import compute_record
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
 from .spectral import Grid, SpectralField, l2_norm
-from .spectral import _gradient_half, _half, _to_fourier, _to_physical, _workspace
+from .spectral import _gradient_half, _read_only, _to_fourier, _to_physical, _workspace
 from .state import SimState
 
 __all__ = [
@@ -159,12 +152,12 @@ def eta_cutoff(x: float, r: float) -> float:
 
 def _evaluate_stage(state: SimState, basis: NoiseBasis, noise: np.ndarray,
                     cfg: SchemeConfig, stage: int) -> np.ndarray:
-    """Rates (d omega, d theta) at one state, stacked (2, n, n) in this
+    """Rates (d omega, d theta) at one state, stacked (2, n, n/2 + 1) in this
     thread's workspace for ``stage``, ``noise`` being the half spectrum of
     w / dt: each field f is transported once, by eta_f u + w / dt."""
     grid = state.grid
     n, h = grid.n, grid.n // 2 + 1
-    rates = _workspace(f"rates{stage}", (2, n, n))
+    rates = _workspace(f"rates{stage}", (2, n, h))
     if not (cfg.drift_enabled or len(basis)):
         rates.fill(0.0)
         return rates
@@ -186,8 +179,8 @@ def _evaluate_stage(state: SimState, basis: NoiseBasis, noise: np.ndarray,
         velocities[0] = noise
     for v, eta in zip(velocities, etas):
         u = state.velocity
-        np.multiply(eta, _half(u.u1.coeffs), out=v[0])
-        np.multiply(eta, _half(u.u2.coeffs), out=v[1])
+        np.multiply(eta, u.u1.half, out=v[0])
+        np.multiply(eta, u.u2.half, out=v[1])
         v += noise
     phys = _workspace("stage-phys", (len(half), n, n), np.float64)
     phys = _to_physical(half, grid, dealias=True, out=phys).reshape(-1, 2, n, n)
@@ -197,8 +190,8 @@ def _evaluate_stage(state: SimState, basis: NoiseBasis, noise: np.ndarray,
     _to_fourier(products[:, 0], grid, dealias=True, out=rates)
     np.negative(rates, out=rates)
     if cfg.drift_enabled:
-        buoyancy = _workspace("buoyancy", (n, n))
-        rates[0] += np.multiply(state.theta.coeffs, grid.deriv_x, out=buoyancy)
+        buoyancy = _workspace("buoyancy", (n, h))
+        rates[0] += np.multiply(state.theta.half, grid.deriv_x, out=buoyancy)
     if len(basis) and cfg.scheme == "ito_euler":
         rates += _ito_correction(basis, state.omega, state.theta)
     return rates
@@ -207,19 +200,23 @@ def _evaluate_stage(state: SimState, basis: NoiseBasis, noise: np.ndarray,
 def _ito_correction(basis: NoiseBasis, omega: SpectralField,
                     theta: SpectralField) -> np.ndarray:
     """1/2 sum_i L_{xi_i}^2 f for f = omega and theta, applied in Fourier
-    space, stacked (2, n, n) in this thread's workspace.
+    space, stacked (2, n, n/2 + 1) in this thread's workspace.
 
     The composed dealiased operator is a sum of shifted diagonals
     (``basis.ito_diagonals``, built on the first call): a multiplier plus
-    one rolled term per remaining offset, with no transform.
+    one rolled term per remaining offset, with no transform.  Only those
+    terms, of unpaired families, read the ``coeffs`` view; each +-offset
+    pair is summed first, which keeps the correction exactly Hermitian.
     """
     d0, shifted = basis.ito_diagonals
-    c = _workspace("ito", (2,) + d0.shape)
-    term = _workspace("ito-term", d0.shape)
-    for i, f in enumerate((omega.coeffs, theta.coeffs)):
-        np.multiply(d0, f, out=c[i])
-        for offset, d in shifted:
-            c[i] += np.multiply(d, np.roll(f, offset, axis=(0, 1)), out=term)
+    h = d0.shape[1] // 2 + 1
+    c = _workspace("ito", (2, d0.shape[0], h))
+    for i, f in enumerate((omega, theta)):
+        np.multiply(d0[:, :h], f.half, out=c[i])
+        for (o1, d1), (o2, d2) in zip(shifted[::2], shifted[1::2]):
+            pair = (d1 * np.roll(f.coeffs, o1, axis=(0, 1))
+                    + d2 * np.roll(f.coeffs, o2, axis=(0, 1)))
+            c[i] += pair[:, :h]
     return c
 
 
@@ -244,12 +241,11 @@ def _cfl_guard(state: SimState, basis: NoiseBasis, cfg: SchemeConfig):
 
 @lru_cache(maxsize=8)
 def _hyper_decay(grid: Grid, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrating-factor decay exp(-nu |k|^10 dt) and exp(-nu |k|^14 dt)."""
-    ksq = grid.ksq
-    out = np.exp(-nu * ksq**5 * dt), np.exp(-nu * ksq**7 * dt)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    """Integrating-factor decay exp(-nu |k|^10 dt) and exp(-nu |k|^14 dt)
+    on the half spectrum."""
+    ksq = grid._ksq_half
+    return (_read_only(np.exp(-nu * ksq**5 * dt)),
+            _read_only(np.exp(-nu * ksq**7 * dt)))
 
 
 # beyond this magnitude float products corrupt the exact conservation
@@ -261,8 +257,8 @@ def _finalize(state: SimState, omega: SpectralField, theta: SpectralField,
               cfg: SchemeConfig, dt: float) -> SimState:
     if cfg.variant == "hyper" and cfg.nu:
         decay_omega, decay_theta = _hyper_decay(omega.grid, cfg.nu, dt)
-        omega = SpectralField(omega.grid, omega.coeffs * decay_omega)
-        theta = SpectralField(theta.grid, theta.coeffs * decay_theta)
+        omega = SpectralField(omega.grid, omega.half * decay_omega)
+        theta = SpectralField(theta.grid, theta.half * decay_theta)
     integrand = sum(state.grad_sups)  # left endpoint: the step's start state
     new = SimState(omega, theta, state.t + dt, state.blowup_accum + dt * integrand)
     if not new.is_finite():
@@ -270,7 +266,7 @@ def _finalize(state: SimState, omega: SpectralField, theta: SpectralField,
     norm_omega = l2_norm(omega)
     if max(norm_omega, l2_norm(theta)) > _MAGNITUDE_LIMIT:
         raise BlowUpSuspected(state, "field magnitude beyond overflow guard")
-    mean = abs(omega.coeffs[0, 0]) / omega.grid.n**2
+    mean = abs(omega.half[0, 0]) / omega.grid.n**2
     if mean > 1e-12 * max(1.0, norm_omega):
         raise AssertionError(f"omega mean mode drifted to {mean:.3e}")
     return new
@@ -281,8 +277,8 @@ def _update(state: SimState, dt: float,
     """(omega, theta) + dt * rates, in fresh coefficient arrays."""
     grid = state.grid
     scaled = np.multiply(rates, dt, out=_workspace("update", rates.shape))
-    return (SpectralField(grid, state.omega.coeffs + scaled[0]),
-            SpectralField(grid, state.theta.coeffs + scaled[1]))
+    return (SpectralField(grid, state.omega.half + scaled[0]),
+            SpectralField(grid, state.theta.half + scaled[1]))
 
 
 def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
@@ -331,7 +327,9 @@ def run(initial: SimState, basis: NoiseBasis, cfg: SchemeConfig, T: float,
     per-mode increments per full step; the horizon must then be an integer
     number of steps); otherwise increments are sampled from ``rng``.  On a
     NaN/Inf abort the partial trajectory is returned with
-    ``blowup_suspected`` set and records up to the last finite state.
+    ``blowup_suspected`` set and records up to the last finite state.  A
+    failed invariant guard's ``AssertionError`` propagates with the index of
+    its step as ``step``.
     """
     if T < initial.t:
         raise ValueError(f"final time {T} precedes initial time {initial.t}")
@@ -384,6 +382,9 @@ def run(initial: SimState, basis: NoiseBasis, cfg: SchemeConfig, T: float,
             traj.blowup_suspected = True
             traj.abort_step = index
             return traj
+        except AssertionError as exc:
+            exc.step = index
+            raise
         traj.steps_taken = index + 1
         emit(index + 1, force=last)
     traj.final_state = state

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, VelocityField
+from .spectral import Grid, SpectralField, VelocityField, _read_only
 
 __all__ = [
     "NoiseMode",
@@ -69,13 +69,20 @@ class NoiseBasis:
     """Finite family of divergence-free fields with its H^3 budget."""
 
     modes: tuple
-    fields: tuple  # VelocityField per mode
     h3_budget: float
     grid: Grid
     sup_total: float = field(default=0.0)  # sum_i sup |xi_i|, for the CFL guard
 
     def __len__(self) -> int:
-        return len(self.fields)
+        return len(self.modes)
+
+    @cached_property
+    def fields(self) -> tuple:
+        """One VelocityField per mode, built on first use: w for a unit
+        increment of that mode.  The stepper reads the modes alone."""
+        return tuple(
+            VelocityField(*(SpectralField(self.grid, c) for c in self.transport_half(e)))
+            for e in np.eye(len(self.modes)))
 
     @cached_property
     def ito_diagonals(self) -> tuple[np.ndarray, tuple]:
@@ -84,8 +91,9 @@ class NoiseBasis:
         Returns ``(d0, shifted)`` with ``shifted`` a tuple of ``(offset, d)``
         pairs, so that in the fft2 layout
         ``(C f)^[m] = d0[m] f^[m] + sum d[m] f^[m - offset]`` (indices mod n),
-        i.e. ``d * np.roll(f^, offset)``.  Built on first use, from the modes
-        alone (see :func:`_ito_diagonals`).
+        i.e. ``d * np.roll(f^, offset)``; ``shifted`` lists each wavevector's
+        +-offset pair consecutively.  Built on first use, from the modes alone
+        (see :func:`_ito_diagonals`).
         """
         return _ito_diagonals(self.modes, self.grid)
 
@@ -167,15 +175,13 @@ def _ito_diagonals(modes: tuple, grid: Grid) -> tuple[np.ndarray, tuple]:
         if signed != 0.0:
             for s, e_s in e_shift.items():
                 d = (-signed / 8.0) * keep * e_s * np.roll(e_s, s, axis=(0, 1))
-                d.setflags(write=False)
-                shifted.append(((2 * s[0], 2 * s[1]), d))
-    d0.setflags(write=False)
-    return d0, tuple(shifted)
+                shifted.append(((2 * s[0], 2 * s[1]), _read_only(d)))
+    return _read_only(d0), tuple(shifted)
 
 
 def empty_basis(grid: Grid) -> NoiseBasis:
     """The basis with no modes: the noise is switched off."""
-    return NoiseBasis((), (), 0.0, grid, 0.0)
+    return NoiseBasis((), 0.0, grid, 0.0)
 
 
 def _mode_coefficients(mode, n: int) -> list[tuple[int, int, complex, complex]]:
@@ -198,28 +204,22 @@ def _mode_coefficients(mode, n: int) -> list[tuple[int, int, complex, complex]]:
             for sign, g_s in zip((1, -1), g)]
 
 
-def _realize(mode, grid: Grid) -> tuple[VelocityField, float]:
-    """A mode's field from its exact coefficients, and its squared H^3 norm."""
-    n = grid.n
-    u1 = np.zeros((n, n), dtype=np.complex128)
-    u2 = np.zeros((n, n), dtype=np.complex128)
-    h3 = 0.0
-    for row, col, c1, c2 in _mode_coefficients(mode, n):
-        u1[row, col], u2[row, col] = c1, c2
-        h3 += (1.0 + grid.ksq[row, col]) ** 3 * (abs(c1) ** 2 + abs(c2) ** 2)
-    xi = VelocityField(SpectralField(grid, u1), SpectralField(grid, u2))
-    return xi, h3 * (2.0 * np.pi) ** 2 / n**4
+def _h3_norm_sq(mode, grid: Grid) -> float:
+    """Squared H^3 norm of a mode's field, from its exact coefficients."""
+    h3 = sum((1.0 + grid.ksq[row, col]) ** 3 * (abs(c1) ** 2 + abs(c2) ** 2)
+             for row, col, c1, c2 in _mode_coefficients(mode, grid.n))
+    return h3 * (2.0 * np.pi) ** 2 / grid.n**4
 
 
 def build_basis(spec: list, grid: Grid) -> NoiseBasis:
     """Realize stream-function modes as divergence-free velocity fields.
 
-    Each field is built from its exact Fourier coefficients
-    (:func:`_mode_coefficients`) and ``sup_total`` from samples of the
-    trigonometric gradient, with no transform.  Rejects the zero wavevector
-    (constant stream function, zero field) and wavevectors outside the
-    dealiasing ball, which would be destroyed by the 2/3 rule before
-    reaching the dynamics.
+    The H^3 budget comes from the modes' exact Fourier coefficients
+    (:func:`_mode_coefficients`), ``sup_total`` from samples of the
+    trigonometric gradient; no transform, and no field until
+    ``NoiseBasis.fields`` is read.  Rejects the zero wavevector (zero field)
+    and wavevectors outside the dealiasing ball, which the 2/3 rule would
+    destroy before they reach the dynamics.
     """
     modes = []
     for entry in spec:
@@ -228,7 +228,6 @@ def build_basis(spec: list, grid: Grid) -> NoiseBasis:
         else:
             k, phase, amp = entry
             modes.append(NoiseMode((int(k[0]), int(k[1])), phase, float(amp)))
-    fields = []
     budget = sup = 0.0
     for mode in modes:
         k1, k2 = mode.wavevector
@@ -242,9 +241,7 @@ def build_basis(spec: list, grid: Grid) -> NoiseBasis:
             raise ValueError(f"phase must be 'cosine' or 'sine', got {mode.phase!r}")
         if mode.amplitude <= 0:
             raise ValueError("noise mode amplitude must be positive")
-        xi, h3 = _realize(mode, grid)
-        fields.append(xi)
-        budget += h3
+        budget += _h3_norm_sq(mode, grid)
         # |xi| = a |k| |trig'(k . x)|, |sin| for a cosine stream and |cos|
         # for a sine; over the grid k . x takes the values
         # -pi (k1 + k2) + m 2 pi / n, m running over multiples of gcd(k1, k2, n)
@@ -252,7 +249,7 @@ def build_basis(spec: list, grid: Grid) -> NoiseBasis:
         arg = -np.pi * (k1 + k2) + grid.spacing * np.arange(0, grid.n, stride)
         slope = np.sin(arg) if mode.phase == "cosine" else np.cos(arg)
         sup += mode.amplitude * float(np.hypot(k1, k2)) * float(np.max(np.abs(slope)))
-    return NoiseBasis(tuple(modes), tuple(fields), budget, grid, sup)
+    return NoiseBasis(tuple(modes), budget, grid, sup)
 
 
 def default_family(grid: Grid, gamma: float = 5.0, sigma: float = 0.1,
@@ -294,8 +291,7 @@ def constant_shift_basis(direction: str, amplitude: float, grid: Grid) -> NoiseB
     if amplitude == 0:
         raise ValueError("constant shift amplitude must be nonzero")
     mode = ConstantShift(direction, float(amplitude))
-    xi, h3 = _realize(mode, grid)
-    return NoiseBasis((mode,), (xi,), h3, grid, abs(float(amplitude)))
+    return NoiseBasis((mode,), _h3_norm_sq(mode, grid), grid, abs(float(amplitude)))
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .spectral import (
     sobolev_norm,
     stream_to_velocity,
 )
-from .spectral import _gradient_half, _half, _to_fourier, _to_physical
+from .spectral import _gradient_half, _read_only, _to_fourier, _to_physical
 
 __all__ = [
     "FirstOrderOp",
@@ -79,7 +79,7 @@ def _first_order(samples: np.ndarray, f: SpectralField) -> SpectralField:
     grid = f.grid
     half = _gradient_half(f)
     if len(samples) == 3:
-        half = np.concatenate((half, _half(f.coeffs)[None]))
+        half = np.concatenate((half, f.half[None]))
     planes = _to_physical(half, grid, dealias=True)
     out = samples[0] * planes[0] + samples[1] * planes[1]
     if len(samples) == 3:
@@ -141,11 +141,10 @@ class FirstOrderOp:
     def __post_init__(self):
         if self.a.grid != self.b.grid or self.a.grid != self.c.grid:
             raise ValueError("operator coefficients on different grids")
-        keep = self.a.grid.dealias_keep
+        drop = self.a.grid._drop_half
         for name in ("a", "b", "c"):
             f = getattr(self, name)
-            object.__setattr__(
-                self, name, SpectralField(f.grid, np.where(keep, f.coeffs, 0.0)))
+            object.__setattr__(self, name, SpectralField(f.grid, np.where(drop, 0.0, f.half)))
 
     @property
     def grid(self) -> Grid:
@@ -155,10 +154,8 @@ class FirstOrderOp:
     def _samples(self) -> np.ndarray:
         """Physical samples of (a, b, c), stacked (3, n, n), read-only; the
         coefficients are already inside the dealiasing ball."""
-        half = np.stack([_half(f.coeffs) for f in (self.a, self.b, self.c)])
-        out = _to_physical(half, self.grid)
-        out.setflags(write=False)
-        return out
+        half = np.stack([f.half for f in (self.a, self.b, self.c)])
+        return _read_only(_to_physical(half, self.grid))
 
 
 def apply_first_order(q: FirstOrderOp, f: SpectralField) -> SpectralField:

@@ -3,24 +3,29 @@ multiplier calculus built on them.
 
 Conventions used throughout the package:
 
-* Coefficients follow the numpy ``fft2`` layout: the forward transform carries
-  no normalisation factor, the inverse carries ``1/n**2``.  Integer wavenumbers
-  ``k = (k1, k2)`` run over ``fftfreq(n) * n``.  That is the public layout;
-  the transforms themselves are internal half-spectrum transforms
-  (``irfft2`` of the columns ``k2 = 0..n/2``, ``rfft2`` back), batched over
-  a leading axis, and every coefficient array they return is completed to
-  the full layout by its Hermitian mirror, so it is exactly Hermitian:
-  ``coeff(-k) == conj(coeff(k))`` bit for bit.  :meth:`SpectralField.values`,
-  :meth:`SpectralField.from_physical`, :func:`product`,
-  :func:`sbq.operators.lie_derivative` and the stepper all go through this
-  one pair of transforms, so the stepper's transport terms equal the public
-  operators' bit for bit.  The stepper passes ``out=`` buffers from a
-  per-thread workspace (:func:`_workspace`) so a step allocates no large
-  temporaries; ``irfft2`` ignores ``out=``, so an inverse into a buffer runs
-  as its own two passes, ``ifft`` over the rows then ``irfft``, bit for bit
-  the same.
-* All L2-type norms and inner products include the ``(2*pi)**2`` measure of the
-  torus, so e.g. ``||sin x||_L2 = pi * sqrt(2)``.
+* A field is real, so its coefficients are Hermitian,
+  ``coeff(-k) == conj(coeff(k))``, and :class:`SpectralField` stores only
+  its half spectrum ``half``, the ``rfft2`` layout (n, n/2 + 1): the columns
+  ``k2 = 0..n/2`` of the numpy ``fft2`` layout, integer wavenumbers
+  ``fftfreq(n) * n``, no factor on the forward transform and ``1/n**2`` on
+  the inverse.  A column ``0 < k2 < n/2`` stands for itself and its mirror
+  image.  The two *self-paired* columns ``k2 = 0`` and ``n/2`` hold both
+  members of each mirror pair; the forward transform replaces them by their
+  Hermitian parts and every operation keeps them exactly Hermitian, bit for
+  bit.  :meth:`SpectralField.hermitian_defect` measures their departure, the
+  only one half storage can hold.  The ``fft2`` layout is the read-only view
+  :attr:`SpectralField.coeffs`, completed by the mirror on first use; only
+  tests and the shifted Ito diagonals of unpaired noise families read it.
+* Multipliers are built once per :class:`Grid` on the half spectrum.  Every
+  transform is a batched half-spectrum transform, ``irfft2`` and ``rfft2``:
+  :meth:`SpectralField.values`, :meth:`SpectralField.from_physical`,
+  :func:`product`, :func:`sbq.operators.lie_derivative` and the stepper
+  share this one pair, so the stepper's transport terms equal the public
+  operators' bit for bit.  The stepper's buffers come from a per-thread
+  workspace (:func:`_workspace`).
+* All L2-type norms and inner products include the ``(2*pi)**2`` measure of
+  the torus, so e.g. ``||sin x||_L2 = pi * sqrt(2)``; they sum over the half
+  with weight 2 on the columns ``0 < k2 < n/2`` and 1 on the self-paired ones.
 * Every quadratic nonlinearity is a physical-space product under the 2/3
   rule (:func:`product`, the first-order kernel of :mod:`sbq.operators`,
   the stepper's transports): modes with ``max(|k1|, |k2|) > n/3`` are
@@ -66,13 +71,19 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class Grid:
     """Uniform n x n collocation grid on the torus [-pi, pi]^2.
 
-    Precomputes integer wavenumber meshes, the 2/3-rule dealiasing mask and
-    physical coordinates; the first-order derivative multipliers are built
-    on first use and cached.  Immutable after construction; two grids
-    compare equal iff they have the same ``n``.
+    Holds the wavenumber meshes ``k1``, ``k2``, ``ksq`` and the 2/3-rule mask
+    ``dealias_keep`` in the ``fft2`` layout, and the physical coordinates;
+    the half-spectrum multipliers (``deriv_x``, ``deriv_y``, ...) are built
+    on first use and cached, read-only.  Immutable after construction; two
+    grids compare equal iff they have the same ``n``.
     """
 
     def __init__(self, n: int):
@@ -82,46 +93,43 @@ class Grid:
         self.spacing = 2.0 * np.pi / n
         self.k_max = n // 2 - 1
         k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0,1,..,n/2-1,-n/2,..,-1
-        self.k1 = k[:, None] * np.ones((1, n), dtype=np.int64)
-        self.k2 = np.ones((n, 1), dtype=np.int64) * k[None, :]
+        self.k1, self.k2 = np.meshgrid(k, k, indexing="ij")
         self.ksq = (self.k1**2 + self.k2**2).astype(np.float64)
         self.dealias_keep = (np.maximum(np.abs(self.k1), np.abs(self.k2)) <= n / 3.0)
         coord = -np.pi + self.spacing * np.arange(n)
-        self.x = coord[:, None] * np.ones((1, n))
-        self.y = np.ones((n, 1)) * coord[None, :]
-        # index (n/2) along either axis is the unpaired Nyquist line
-        self._nyquist = n // 2
+        self.x, self.y = np.meshgrid(coord, coord, indexing="ij")
+        self._nyquist = n // 2  # index of the Nyquist line along either axis
 
     @cached_property
     def deriv_x(self) -> np.ndarray:
-        """Read-only multiplier of d_x: i * k1 with the Nyquist line zeroed."""
-        return _derivative_multiplier(self, "x", 1)
+        """Half-spectrum multiplier of d_x: i * k1 with the Nyquist row zeroed."""
+        return self._deriv_half[0]
 
     @cached_property
     def deriv_y(self) -> np.ndarray:
-        """Read-only multiplier of d_y: i * k2 with the Nyquist line zeroed."""
-        return _derivative_multiplier(self, "y", 1)
+        """Half-spectrum multiplier of d_y: i * k2 with the Nyquist column zeroed."""
+        return self._deriv_half[1]
 
     @cached_property
     def _deriv_half(self) -> np.ndarray:
         """(d_x, d_y) multipliers on the half spectrum, stacked (2, n, n/2 + 1)."""
-        out = np.stack((_half(self.deriv_x), _half(self.deriv_y)))
-        out.setflags(write=False)
-        return out
+        return _read_only(np.stack([_derivative_multiplier(self, axis, 1)
+                                    for axis in ("x", "y")]))
+
+    @cached_property
+    def _ksq_half(self) -> np.ndarray:
+        """|k|^2 on the half spectrum."""
+        return _read_only(self.ksq[:, :self._nyquist + 1].copy())
 
     @cached_property
     def _drop_half(self) -> np.ndarray:
         """Half-spectrum modes the 2/3 rule removes."""
-        out = ~_half(self.dealias_keep)
-        out.setflags(write=False)
-        return out
+        return _read_only(~self.dealias_keep[:, :self._nyquist + 1])
 
     @cached_property
     def _mirror_rows(self) -> np.ndarray:
         """Row index of -k1 for each row k1."""
-        out = (-np.arange(self.n)) % self.n
-        out.setflags(write=False)
-        return out
+        return _read_only((-np.arange(self.n)) % self.n)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n
@@ -133,15 +141,12 @@ class Grid:
         return f"Grid(n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Real scalar field stored as complex Fourier coefficients.
+    """Real scalar field stored as its half spectrum of Fourier coefficients.
 
-    Coefficients of a real field satisfy Hermitian symmetry
-    ``coeff(-k) == conj(coeff(k))``; fields built through
-    :meth:`from_physical` or the module's products hold it exactly, and
-    the linear operations keep it.  :meth:`values` reads the half spectrum
-    ``k2 >= 0`` only, which determines a Hermitian array.
+    ``half`` is complex, shape (n, n/2 + 1), read-only (the layout is in the
+    module docstring).  Fields compare and hash by identity.
 
     Physical samples are cached (read-only): a field built from physical
     values returns exactly those values, which is what makes snapshot
@@ -149,8 +154,13 @@ class SpectralField:
     """
 
     grid: Grid
-    coeffs: np.ndarray
-    _values: np.ndarray | None = field(default=None, repr=False, compare=False)
+    half: np.ndarray
+    _values: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.half.shape != (self.grid.n, self.grid.n // 2 + 1):
+            raise ValueError(f"expected a half spectrum, got shape {self.half.shape}")
+        self.half.setflags(write=False)
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
@@ -158,36 +168,50 @@ class SpectralField:
         if values.shape != (grid.n, grid.n):
             raise ValueError(f"expected shape {(grid.n, grid.n)}, got {values.shape}")
         if values.flags.writeable:
-            values = values.copy()
-            values.setflags(write=False)
+            values = _read_only(values.copy())
         return cls(grid, _to_fourier(values, grid), values)
 
     @classmethod
+    def from_coeffs(cls, grid: Grid, coeffs: np.ndarray) -> "SpectralField":
+        """The field of ``fft2``-layout coefficients (n, n).  Only the columns
+        k2 = 0..n/2 are read; Hermitian symmetry implies the rest."""
+        coeffs = np.asarray(coeffs)
+        if coeffs.shape != (grid.n, grid.n):
+            raise ValueError(f"expected shape {(grid.n, grid.n)}, got {coeffs.shape}")
+        return cls(grid, coeffs[:, :grid.n // 2 + 1].astype(np.complex128))
+
+    @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
+        return cls(grid, np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128))
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The ``fft2``-layout view (n, n), read-only, mirror-completed on first use."""
+        return _full_layout(self.half, self.grid)
 
     def values(self) -> np.ndarray:
         """Physical-space samples on the collocation grid (read-only array)."""
         if self._values is None:
-            out = _to_physical(_half(self.coeffs), self.grid)
-            out.setflags(write=False)
-            object.__setattr__(self, "_values", out)
+            object.__setattr__(self, "_values",
+                               _read_only(_to_physical(self.half, self.grid)))
         return self._values
 
     def mean(self) -> float:
         """Mean value over the torus (the k = 0 coefficient / n^2)."""
-        return float(np.real(self.coeffs[0, 0])) / self.grid.n**2
+        return float(np.real(self.half[0, 0])) / self.grid.n**2
 
     def hermitian_defect(self) -> float:
-        """Relative departure from coeff(-k) == conj(coeff(k))."""
-        flipped = np.conj(_mirror(self.coeffs))
-        scale = np.max(np.abs(self.coeffs))
+        """Relative departure from coeff(-k) == conj(coeff(k)) on the
+        self-paired columns k2 = 0 and n/2, which store both of each pair."""
+        scale = np.max(np.abs(self.half))
         if scale == 0.0:
             return 0.0
-        return float(np.max(np.abs(self.coeffs - flipped)) / scale)
+        cols = self.half[:, ::self.grid.n // 2]
+        flipped = np.conj(cols[self.grid._mirror_rows])
+        return float(np.max(np.abs(cols - flipped)) / scale)
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs)))
+        return bool(np.isfinite(self.half).all())
 
     # linear-space arithmetic; grids must match
     def _check(self, other: "SpectralField"):
@@ -196,17 +220,17 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return SpectralField(self.grid, self.half + other.half)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return SpectralField(self.grid, self.half - other.half)
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
+        return SpectralField(self.grid, -self.half)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * float(scalar))
+        return SpectralField(self.grid, self.half * float(scalar))
 
     __rmul__ = __mul__
 
@@ -247,9 +271,8 @@ class VelocityField:
         """Physical samples of (u1, u2) under the 2/3 rule, stacked
         (2, n, n), read-only; the coefficient planes of the transport
         L_u f in :func:`sbq.operators.lie_derivative`."""
-        out = _to_physical(_velocity_half(self), self.grid, dealias=True)
-        out.setflags(write=False)
-        return out
+        half = np.stack((self.u1.half, self.u2.half))
+        return _read_only(_to_physical(half, self.grid, dealias=True))
 
 
 def derivative(f: SpectralField, axis: str, order: int = 1) -> SpectralField:
@@ -267,50 +290,52 @@ def derivative(f: SpectralField, axis: str, order: int = 1) -> SpectralField:
         mult = g.deriv_x if axis == "x" else g.deriv_y
     else:
         mult = _derivative_multiplier(g, axis, order)
-    return SpectralField(g, f.coeffs * mult)
+    return SpectralField(g, f.half * mult)
 
 
 def _derivative_multiplier(g: Grid, axis: str, order: int) -> np.ndarray:
-    k = g.k1 if axis == "x" else g.k2
+    """(i * k_axis)^order on the half spectrum, Nyquist line zeroed if odd."""
+    k = (g.k1 if axis == "x" else g.k2)[:, :g._nyquist + 1]
     mult = (1j * k.astype(np.float64)) ** order
     if order % 2 == 1:
         if axis == "x":
             mult[g._nyquist, :] = 0.0
         else:
             mult[:, g._nyquist] = 0.0
-    mult.setflags(write=False)
-    return mult
+    return _read_only(mult)
 
 
 def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
     """Apply |k|^s; the k = 0 mode maps to 0.  Requires s >= 0."""
     if s < 0:
         raise ValueError(f"fractional Laplacian exponent must be >= 0, got {s}")
-    return SpectralField(f.grid, f.coeffs * _fractional_multiplier(f.grid, s))
+    return SpectralField(f.grid, f.half * _fractional_multiplier(f.grid, s))
 
 
 @lru_cache(maxsize=16)
 def _fractional_multiplier(g: Grid, s: float) -> np.ndarray:
-    """Read-only |k|^s with the k = 0 entry 0, built once per (grid, s)."""
+    """Read-only |k|^s on the half spectrum with the k = 0 entry 0, built once
+    per (grid, s)."""
+    ksq = g._ksq_half
     with np.errstate(divide="ignore"):
-        mult = np.where(g.ksq > 0, np.sqrt(g.ksq) ** s, 0.0)
-    mult.setflags(write=False)
-    return mult
+        return _read_only(np.where(ksq > 0, np.sqrt(ksq) ** s, 0.0))
 
 
 def bessel_multiplier(f: SpectralField, s: float) -> SpectralField:
     """Apply (1 + |k|^2)^(s/2); s may be negative."""
     g = f.grid
-    return SpectralField(g, f.coeffs * (1.0 + g.ksq) ** (s / 2.0))
+    return SpectralField(g, f.half * (1.0 + g._ksq_half) ** (s / 2.0))
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:
     """L2 inner product over the torus, integral of f*g dV."""
     f._check(g)
     n = f.grid.n
-    # vecdot, not the BLAS vdot: the same sum bit for bit, without the
-    # thread start-up stalls of an unpinned BLAS
-    dot = np.vecdot(f.coeffs.ravel(), g.coeffs.ravel())
+    a, b = f.half, g.half
+    # every column but the self-paired k2 = 0, n/2 stands for its mirror too;
+    # vecdot, not the BLAS vdot: no thread start-up stalls of an unpinned BLAS
+    dot = (2.0 * np.vecdot(a.ravel(), b.ravel())
+           - np.vecdot(a[:, ::n // 2].ravel(), b[:, ::n // 2].ravel()))
     return float(np.real(dot)) * (2.0 * np.pi) ** 2 / n**4
 
 
@@ -322,16 +347,17 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm: L2 norm of (I - Lap)^(s/2) f, via Parseval."""
     g = f.grid
     w = _sobolev_weight(g, s)
-    total = float(np.sum(w * np.abs(f.coeffs) ** 2)) * (2.0 * np.pi) ** 2 / g.n**4
+    total = float(np.sum(w * np.abs(f.half) ** 2)) * (2.0 * np.pi) ** 2 / g.n**4
     return float(np.sqrt(total))
 
 
 @lru_cache(maxsize=16)
 def _sobolev_weight(g: Grid, s: float) -> np.ndarray:
-    """Read-only (1 + |k|^2)^s, built once per (grid, s)."""
-    w = (1.0 + g.ksq) ** s
-    w.setflags(write=False)
-    return w
+    """Read-only (1 + |k|^2)^s on the half spectrum, doubled on the columns
+    that stand for their mirror images too; built once per (grid, s)."""
+    w = 2.0 * (1.0 + g._ksq_half) ** s
+    w[:, ::g.n // 2] *= 0.5
+    return _read_only(w)
 
 
 def velocity_sobolev_norm(v: VelocityField, s: float) -> float:
@@ -350,12 +376,12 @@ def biot_savart(omega: SpectralField) -> VelocityField:
     velocity field has nonzero mean curl on the torus.
     """
     g = omega.grid
-    mean = abs(omega.coeffs[0, 0]) / g.n**2
+    mean = abs(omega.half[0, 0]) / g.n**2
     if mean > 1e-12 * max(1.0, l2_norm(omega)):
         raise ValueError(f"vorticity must have zero mean, got mean {mean:.3e}")
+    ksq = g._ksq_half
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi_coeffs = np.where(g.ksq > 0, -omega.coeffs / g.ksq, 0.0)
-    psi = SpectralField(g, psi_coeffs)
+        psi = SpectralField(g, np.where(ksq > 0, -omega.half / ksq, 0.0))
     return stream_to_velocity(psi)
 
 
@@ -372,8 +398,7 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     f._check(g)
     grid = f.grid
-    a, b = _to_physical(np.stack((_half(f.coeffs), _half(g.coeffs))), grid,
-                        dealias=True)
+    a, b = _to_physical(np.stack((f.half, g.half)), grid, dealias=True)
     return SpectralField(grid, _to_fourier(a * b, grid, dealias=True))
 
 
@@ -384,35 +409,22 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
 # stepper hands them
 
 
-def _half(coeffs: np.ndarray) -> np.ndarray:
-    """The columns k2 = 0..n/2 of fft2-layout coefficients (a view)."""
-    return coeffs[..., :coeffs.shape[-1] // 2 + 1]
-
-
-def _velocity_half(v: VelocityField) -> np.ndarray:
-    """Half-spectrum coefficients of (u1, u2), stacked (2, n, n/2 + 1)."""
-    return np.stack((_half(v.u1.coeffs), _half(v.u2.coeffs)))
-
-
 def _gradient_half(f: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients of (d_x f, d_y f), stacked (2, n, n/2 + 1);
-    equal to the half of :func:`derivative`'s output."""
-    return np.multiply(_half(f.coeffs), f.grid._deriv_half, out=out)
+    equal to the ``half`` of :func:`derivative`'s output."""
+    return np.multiply(f.half, f.grid._deriv_half, out=out)
 
 
 def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Physical samples of half-spectrum planes (..., n, n/2 + 1).
-
-    One ``irfft2`` call for the whole stack.  ``dealias`` first zeroes the
-    modes the 2/3 rule removes, in place: pass an array the caller owns.
+    """Physical samples of half-spectrum planes (..., n, n/2 + 1), one
+    ``irfft2`` call for the stack.  ``dealias`` first zeroes the modes the
+    2/3 rule removes, in place: pass an array the caller owns.
 
     With ``out`` (float, (..., n, n)) the samples are written there and
-    ``half`` is overwritten: the inverse runs as the two passes ``irfft2``
-    itself makes, ``ifft`` over the rows in place on ``half``, then
-    ``irfft`` over the columns into ``out``, with the same bits.  ``irfft2``
-    drops an ``out=`` argument (numpy 2.4), so this is the form that writes
-    into caller-owned memory instead of allocating.
+    ``half`` is overwritten: ``irfft2`` drops ``out=`` (numpy 2.4), so the
+    inverse runs as its own two passes, ``ifft`` over the rows in place,
+    then ``irfft`` into ``out``, with the same bits.
     """
     if dealias:
         np.copyto(half, 0.0, where=grid._drop_half)
@@ -424,45 +436,44 @@ def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False,
 
 def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """fft2-layout coefficients of real planes (..., n, n): one ``rfft2``
-    call for the stack, optionally under the 2/3 rule, completed to the full
-    layout by the Hermitian mirror.
+    """Half-spectrum coefficients (..., n, n/2 + 1) of real planes
+    (..., n, n): one ``rfft2`` call for the stack, into ``out`` when given,
+    optionally under the 2/3 rule.
 
-    The columns k2 = 0 and n/2 are their own mirror images; they are
-    replaced by their Hermitian parts, so the output is exactly Hermitian.
-    With ``out`` (complex, (..., n, n)) the half spectrum is transformed
-    straight into its first n/2 + 1 columns and completed there.
+    The self-paired columns k2 = 0 and n/2 are replaced by their Hermitian
+    parts, so every coefficient pair they hold is exactly Hermitian.
     """
-    n, h = grid.n, grid.n // 2 + 1
-    half = np.fft.rfft2(values, out=None if out is None else out[..., :h])
+    half = np.fft.rfft2(values, out=out)
     if dealias:
         np.copyto(half, 0.0, where=grid._drop_half)
-    if out is None:
-        out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-        out[..., :h] = half
-    for j in (0, n // 2):
+    for j in (0, grid.n // 2):
         col = half[..., j]
-        out[..., j] = 0.5 * (col + np.conj(col[..., grid._mirror_rows]))
+        half[..., j] = 0.5 * (col + np.conj(col[..., grid._mirror_rows]))
+    return half
+
+
+def _full_layout(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Read-only ``fft2``-layout array (n, n) of a half spectrum, the columns
+    k2 > n/2 completed by the mirror."""
+    n, h = grid.n, grid.n // 2 + 1
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, :h] = half
     # coeff(k1, -k2) = conj(coeff(-k1, k2)); row -0 is row 0, row -k1 is n - k1
-    np.conjugate(half[..., :1, h - 2:0:-1], out=out[..., :1, h:])
-    np.conjugate(half[..., :0:-1, h - 2:0:-1], out=out[..., 1:, h:])
-    return out
+    np.conjugate(half[:1, h - 2:0:-1], out=out[:1, h:])
+    np.conjugate(half[:0:-1, h - 2:0:-1], out=out[1:, h:])
+    return _read_only(out)
 
 
 _scratch = threading.local()
 
 
 def _workspace(user: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-    """This thread's scratch array for ``user`` (uninitialised contents).
-
-    The stepper's per-stage planes, products and rates live here rather
-    than in fresh temporaries: allocated and freed every stage, those
-    0.1-1 MB arrays went back to the kernel and were faulted in again on
-    each step (hundreds of minor page faults per step).  Buffers are keyed
-    by (user, shape, dtype), so two uses that are live at once must name
-    different users; they are per thread, so states may be stepped
-    concurrently.  A workspace array must never be returned to a caller or
-    cached on a value.
+    """This thread's scratch array for ``user`` (uninitialised contents),
+    keyed by (user, shape, dtype): two uses live at once must name
+    different users.  The stepper's per-stage arrays live here, so a step
+    takes no page faults (freed 0.1-1 MB temporaries used to come back as
+    hundreds per step), and threads may step concurrently.  A workspace
+    array must never be returned to a caller or cached on a value.
     """
     bufs = _scratch.__dict__.setdefault("bufs", {})
     key = (user, shape, np.dtype(dtype))
@@ -472,13 +483,6 @@ def _workspace(user: str, shape: tuple[int, ...], dtype=np.complex128) -> np.nda
             bufs.clear()
         buf = bufs[key] = np.empty(shape, dtype=dtype)
     return buf
-
-
-def _mirror(coeffs: np.ndarray) -> np.ndarray:
-    """fft2-layout array at -k: index 0 stays and index j moves to n - j on
-    both axes, i.e. the reversed array shifted by one (a copy; faster than a
-    fancy-index gather)."""
-    return np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1))
 
 
 def _physical(f: SpectralField, oversample: int) -> np.ndarray:
@@ -510,15 +514,14 @@ def resample(f: SpectralField, m: int) -> SpectralField:
         raise ValueError("resample target must be an even integer >= n")
     h = n // 2
     # split each Nyquist line evenly between +h and -h so the padded spectrum
-    # stays Hermitian (the corner coefficient ends up quartered)
-    src = f.coeffs.copy()
+    # stays Hermitian (the corner coefficient ends up quartered); rows k1 = +-h
+    # both read the shared source row h, and land on distinct rows since m > n
+    src = f.half.copy()
     src[h, :] *= 0.5
     src[:, h] *= 0.5
-    ks = np.arange(-h, h + 1)
-    si = ks % n  # k = +-h both read the shared source index h
-    di = ks % m  # distinct destinations since m > n
-    out = np.zeros((m, m), dtype=np.complex128)
-    out[np.ix_(di, di)] = src[np.ix_(si, si)]
+    ks, cols = np.arange(-h, h + 1), np.arange(h + 1)
+    out = np.zeros((m, m // 2 + 1), dtype=np.complex128)
+    out[np.ix_(ks % m, cols)] = src[np.ix_(ks % n, cols)]
     return SpectralField(Grid(m), out * (m / n) ** 2)
 
 
@@ -540,11 +543,12 @@ def random_field(grid: Grid, rng: np.random.Generator, band: int,
     raw = np.where(keep, raw, 0.0)
     if decay:
         raw = raw * (1.0 + grid.ksq) ** (-decay / 2.0)
-    # make real: average with the reflected conjugate
-    sym = 0.5 * (raw + np.conj(_mirror(raw)))
+    # make real: average with the reflected conjugate, coeff(-k) being the
+    # reversed array shifted by one on both axes
+    sym = 0.5 * (raw + np.conj(np.roll(raw[::-1, ::-1], 1, axis=(0, 1))))
     if zero_mean:
         sym[0, 0] = 0.0
-    f = SpectralField(grid, sym)
+    f = SpectralField.from_coeffs(grid, sym)
     norm = l2_norm(f)
     if norm > 0:
         f = f * (amplitude / norm)

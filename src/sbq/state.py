@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import SpectralField, VelocityField, biot_savart
-from .spectral import _gradient_half, _to_physical, _workspace
+from .spectral import _gradient_half, _read_only, _to_physical, _workspace
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ class SimState:
         half = _workspace("state-samples", (6, n, n // 2 + 1))
         for i, f in enumerate((u.u1, u.u2, self.theta)):
             _gradient_half(f, out=half[2 * i:2 * i + 2])
-        out = _to_physical(half, self.grid, out=np.empty((6, n, n)))
-        out.setflags(write=False)
-        return out
+        return _read_only(_to_physical(half, self.grid, out=np.empty((6, n, n))))
 
     @property
     def grad_theta(self) -> tuple[np.ndarray, np.ndarray]:

@@ -20,9 +20,10 @@ of the noise basis, kept as round-off references for the half-spectrum
 kernel and the exact-coefficient builder.  :func:`step_two_transport_reference`
 is the earlier stage that transports each field by u and by the noise field
 separately, the reference for the stepper's single stochastic velocity;
-:func:`step_allocating_reference` and :func:`samples_allocating_reference`
-are the stage and the state's gradient samples as they were before the
-per-thread workspace, in fresh arrays, the bit-for-bit references for it.
+:func:`step_full_layout_reference` and :func:`full_layout_samples` are the
+step and the state's gradient samples with every coefficient array in the
+full ``fft2`` layout and in fresh arrays, the bit-for-bit references for the
+stepper's half storage and its per-thread workspace.
 :func:`apply_first_order_reference` (three products summed in Fourier
 space) and :func:`lie_derivative_four_plane_reference` (xi inverted with
 f on every call) are the earlier forms of the first-order kernel.
@@ -46,7 +47,7 @@ from sbq.spectral import (
     sobolev_norm,
     stream_to_velocity,
 )
-from sbq.spectral import _gradient_half, _to_fourier, _to_physical, _velocity_half
+from sbq.spectral import _gradient_half, _to_fourier, _to_physical
 from sbq.state import SimState
 
 # centered stencil coefficients: offsets 1..K with antisymmetric/symmetric use
@@ -147,7 +148,7 @@ def hs_field_reference(grid: Grid, s: float, rng: np.random.Generator,
     sym = 0.5 * (raw + np.conj(raw[np.ix_(idx, idx)]))
     if zero_mean:
         sym[0, 0] = 0.0
-    f = SpectralField(grid, sym)
+    f = SpectralField.from_coeffs(grid, sym)
     norm = l2_norm(f)
     return f * (amplitude / norm) if norm > 0 else f
 
@@ -189,61 +190,102 @@ def fft_planes(monkeypatch, fn) -> dict:
     return planes
 
 
-def step_allocating_reference(state: SimState, basis, increments, cfg) -> SimState:
-    """One step with the earlier stage, which builds every plane, product
-    and rate in a fresh array and inverts by one ``irfft2`` call, the
-    reference for the stepper's workspace stage."""
-    from sbq.integrator import _finalize
+def _full_derivative_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """fft2-layout multipliers of d_x and d_y, Nyquist lines zeroed."""
+    dx = 1j * grid.k1.astype(np.float64)
+    dy = 1j * grid.k2.astype(np.float64)
+    dx[grid.n // 2, :] = 0.0
+    dy[:, grid.n // 2] = 0.0
+    return dx, dy
 
-    grid, dt = state.grid, increments.dt
+
+def _complete(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """fft2-layout planes (..., n, n) of half-spectrum planes: column j > n/2
+    of row r is the conjugate of column n - j of row -r."""
+    n, h = grid.n, grid.n // 2 + 1
+    rows = (-np.arange(n)) % n
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., :h] = half
+    full[..., h:] = np.conj(half[..., rows, :][..., n - np.arange(h, n)])
+    return full
+
+
+def full_layout_samples(omega: np.ndarray, theta: np.ndarray, grid: Grid):
+    """((u1, u2), samples) of a full-layout state: the Biot-Savart velocity
+    in the fft2 layout and the physical samples of d_x u1, d_y u1, d_x u2,
+    d_y u2, d_x theta, d_y theta, by one ``irfft2``."""
+    dx, dy = _full_derivative_multipliers(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = np.where(grid.ksq > 0, -omega / grid.ksq, 0.0)
+    u = (-(psi * dy), psi * dx)
+    grads = np.stack([f * d for f in (*u, theta) for d in (dx, dy)])
+    return u, np.fft.irfft2(grads[..., :grid.n // 2 + 1], s=(grid.n, grid.n))
+
+
+def step_full_layout_reference(ref: tuple, basis, increments, cfg) -> tuple:
+    """One step of the stepper with every coefficient array in the full fft2
+    layout, each in a fresh array: ``ref`` is (omega, theta, blowup_accum),
+    omega and theta (n, n) coefficient arrays, and so is the result.
+
+    The transforms read the columns k2 = 0..n/2 and the forward transform's
+    output is completed by the mirror, its self-paired columns k2 = 0, n/2
+    replaced by their Hermitian parts; everything else (products with the
+    multipliers, the Ito diagonals, the updates) runs on all n^2
+    coefficients.  The reference for the stepper's half storage.
+    """
+    grid, dt = basis.grid, increments.dt
+    n, h = grid.n, grid.n // 2 + 1
+    dx, dy = _full_derivative_multipliers(grid)
+    drop = ~grid.dealias_keep[:, :h]
+    rows = (-np.arange(n)) % n
     noise = basis.transport_half(increments.values / dt)
 
-    def stage(s):
+    def sups(samples):
+        return (max(float(np.max(np.abs(g))) for g in samples[:4]),
+                max(float(np.max(np.abs(g))) for g in samples[4:]))
+
+    def stage(omega, theta):
         if not (cfg.drift_enabled or len(basis)):
-            zero = SpectralField.zero(grid)
-            return zero, zero
+            return np.zeros((2, n, n), dtype=np.complex128)
+        u, samples = full_layout_samples(omega, theta, grid)
         velocities = [noise]
         if cfg.drift_enabled:
             etas = (1.0, 1.0)
             if cfg.variant in ("truncated", "hyper"):
-                etas = tuple(eta_cutoff(x, cfg.r) for x in s.grad_sups)
-            u = _velocity_half(s.velocity)
-            velocities = [eta * u + noise for eta in dict.fromkeys(etas)]
-        planes = [_gradient_half(s.omega), _gradient_half(s.theta), *velocities]
-        phys = _to_physical(np.concatenate(planes), grid, dealias=True)
-        phys = phys.reshape(-1, 2, grid.n, grid.n)
-        transports = _to_fourier(np.sum(phys[2:] * phys[:2], axis=1), grid,
-                                 dealias=True)
-        d_omega = SpectralField(grid, -transports[0])
-        d_theta = SpectralField(grid, -transports[1])
+                etas = tuple(eta_cutoff(x, cfg.r) for x in sups(samples))
+            velocities = [eta * np.stack(u)[..., :h] + noise
+                          for eta in dict.fromkeys(etas)]
+        grads = np.stack([f * d for f in (omega, theta) for d in (dx, dy)])
+        planes = np.where(drop, 0.0, np.concatenate((grads[..., :h], *velocities)))
+        phys = np.fft.irfft2(planes, s=(n, n)).reshape(-1, 2, n, n)
+        half = np.where(drop, 0.0, np.fft.rfft2(np.sum(phys[2:] * phys[:2], axis=1)))
+        for j in (0, n // 2):
+            half[..., j] = 0.5 * (half[..., j] + np.conj(half[..., rows, j]))
+        rates = -_complete(half, grid)
         if cfg.drift_enabled:
-            d_omega = d_omega + derivative(s.theta, "x")
+            rates[0] += theta * dx
         if len(basis) and cfg.scheme == "ito_euler":
             d0, shifted = basis.ito_diagonals
-            f = np.stack((s.omega.coeffs, s.theta.coeffs))
-            c = d0 * f
-            for offset, d in shifted:
-                c += d * np.roll(f, offset, axis=(1, 2))
-            d_omega = d_omega + SpectralField(grid, c[0])
-            d_theta = d_theta + SpectralField(grid, c[1])
-        return d_omega, d_theta
+            for i, f in enumerate((omega, theta)):
+                c = d0 * f
+                for (o1, d1), (o2, d2) in zip(shifted[::2], shifted[1::2]):
+                    c += (d1 * np.roll(f, o1, axis=(0, 1))
+                          + d2 * np.roll(f, o2, axis=(0, 1)))
+                rates[i] += c
+        return rates
 
-    d_omega, d_theta = stage(state)
-    omega = state.omega + dt * d_omega
-    theta = state.theta + dt * d_theta
+    omega0, theta0, accum = ref
+    rates = stage(omega0, theta0)
+    scaled = rates * dt
+    omega, theta = omega0 + scaled[0], theta0 + scaled[1]
     if cfg.scheme == "stratonovich_heun":
-        d_omega1, d_theta1 = stage(SimState(omega, theta))
-        omega = state.omega + (0.5 * dt) * (d_omega + d_omega1)
-        theta = state.theta + (0.5 * dt) * (d_theta + d_theta1)
-    return _finalize(state, omega, theta, cfg, dt)
-
-
-def samples_allocating_reference(state: SimState) -> np.ndarray:
-    """``SimState._samples`` by one ``irfft2`` of freshly stacked planes."""
-    u = state.velocity
-    half = np.concatenate((_gradient_half(u.u1), _gradient_half(u.u2),
-                           _gradient_half(state.theta)))
-    return _to_physical(half, state.grid)
+        scaled = (rates + stage(omega, theta)) * (0.5 * dt)
+        omega, theta = omega0 + scaled[0], theta0 + scaled[1]
+    if cfg.variant == "hyper" and cfg.nu:
+        omega = omega * np.exp(-cfg.nu * grid.ksq**5 * dt)
+        theta = theta * np.exp(-cfg.nu * grid.ksq**7 * dt)
+    integrand = sum(sups(full_layout_samples(omega0, theta0, grid)[1]))
+    return omega, theta, accum + dt * integrand
 
 
 def step_two_transport_reference(state: SimState, basis, increments, cfg):
@@ -256,7 +298,7 @@ def step_two_transport_reference(state: SimState, basis, increments, cfg):
     ``lie_second``.  ``cfg.drift_enabled`` is assumed on.
     """
     grid, dt = state.grid, increments.dt
-    w = VelocityField(*(SpectralField(grid, sum(
+    w = VelocityField(*(SpectralField.from_coeffs(grid, sum(
         (b * getattr(xi, c).coeffs for b, xi in zip(increments.values, basis.fields)),
         np.zeros((grid.n, grid.n), dtype=np.complex128))) for c in ("u1", "u2")))
 
@@ -281,8 +323,10 @@ def step_two_transport_reference(state: SimState, basis, increments, cfg):
         omega = state.omega + (0.5 * dt) * (d0[0] + d1[0]) + 0.5 * (d0[2] + d1[2])
         theta = state.theta + (0.5 * dt) * (d0[1] + d1[1]) + 0.5 * (d0[3] + d1[3])
     if cfg.variant == "hyper" and cfg.nu:
-        omega = SpectralField(grid, omega.coeffs * np.exp(-cfg.nu * grid.ksq**5 * dt))
-        theta = SpectralField(grid, theta.coeffs * np.exp(-cfg.nu * grid.ksq**7 * dt))
+        omega = SpectralField.from_coeffs(
+            grid, omega.coeffs * np.exp(-cfg.nu * grid.ksq**5 * dt))
+        theta = SpectralField.from_coeffs(
+            grid, theta.coeffs * np.exp(-cfg.nu * grid.ksq**7 * dt))
     return omega, theta
 
 
@@ -292,14 +336,13 @@ def product_fft2_reference(f: SpectralField, g: SpectralField) -> SpectralField:
     a = np.real(np.fft.ifft2(np.where(keep, f.coeffs, 0.0)))
     b = np.real(np.fft.ifft2(np.where(keep, g.coeffs, 0.0)))
     out = np.fft.fft2(a * b)
-    return SpectralField(f.grid, np.where(keep, out, 0.0))
+    return SpectralField.from_coeffs(f.grid, np.where(keep, out, 0.0))
 
 
 def lie_derivative_fft2_reference(xi: VelocityField, f: SpectralField) -> SpectralField:
     """xi . grad f as the Fourier-space sum of two reference products."""
-    fx = SpectralField(f.grid, f.coeffs * f.grid.deriv_x)
-    fy = SpectralField(f.grid, f.coeffs * f.grid.deriv_y)
-    return product_fft2_reference(xi.u1, fx) + product_fft2_reference(xi.u2, fy)
+    return (product_fft2_reference(xi.u1, derivative(f, "x"))
+            + product_fft2_reference(xi.u2, derivative(f, "y")))
 
 
 def apply_first_order_reference(q: FirstOrderOp, f: SpectralField) -> SpectralField:
@@ -315,7 +358,7 @@ def lie_derivative_four_plane_reference(xi: VelocityField,
     """xi . grad f from one inverse of (xi1, xi2, d_x f, d_y f), nothing
     cached on xi."""
     grid = f.grid
-    planes = np.concatenate((_velocity_half(xi), _gradient_half(f)))
+    planes = np.concatenate((np.stack((xi.u1.half, xi.u2.half)), _gradient_half(f)))
     x1, x2, fx, fy = _to_physical(planes, grid, dealias=True)
     return SpectralField(grid, _to_fourier(x1 * fx + x2 * fy, grid, dealias=True))
 
@@ -328,7 +371,7 @@ def build_basis_reference(modes, grid: Grid) -> tuple[list, float, float]:
         k1, k2 = mode.wavevector
         arg = k1 * grid.x + k2 * grid.y
         trig = np.cos(arg) if mode.phase == "cosine" else np.sin(arg)
-        psi = SpectralField(grid, np.fft.fft2(mode.amplitude * trig))
+        psi = SpectralField.from_coeffs(grid, np.fft.fft2(mode.amplitude * trig))
         fields.append(stream_to_velocity(psi))
     budget = sum(sobolev_norm(v.u1, 3.0) ** 2 + sobolev_norm(v.u2, 3.0) ** 2
                  for v in fields)

@@ -57,7 +57,7 @@ def coarsen(incr, fac):
 
 
 def empty_basis(grid):
-    return NoiseBasis((), (), 0.0, grid, 0.0)
+    return NoiseBasis((), 0.0, grid, 0.0)
 
 
 def tg_random_state(grid, seed=42, amplitude=1.0):
@@ -238,9 +238,9 @@ def test_criterion_7_constant_noise_change_of_variables():
             stoch = run(state0, basis, cfgs[dt], 1.0, increments=incr,
                         diag_interval=10**9).final_state
             shift = np.exp(-1j * grid.k1 * b_T)
-            e_om = sp.l2_norm(stoch.omega - sp.SpectralField(
+            e_om = sp.l2_norm(stoch.omega - sp.SpectralField.from_coeffs(
                 grid, det[dt].omega.coeffs * shift))
-            e_th = sp.l2_norm(stoch.theta - sp.SpectralField(
+            e_th = sp.l2_norm(stoch.theta - sp.SpectralField.from_coeffs(
                 grid, det[dt].theta.coeffs * shift))
             sq[i] += e_om**2 + e_th**2
     rms = np.sqrt(sq / paths)

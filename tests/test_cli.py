@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+import sbq.integrator
+import sbq.spectral
 from sbq.cli import main
 from sbq.diagnostics import StoppingTimeReport, update_stopping_report
 from sbq.io import read_diagnostics_csv, read_snapshot
@@ -91,18 +95,39 @@ class TestSimulate:
         assert "error: omega mean mode drifted" in capsys.readouterr().err
 
     def test_assertion_exit_3_writes_manifest(self, tmp_path, monkeypatch):
-        def failing_run(*args, **kwargs):
-            raise AssertionError("omega mean mode drifted to 1.000e-03")
-        monkeypatch.setattr("sbq.cli.run", failing_run)
+        # the guard fires inside the third step; run attaches its index
+        calls = []
+
+        def failing_step(state, *args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise AssertionError("omega mean mode drifted to 1.000e-03")
+            return real_step(state, *args)
+        real_step = sbq.integrator.step
+        monkeypatch.setattr("sbq.integrator.step", failing_step)
         cfg = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == 3
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["abort_reason"] == "omega mean mode drifted to 1.000e-03"
+        assert manifest["abort_step"] == 2
         config = json.loads(cfg.read_text())
         assert manifest["master_seed"] == config["seed"]
         assert manifest["realization_seeds"] == [mix_seed(config["seed"], 0)]
         for key in ("config", "format_versions", "package_version", "build_id"):
             assert key in manifest
+
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_never_builds_a_full_layout_view(self, tmp_path, monkeypatch, scheme):
+        # stepping, records, snapshots and the CSV all work on the half
+        # spectrum: 20 steps never read a field's coeffs view
+        def refuse(*args):
+            raise AssertionError("coeffs view built")
+        monkeypatch.setattr(sbq.spectral, "_full_layout", refuse)
+        cfg = write_config(tmp_path, T=0.2, scheme=scheme, snapshot_interval=5)
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 0
+        out = tmp_path / "out"
+        assert len(read_diagnostics_csv(out / "diagnostics.csv")) == 21
+        assert len(list((out / "snapshots").iterdir())) == 5
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -156,7 +156,7 @@ class TestConservationDefects:
         state = SimState(sp.SpectralField.from_physical(grid, np.cos(grid.x)),
                          sp.SpectralField.from_physical(
                              grid, 0.7 * np.ones((grid.n, grid.n))))
-        basis = NoiseBasis((), (), 0.0, grid, 0.0)
+        basis = NoiseBasis((), 0.0, grid, 0.0)
         traj = run(state, basis, SchemeConfig("stratonovich_heun", dt=1e-2),
                    T=1.0, diag_interval=1)
         out = conservation_defects(traj.records, 1e-2)

@@ -35,8 +35,8 @@ from oracles import (
     count_ffts,
     fd_derivative,
     fft_planes,
-    samples_allocating_reference,
-    step_allocating_reference,
+    full_layout_samples,
+    step_full_layout_reference,
     step_two_transport_reference,
 )
 
@@ -47,7 +47,7 @@ def grid():
 
 
 def empty_basis(grid):
-    return NoiseBasis((), (), 0.0, grid, 0.0)
+    return NoiseBasis((), 0.0, grid, 0.0)
 
 
 def zero_increments(dt):
@@ -274,7 +274,7 @@ class TestItoEuler:
         basis = build_basis(default_family(grid), grid)
         db = sample_increments(rng, 1e-3, len(basis))
         new = step(state, basis, db, SchemeConfig("ito_euler", dt=1e-3, drift_enabled=False))
-        w = sp.VelocityField(*(sp.SpectralField(grid, sum(
+        w = sp.VelocityField(*(sp.SpectralField.from_coeffs(grid, sum(
             b * getattr(xi, c).coeffs for b, xi in zip(db.values, basis.fields)))
             for c in ("u1", "u2")))
         correction = ito_increment(state, basis, drift_enabled=False)
@@ -691,8 +691,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("case", [
         "plain", "truncated", "hyper", "unpaired", "no_drift", "empty_basis"])
     @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
-    def test_matches_allocating_reference(self, scheme, case):
-        # the workspace changes where values live, never their bits
+    def test_matches_full_layout_reference(self, scheme, case):
+        # half storage and the workspace change where values live, never
+        # their bits: every state's coeffs view equals the full-layout step
         g = sp.Grid(32)
         rng = np.random.default_rng(21)
         state = two_cutoff_state(g, rng, band=10)
@@ -710,15 +711,15 @@ class TestWorkspace:
             assert basis.ito_diagonals[1]  # shifted diagonals
         else:
             basis = build_basis(default_family(g), g)
-        ref = state
+        ref = (state.omega.coeffs, state.theta.coeffs, state.blowup_accum)
         for _ in range(20):
             db = sample_increments(rng, 1e-3, len(basis))
-            state, ref = step(state, basis, db, cfg), step_allocating_reference(
+            state, ref = step(state, basis, db, cfg), step_full_layout_reference(
                 ref, basis, db, cfg)
-            assert np.array_equal(state.omega.coeffs, ref.omega.coeffs)
-            assert np.array_equal(state.theta.coeffs, ref.theta.coeffs)
-            assert state.blowup_accum == ref.blowup_accum
-            assert np.array_equal(state._samples, samples_allocating_reference(ref))
+            assert np.array_equal(state.omega.coeffs, ref[0])
+            assert np.array_equal(state.theta.coeffs, ref[1])
+            assert state.blowup_accum == ref[2]
+            assert np.array_equal(state._samples, full_layout_samples(*ref[:2], g)[1])
 
     @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
     def test_states_own_their_memory(self, grid, scheme):

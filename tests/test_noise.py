@@ -108,6 +108,22 @@ class TestBuildBasis:
         g = sp.Grid(64)
         assert count_ffts(monkeypatch, lambda: build_basis(default_family(g), g)) == 0
 
+    def test_fields_built_only_when_read(self):
+        # build_basis and stepping read the modes; the fields are realized on
+        # the first read of basis.fields, once
+        from sbq.integrator import SchemeConfig, step
+        from sbq.state import SimState
+        g = sp.Grid(32)
+        basis = build_basis(default_family(g), g)
+        rng = np.random.default_rng(6)
+        state = SimState(sp.random_field(g, rng, band=8, zero_mean=True),
+                         sp.random_field(g, rng, band=8))
+        for scheme in ("stratonovich_heun", "ito_euler"):
+            step(state, basis, sample_increments(rng, 1e-3, len(basis)),
+                 SchemeConfig(scheme, dt=1e-3))
+        assert len(basis) == 48 and "fields" not in vars(basis)
+        assert len(basis.fields) == 48 and basis.fields is basis.fields
+
     def test_transport_half_is_the_weighted_sum(self, grid):
         # w = sum_i db_i xi_i from the modes' coefficients, on the half spectrum
         basis = build_basis(default_family(grid), grid)

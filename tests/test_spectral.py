@@ -62,15 +62,61 @@ class TestSpectralField:
             sp.SpectralField.from_physical(grid, np.zeros((32, 32)))
 
     def test_transforms_exactly_hermitian(self, grid):
-        # the half-spectrum transforms mirror their output: every coefficient
-        # pair matches bit for bit, the Nyquist lines included
+        # the forward transform makes its self-paired columns k2 = 0, n/2
+        # Hermitian: every coefficient pair there matches bit for bit
         rng = np.random.default_rng(2)
         f = field(grid, rng.standard_normal((64, 64)))
         assert f.hermitian_defect() == 0.0
         assert sp.product(f, f).hermitian_defect() == 0.0
         ref = np.real(np.fft.ifft2(f.coeffs))
-        assert np.max(np.abs(sp.SpectralField(grid, f.coeffs).values() - ref)) <= \
+        assert np.max(np.abs(sp.SpectralField.from_coeffs(grid, f.coeffs).values() - ref)) <= \
             1e-14 * np.max(np.abs(ref))
+
+    def test_half_storage(self, grid):
+        # the stored array is the rfft2 half, read-only; coeffs is a cached
+        # read-only view in the fft2 layout that from_coeffs inverts
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((64, 64))
+        f = field(grid, values)
+        assert f.half.shape == (64, 33) and not f.half.flags.writeable
+        assert np.array_equal(f.half[:, 1:32], np.fft.rfft2(values)[:, 1:32])
+        assert "coeffs" not in vars(f)
+        assert f.coeffs is f.coeffs and not f.coeffs.flags.writeable
+        assert np.array_equal(sp.SpectralField.from_coeffs(grid, f.coeffs).half, f.half)
+        with pytest.raises(ValueError):
+            sp.SpectralField(grid, f.coeffs)
+
+    def test_hermitian_defect_reads_self_paired_columns(self, grid):
+        # a non-Hermitian full array keeps its defect only in the columns
+        # k2 = 0 and n/2, where both members of each mirror pair are stored
+        rng = np.random.default_rng(4)
+        raw = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        f = sp.SpectralField.from_coeffs(grid, raw)
+        rows = (-np.arange(64)) % 64
+        cols = raw[:, [0, 32]]
+        expect = np.max(np.abs(cols - np.conj(cols[rows]))) / np.max(np.abs(raw[:, :33]))
+        assert f.hermitian_defect() == expect > 0.1
+        # the same departure in any other column is not stored at all
+        sym = field(grid, rng.standard_normal((64, 64))).coeffs.copy()
+        sym[5, 7] += 1.0
+        sym[9, 50] -= 1.0j
+        assert sp.SpectralField.from_coeffs(grid, sym).hermitian_defect() == 0.0
+        sym[5, 0] += 1.0
+        assert sp.SpectralField.from_coeffs(grid, sym).hermitian_defect() > 0.0
+
+    def test_equality_is_identity(self, grid):
+        from sbq.state import SimState
+        f = field(grid, np.sin(grid.x))
+        g = field(grid, np.sin(grid.x))
+        assert (f == f) is True and (f == g) is False and f != g
+        assert hash(f) == hash(f) and len({f, g, f}) == 2
+        u = sp.VelocityField(f, g)
+        assert (u == sp.VelocityField(f, g)) is True
+        assert (u == sp.VelocityField(g, f)) is False
+        state = SimState(f, g)
+        assert (state == SimState(f, g)) is True
+        assert (state == SimState(g, f)) is False
+        assert hash(state) == hash(SimState(f, g))
 
     def test_arithmetic_grid_mismatch(self, grid):
         f = sp.SpectralField.zero(grid)
@@ -202,16 +248,41 @@ class TestSobolevNorm:
 
     def test_cached_weight_bit_identical(self):
         # (1 + |k|^2)^s is built once per (grid, s), on first use, with the
-        # per-call expression
+        # per-call expression on the half spectrum, doubled on the columns
+        # that stand for their mirror images too
         g = sp.Grid(40)
         f = sp.random_field(g, np.random.default_rng(8), band=13)
+        pairs = np.where(np.isin(np.arange(21), (0, 20)), 1.0, 2.0)
         for s in (0.0, 1.0, 2.0, 2.5, 3.0):
             w = (1.0 + g.ksq) ** s
-            assert np.array_equal(sp._sobolev_weight(g, s), w)
+            assert np.array_equal(sp._sobolev_weight(g, s), w[:, :21] * pairs)
             total = float(np.sum(w * np.abs(f.coeffs) ** 2)) * (2.0 * np.pi) ** 2 / g.n**4
-            assert sp.sobolev_norm(f, s) == float(np.sqrt(total))
+            assert sp.sobolev_norm(f, s) == pytest.approx(float(np.sqrt(total)), rel=1e-14)
         cached = sp._sobolev_weight(g, 2.0)
         assert cached is sp._sobolev_weight(g, 2.0) and not cached.flags.writeable
+
+    @pytest.mark.parametrize("n", [32, 48, 128, 256])
+    def test_half_weighted_sums_match_full_array_sums(self, n):
+        # white-noise samples put energy on every column, k2 = 0 and n/2
+        # included; the half sums agree with the fft2-layout sums to 1e-14
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n + 1)
+        c = (2.0 * np.pi) ** 2 / n**4
+        for _ in range(5):
+            f = field(g, rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0))
+            h = field(g, rng.standard_normal((n, n)))
+            for a in (f, h):
+                for col in (0, n // 2):
+                    assert np.max(np.abs(a.half[:, col])) > 0.0
+            full_f = float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * c))
+            full_h = float(np.sqrt(np.sum(np.abs(h.coeffs) ** 2) * c))
+            full_inner = float(np.real(np.vdot(f.coeffs, h.coeffs))) * c
+            assert abs(sp.inner(f, h) - full_inner) <= 1e-14 * full_f * full_h
+            assert sp.l2_norm(f) == pytest.approx(full_f, rel=1e-14)
+            for s in (0.5, 1.0, 2.0, 3.0):
+                w = (1.0 + g.ksq) ** s
+                full = float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2) * c))
+                assert sp.sobolev_norm(f, s) == pytest.approx(full, rel=1e-14)
 
     def test_parseval(self, grid):
         rng = np.random.default_rng(6)
