@@ -1,16 +1,24 @@
 """Parallel Monte Carlo over independent noise realizations.
 
-Parallelism is per realization (embarrassingly parallel): each worker owns
-its state and RNG stream exclusively, and the aggregation is an ordered
-reduce over realization indices, so summaries are bit-identical for any
-worker count.  Realization ``i`` derives its stream seed as
+Realizations are independent.  Each pool task takes one worker's share of
+them and steps it as lanes of one stack (:mod:`sbq.state`): one grid, noise
+basis and initial state for the share, one batched stepping kernel call per
+step, each lane with its own RNG stream.  The lanes of one task are capped
+by a fixed memory budget (about 440 n^2 bytes a lane, 16 MB in all); a
+larger share runs in batches.  A lane's results are bit for bit those of the
+realization run alone, and the aggregation is an ordered reduce over
+realization indices, so summaries are bit-identical for any worker count
+and any grouping into lanes.  Realization ``i`` derives its stream seed as
 ``mix_seed(master_seed, i)``.
 
-A worker failure is isolated to its realization: the run is marked failed,
-excluded from aggregates, and counted.  A worker process that dies (a
-signal, out of memory) breaks the pool: every realization whose result had
-not come back by then is resubmitted once to a fresh pool, and those lost a
-second time are marked failed; the others keep their results.
+A failure is isolated to its realization: the run is marked failed,
+excluded from aggregates, and counted; a lane that fails (the omega mean
+guard) or blows up drops out of its stack and the other lanes go on.  A
+worker process that dies (a signal, out of memory) breaks the pool: every
+realization whose result had not come back by then is run once more, each
+in a one-worker pool of its own, and those lost a second time are marked
+failed; the others, chunk-mates of a lost realization included, keep
+results identical to a serial run.
 Realizations that abort on a suspected blow-up keep their partial series;
 per-time statistics aggregate over the realizations that reached each time.
 """
@@ -26,7 +34,7 @@ import numpy as np
 
 from .config import RunConfig, build_initial_state, build_noise_basis, build_scheme
 from .diagnostics import RECORD_FIELDS
-from .integrator import run
+from .integrator import _run_lanes
 from .noise import mix_seed
 from .spectral import Grid
 
@@ -79,62 +87,100 @@ class EnsembleSummary:
 
 
 def run_realization(cfg: RunConfig, master_seed: int, index: int) -> RealizationResult:
-    """Run one realization with its derived stream seed (top-level so the
-    worker pool can pickle it)."""
-    seed = mix_seed(master_seed, index)
-    result = RealizationResult(index=index, seed=seed)
+    """Run one realization with its derived stream seed: the one-lane case
+    of :func:`_run_chunk`."""
+    return _run_chunk(cfg, master_seed, [index])[0]
+
+
+# lanes stepped together are capped by their working set, about 440 n^2
+# bytes each (fields, velocities, gradient samples, stage planes, rates):
+# past about 16 MB a lane costs more than stepped alone (2-core x86-64 host,
+# 4 MB of L2: at n = 128, 2 lanes beat 1 by 6% and 8 lose 15%; at n = 64,
+# 8 lanes beat 4 and 16 lose)
+_LANE_BUDGET_BYTES = 16 << 20
+
+
+def _run_chunk(cfg: RunConfig, master_seed: int, indices: list) -> list:
+    """Run realizations ``indices`` as lanes of one stack (top-level so the
+    worker pool can pickle it): every realization of an ensemble has the same
+    config, so one grid, noise basis and initial state serve them all.  The
+    lanes go in batches within :data:`_LANE_BUDGET_BYTES`.
+
+    A failure is isolated to its realization: a lane that fails (the omega
+    mean guard, the CFL guard) fails alone, and a failure of the whole batch,
+    or of the set-up, fails the realizations not yet run.
+    """
+    results = [RealizationResult(index=i, seed=mix_seed(master_seed, i)) for i in indices]
+    width = max(1, _LANE_BUDGET_BYTES // (440 * cfg.n**2))
+    outcomes = []
     try:
         grid = Grid(cfg.n)
         basis = build_noise_basis(cfg, grid)
         state = build_initial_state(cfg, grid)
         scheme = build_scheme(cfg)
-        rng = np.random.default_rng(seed)
-        traj = run(state, basis, scheme, cfg.T, rng=rng,
-                   diag_interval=cfg.diagnostics_interval, p=cfg.p)
-        result.records = traj.records
-        result.blowup_suspected = traj.blowup_suspected
-    except Exception as exc:  # isolate the failure to this realization
-        result.failed = True
-        result.error = f"{type(exc).__name__}: {exc}"
-    return result
+        for start in range(0, len(results), width):
+            batch = results[start:start + width]
+            outcomes += _run_lanes([state] * len(batch), basis, scheme, cfg.T,
+                                   rngs=[np.random.default_rng(r.seed) for r in batch],
+                                   diag_interval=cfg.diagnostics_interval, p=cfg.p)
+    except Exception as exc:  # isolate the failure to the realizations it hit
+        outcomes += [exc] * (len(results) - len(outcomes))
+    for result, outcome in zip(results, outcomes):
+        if isinstance(outcome, Exception):
+            result.failed = True
+            result.error = f"{type(outcome).__name__}: {outcome}"
+        else:
+            result.records = outcome.records
+            result.blowup_suspected = outcome.blowup_suspected
+    return results
 
 
 def run_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleSummary, list]:
     """Run all realizations and aggregate; returns (summary, per-realization
-    results ordered by index)."""
+    results ordered by index).  Each pool task runs one worker's share of the
+    realizations as lanes."""
     indices = list(range(cfg.realizations))
     if cfg.parallelism == 1 or cfg.realizations == 1:
-        results = [run_realization(cfg.run_config, cfg.master_seed, i) for i in indices]
+        results = _run_chunk(cfg.run_config, cfg.master_seed, indices)
     else:
-        results, lost = _run_pool(cfg, indices)
-        if lost:  # seeds are per index, so a second attempt gives the same results
-            retried, lost = _run_pool(cfg, list(lost))
+        workers = min(cfg.parallelism, cfg.realizations)
+        results, lost = _run_pool(workers, cfg, [indices[w::workers] for w in range(workers)])
+        # seeds are per index, so a second attempt gives the same result; each
+        # lost realization gets a worker of its own, so one that kills its
+        # worker again takes no other realization with it
+        failed = {}
+        for i in lost:
+            retried, again = _run_pool(1, cfg, [[i]])
             results += retried
+            failed.update(again)
         results += [RealizationResult(index=i, seed=mix_seed(cfg.master_seed, i),
                                       failed=True, error=f"{type(exc).__name__}: {exc}")
-                    for i, exc in lost.items()]
+                    for i, exc in failed.items()]
     results.sort(key=lambda r: r.index)
     return summarize(results), results
 
 
-def _run_pool(cfg: EnsembleConfig, indices: list) -> tuple[list, dict]:
-    """Run ``indices`` on a fresh pool; returns the results that came back and
-    {index: exception} for those lost with a dead worker process."""
+def _run_pool(workers: int, cfg: EnsembleConfig, chunks: list) -> tuple[list, dict]:
+    """Run each chunk of indices as one task on a fresh pool of ``workers``
+    processes; returns the results that came back and {index: exception} for
+    those lost with a dead worker process (a dead worker breaks the pool, so
+    every task still out is lost with it)."""
     results, lost = [], {}
-    with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = []
-        for i in indices:
+        for chunk in chunks:
             try:
                 futures.append(
-                    pool.submit(run_realization, cfg.run_config, cfg.master_seed, i))
+                    pool.submit(_run_chunk, cfg.run_config, cfg.master_seed, chunk))
             except BrokenProcessPool as exc:  # a worker died before all were queued
-                lost.update(dict.fromkeys(indices[len(futures):], exc))
+                for unsent in chunks[len(futures):]:
+                    lost.update(dict.fromkeys(unsent, exc))
                 break
-        for i, future in zip(indices, futures):
+        for chunk, future in zip(chunks, futures):
             try:
-                results.append(future.result())
+                results += future.result()
             except Exception as exc:  # the worker process died, e.g. BrokenProcessPool
-                lost[i] = exc
+                lost.update(dict.fromkeys(chunk, exc))
     return results, lost
 
 

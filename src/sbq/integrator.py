@@ -7,8 +7,12 @@ The prognostic equations, with u recovered from omega by Biot-Savart:
     d theta = [-eta_th * L_u theta] dt - sum_i L_{xi_i} theta dB_i
               (+ 1/2 sum_i L_{xi_i}^2 theta dt in the Ito form)
 
-:func:`step` is the single stepper; :class:`SchemeConfig` selects the
-scheme and the variant, and :func:`run` iterates it.  Two schemes are
+One stepping kernel advances R realizations ("lanes", :class:`sbq.state.Lanes`)
+by one step; :class:`SchemeConfig` selects the scheme and the variant.
+:func:`step` is its one-lane case and :func:`run` iterates it for one
+realization; :func:`_run_lanes` iterates it for R realizations at once,
+each with its own Brownian increments (its own ``rng`` stream or
+precomputed path), which is how ensembles and shared-path studies run.  Two schemes are
 provided: Euler-Maruyama for the Ito form (the Ito correction enters the
 drift) and a Heun predictor-corrector for the Stratonovich form (no
 correction; drift and noise coefficients averaged between the start and
@@ -51,11 +55,28 @@ batched inverse, a Heun step makes 5 transform calls (6 when the variant
 truncates and reads the predictor's sups) and an Ito-Euler step 3; the CFL
 guard, when on, adds two.
 
+Lanes: every array of a step carries the lanes on a leading axis, so each
+stage makes one batched inverse and one batched forward for all lanes, and
+Biot-Savart, the gradient samples, the sups and the finalize guards run once
+per step for the whole stack.  Lanes share the grid, the basis, the scheme
+and the workspace; each keeps its own fields, cutoffs eta_u and eta_th (a
+stage inverts as many velocity pairs as the lane with the most distinct
+cutoffs needs) and blow-up integral.  Every operation works plane by plane
+or lane by lane (batched transforms and row-wise ``vecdot`` are bit-identical
+to one-plane calls), so a lane's states are bit for bit those of the
+realization stepped alone.  A lane that blows up (non-finite predictor or
+field, magnitude guard) or fails the omega mean guard is frozen: it keeps
+its partial records and ``abort_step`` (or its error) and drops out of the
+stack, and the other lanes go on.  The lane count is the caller's;
+:mod:`sbq.ensemble` caps it by a fixed memory budget.
+
 Storage: every coefficient array is a half spectrum (:mod:`sbq.spectral`).
-A stage's planes, samples, products and rates live in the per-thread
-workspace (``spectral._workspace``), written with ``out=``, so a step takes
-no page faults; the inverse into it runs as ``ifft`` over the rows then
-``irfft``, counted as one transform above.  Updates use fresh arrays.
+A stage's planes, samples, products and rates, the predictor and the noise
+live in the per-thread workspace (``spectral._workspace``), written with
+``out=``, so a step takes no page faults; the inverse into it runs as
+``ifft`` over the rows then ``irfft``, counted as one transform above.  The
+updated fields and the velocities, which the lanes' states keep, are fresh
+arrays.
 
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
@@ -63,9 +84,9 @@ endpoint, matching the adaptedness of the integrand).  The integrand, the
 truncation cutoffs and the CFL speed are read from the start state's cache
 (:mod:`sbq.state`), which the record :func:`run` takes of it shares.
 
-States are never mutated apart from that cache; step returns a fresh
-SimState that shares no memory with the workspace, so a state may be
-handed between threads across steps, and threads may step concurrently.
+States are never mutated apart from that cache; a step returns fresh
+states that share no memory with the workspace, so a state may be handed
+between threads across steps, and threads may step concurrently.
 """
 
 from __future__ import annotations
@@ -78,9 +99,10 @@ import numpy as np
 
 from .diagnostics import compute_record
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
-from .spectral import Grid, SpectralField, l2_norm
-from .spectral import _gradient_half, _read_only, _to_fourier, _to_physical, _workspace
-from .state import SimState
+from .spectral import Grid
+from .spectral import (_full_layout, _gradient_half, _inner_half, _read_only, _to_fourier,
+                       _to_physical, _velocity_half, _workspace)
+from .state import Lanes, SimState, _grad_sups, _gradient_samples
 
 __all__ = [
     "SchemeConfig",
@@ -150,73 +172,81 @@ def eta_cutoff(x: float, r: float) -> float:
     return 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def _evaluate_stage(state: SimState, basis: NoiseBasis, noise: np.ndarray,
-                    cfg: SchemeConfig, stage: int) -> np.ndarray:
-    """Rates (d omega, d theta) at one state, stacked (2, n, n/2 + 1) in this
-    thread's workspace for ``stage``, ``noise`` being the half spectrum of
-    w / dt: each field f is transported once, by eta_f u + w / dt."""
-    grid = state.grid
-    n, h = grid.n, grid.n // 2 + 1
-    rates = _workspace(f"rates{stage}", (2, n, h))
+def _cutoffs(cfg: SchemeConfig, count: int, sups: list | None) -> list:
+    """Each lane's distinct transport cutoffs: () with the drift off, (1.0,)
+    for the plain variant, else the distinct values among
+    (eta_r(||grad u||_inf), eta_r(||grad theta||_inf)) of its ``sups``;
+    omega and theta share one velocity when their cutoffs agree."""
+    if not cfg.drift_enabled:
+        return [()] * count
+    if cfg.variant == "plain":
+        return [(1.0,)] * count
+    return [tuple(dict.fromkeys(eta_cutoff(x, cfg.r) for x in lane)) for lane in sups]
+
+
+def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray, etas: list,
+                    basis: NoiseBasis, noise: np.ndarray, cfg: SchemeConfig,
+                    stage: int) -> np.ndarray:
+    """Rates (d omega, d theta) of every lane, stacked (R, 2, n, n/2 + 1) in
+    this thread's workspace for ``stage``, from the lanes' ``fields`` and
+    Biot-Savart ``velocity`` (both (R, 2, n, n/2 + 1)), their ``etas``
+    (:func:`_cutoffs`) and ``noise``, the half spectra of w / dt: each field
+    f is transported once, by eta_f u + w / dt."""
+    lanes, n, h = len(fields), grid.n, grid.n // 2 + 1
+    rates = _workspace(f"rates{stage}", (lanes, 2, n, h))
     if not (cfg.drift_enabled or len(basis)):
         rates.fill(0.0)
         return rates
-    etas = ()
-    if cfg.drift_enabled:
-        etas = (1.0, 1.0)
-        if cfg.variant in ("truncated", "hyper"):
-            etas = tuple(eta_cutoff(x, cfg.r) for x in state.grad_sups)
-        # omega and theta share one velocity when their cutoffs agree
-        etas = tuple(dict.fromkeys(etas))
     # one inverse: grad omega, grad theta, then the velocities; one forward:
     # v_f . grad f for f = omega, theta, both products summed before the
-    # transform, as in lie_derivative
-    half = _workspace("stage-half", (4 + 2 * max(1, len(etas)), n, h))
-    _gradient_half(state.omega, out=half[0:2])
-    _gradient_half(state.theta, out=half[2:4])
-    velocities = half[4:].reshape(-1, 2, n, h)
-    if not etas:
-        velocities[0] = noise
-    for v, eta in zip(velocities, etas):
-        u = state.velocity
-        np.multiply(eta, u.u1.half, out=v[0])
-        np.multiply(eta, u.u2.half, out=v[1])
-        v += noise
-    phys = _workspace("stage-phys", (len(half), n, n), np.float64)
-    phys = _to_physical(half, grid, dealias=True, out=phys).reshape(-1, 2, n, n)
-    products = phys[:2]
-    np.multiply(phys[2:], products, out=products)
-    np.add(products[:, 0], products[:, 1], out=products[:, 0])
-    _to_fourier(products[:, 0], grid, dealias=True, out=rates)
+    # transform, as in lie_derivative.  A lane whose cutoffs agree while
+    # another's differ repeats its velocity, which leaves its bits unchanged.
+    k = max(1, *map(len, etas))
+    half = _workspace("stage-half", (lanes, 4 + 2 * k, n, h))
+    _gradient_half(fields, grid, out=half[:, :4].reshape(lanes, 2, 2, n, h))
+    velocities = half[:, 4:].reshape(lanes, k, 2, n, h)
+    if cfg.drift_enabled:
+        eta = np.array([lane + lane[-1:] * (k - len(lane)) for lane in etas])
+        np.multiply(eta[:, :, None, None, None], velocity[:, None], out=velocities)
+        velocities += noise[:, None]
+    else:
+        velocities[:, 0] = noise
+    phys = _workspace("stage-phys", half.shape[:2] + (n, n), np.float64)
+    phys = _to_physical(half, grid, dealias=True, out=phys).reshape(lanes, -1, 2, n, n)
+    products = phys[:, :2]
+    np.multiply(phys[:, 2:], products, out=products)
+    np.add(products[:, :, 0], products[:, :, 1], out=products[:, :, 0])
+    _to_fourier(products[:, :, 0], grid, dealias=True, out=rates)
     np.negative(rates, out=rates)
     if cfg.drift_enabled:
-        buoyancy = _workspace("buoyancy", (n, h))
-        rates[0] += np.multiply(state.theta.half, grid.deriv_x, out=buoyancy)
+        buoyancy = _workspace("buoyancy", (lanes, n, h))
+        rates[:, 0] += np.multiply(fields[:, 1], grid.deriv_x, out=buoyancy)
     if len(basis) and cfg.scheme == "ito_euler":
-        rates += _ito_correction(basis, state.omega, state.theta)
+        rates += _ito_correction(basis, fields)
     return rates
 
 
-def _ito_correction(basis: NoiseBasis, omega: SpectralField,
-                    theta: SpectralField) -> np.ndarray:
-    """1/2 sum_i L_{xi_i}^2 f for f = omega and theta, applied in Fourier
-    space, stacked (2, n, n/2 + 1) in this thread's workspace.
+def _ito_correction(basis: NoiseBasis, fields: np.ndarray) -> np.ndarray:
+    """1/2 sum_i L_{xi_i}^2 f for the half spectra ``fields`` (..., n, n/2 + 1),
+    applied in Fourier space, in this thread's workspace.
 
     The composed dealiased operator is a sum of shifted diagonals
     (``basis.ito_diagonals``, built on the first call): a multiplier plus
     one rolled term per remaining offset, with no transform.  Only those
-    terms, of unpaired families, read the ``coeffs`` view; each +-offset
-    pair is summed first, which keeps the correction exactly Hermitian.
+    terms, of unpaired families, read the full ``fft2`` layout; each
+    +-offset pair is summed first, which keeps the correction exactly
+    Hermitian.
     """
     d0, shifted = basis.ito_diagonals
-    h = d0.shape[1] // 2 + 1
-    c = _workspace("ito", (2, d0.shape[0], h))
-    for i, f in enumerate((omega, theta)):
-        np.multiply(d0[:, :h], f.half, out=c[i])
+    h = fields.shape[-1]
+    c = _workspace("ito", fields.shape)
+    np.multiply(d0[:, :h], fields, out=c)
+    if shifted:
+        full = _full_layout(fields, basis.grid)
         for (o1, d1), (o2, d2) in zip(shifted[::2], shifted[1::2]):
-            pair = (d1 * np.roll(f.coeffs, o1, axis=(0, 1))
-                    + d2 * np.roll(f.coeffs, o2, axis=(0, 1)))
-            c[i] += pair[:, :h]
+            pair = (d1 * np.roll(full, o1, axis=(-2, -1))
+                    + d2 * np.roll(full, o2, axis=(-2, -1)))
+            c += pair[..., :h]
     return c
 
 
@@ -240,12 +270,11 @@ def _cfl_guard(state: SimState, basis: NoiseBasis, cfg: SchemeConfig):
 
 
 @lru_cache(maxsize=8)
-def _hyper_decay(grid: Grid, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _hyper_decay(grid: Grid, nu: float, dt: float) -> np.ndarray:
     """Integrating-factor decay exp(-nu |k|^10 dt) and exp(-nu |k|^14 dt)
-    on the half spectrum."""
+    on the half spectrum, stacked (2, n, n/2 + 1) to scale (omega, theta)."""
     ksq = grid._ksq_half
-    return (_read_only(np.exp(-nu * ksq**5 * dt)),
-            _read_only(np.exp(-nu * ksq**7 * dt)))
+    return _read_only(np.stack((np.exp(-nu * ksq**5 * dt), np.exp(-nu * ksq**7 * dt))))
 
 
 # beyond this magnitude float products corrupt the exact conservation
@@ -253,50 +282,96 @@ def _hyper_decay(grid: Grid, nu: float, dt: float) -> tuple[np.ndarray, np.ndarr
 _MAGNITUDE_LIMIT = 1e75
 
 
-def _finalize(state: SimState, omega: SpectralField, theta: SpectralField,
-              cfg: SchemeConfig, dt: float) -> SimState:
+def _finalize(start: Lanes, fields: np.ndarray, cfg: SchemeConfig, dt: float,
+              t: float, errors: list) -> Lanes:
+    """The lanes at ``t`` from their updated ``fields`` (a fresh array, scaled
+    in place by the hyper decay); each lane not stopped yet is checked in
+    turn for non-finite values, the magnitude guard and the omega mean guard,
+    and the first that fails goes into ``errors``."""
+    grid, n = start.grid, start.grid.n
     if cfg.variant == "hyper" and cfg.nu:
-        decay_omega, decay_theta = _hyper_decay(omega.grid, cfg.nu, dt)
-        omega = SpectralField(omega.grid, omega.half * decay_omega)
-        theta = SpectralField(theta.grid, theta.half * decay_theta)
-    integrand = sum(state.grad_sups)  # left endpoint: the step's start state
-    new = SimState(omega, theta, state.t + dt, state.blowup_accum + dt * integrand)
-    if not new.is_finite():
-        raise BlowUpSuspected(state)
-    norm_omega = l2_norm(omega)
-    if max(norm_omega, l2_norm(theta)) > _MAGNITUDE_LIMIT:
-        raise BlowUpSuspected(state, "field magnitude beyond overflow guard")
-    mean = abs(omega.half[0, 0]) / omega.grid.n**2
-    if mean > 1e-12 * max(1.0, norm_omega):
-        raise AssertionError(f"omega mean mode drifted to {mean:.3e}")
+        fields *= _hyper_decay(grid, cfg.nu, dt)
+    # left endpoint: the integrand of the step's start state
+    new = Lanes(grid, fields, t, [a + dt * sum(s) for a, s in zip(start.accum, start.sups)])
+    finite = np.isfinite(fields).all(axis=(1, 2, 3))
+    with np.errstate(invalid="ignore", over="ignore"):  # stopped lanes' garbage
+        norms = np.sqrt(np.maximum(_inner_half(fields, fields), 0.0)).tolist()
+    for lane, (norm_omega, norm_theta) in enumerate(norms):
+        if errors[lane] is not None:
+            continue
+        if not finite[lane]:
+            errors[lane] = BlowUpSuspected(start.state(lane))
+        elif max(norm_omega, norm_theta) > _MAGNITUDE_LIMIT:
+            errors[lane] = BlowUpSuspected(start.state(lane),
+                                           "field magnitude beyond overflow guard")
+        else:
+            mean = abs(fields[lane, 0, 0, 0]) / n**2
+            if mean > 1e-12 * max(1.0, norm_omega):
+                errors[lane] = AssertionError(f"omega mean mode drifted to {mean:.3e}")
     return new
 
 
-def _update(state: SimState, dt: float,
-            rates: np.ndarray) -> tuple[SpectralField, SpectralField]:
-    """(omega, theta) + dt * rates, in fresh coefficient arrays."""
-    grid = state.grid
-    scaled = np.multiply(rates, dt, out=_workspace("update", rates.shape))
-    return (SpectralField(grid, state.omega.half + scaled[0]),
-            SpectralField(grid, state.theta.half + scaled[1]))
+def _update(fields: np.ndarray, dt: float, rates: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """fields + dt * rates, into ``out`` or a fresh array."""
+    return np.add(fields, np.multiply(rates, dt, out=_workspace("update", rates.shape)), out=out)
+
+
+def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
+             cfg: SchemeConfig, t: float) -> tuple[Lanes, list]:
+    """One step of length ``dt`` for every lane, to time ``t``, with the
+    lanes' Brownian increments ``db`` (R, m): the stepping kernel.
+
+    Returns the lanes at ``t`` and, per lane, None or the error that stopped
+    it: BlowUpSuspected (carrying the lane's start state), the omega mean
+    guard's AssertionError or the CFL guard's TimeStepError.  A stopped
+    lane's row of the returned stack holds no state; it is computed with the
+    others (its values never reach another lane) and is dropped by the
+    caller.
+    """
+    grid, count = lanes.grid, len(lanes)
+    sups = lanes.sups  # the blow-up integrand and the cutoffs, for every lane at once
+    errors = [None] * count
+    if cfg.cfl is not None:
+        for lane in range(count):
+            try:
+                _cfl_guard(lanes.state(lane), basis, cfg)
+            except TimeStepError as exc:
+                errors[lane] = exc
+    noise = basis.transport_half(db / dt, out=_workspace("noise", lanes.fields.shape))
+    rates = _evaluate_stage(grid, lanes.fields, lanes.stage_velocity, _cutoffs(cfg, count, sups),
+                            basis, noise, cfg, 0)
+    if cfg.scheme == "ito_euler":
+        return _finalize(lanes, _update(lanes.fields, dt, rates), cfg, dt, t, errors), errors
+    # Heun: the Euler-Maruyama update is the predictor
+    fields = _update(lanes.fields, dt, rates, out=_workspace("predictor", rates.shape))
+    for lane in np.flatnonzero(~np.isfinite(fields).all(axis=(1, 2, 3))):
+        errors[lane] = errors[lane] or BlowUpSuspected(lanes.state(lane),
+                                                       "non-finite predictor")
+    velocity = _velocity_half(fields[:, 0], grid,
+                              out=_workspace("predictor-velocity", fields.shape))
+    predictor_sups = None
+    if cfg.drift_enabled and cfg.variant != "plain":
+        samples = _workspace("predictor-samples", (count, 6, grid.n, grid.n), np.float64)
+        predictor_sups = _grad_sups(_gradient_samples(
+            velocity[:, 0], velocity[:, 1], fields[:, 1], grid, out=samples)).tolist()
+    rates1 = _evaluate_stage(grid, fields, velocity, _cutoffs(cfg, count, predictor_sups),
+                             basis, noise, cfg, 1)
+    fields = _update(lanes.fields, 0.5 * dt, np.add(rates, rates1, out=rates1))
+    return _finalize(lanes, fields, cfg, dt, t, errors), errors
 
 
 def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
          cfg: SchemeConfig) -> SimState:
-    """Advance one step with the scheme and variant the config selects."""
+    """Advance one step with the scheme and variant the config selects: the
+    one-lane case of the stepping kernel."""
     _check_increments(increments, basis, cfg)
     dt = increments.dt
-    _cfl_guard(state, basis, cfg)
-    noise = basis.transport_half(increments.values / dt)
-    rates = _evaluate_stage(state, basis, noise, cfg, 0)
-    # Euler-Maruyama update; for Heun it is the predictor
-    omega, theta = _update(state, dt, rates)
-    if cfg.scheme == "stratonovich_heun":
-        if not (omega.is_finite() and theta.is_finite()):
-            raise BlowUpSuspected(state, "non-finite predictor")
-        rates1 = _evaluate_stage(SimState(omega, theta), basis, noise, cfg, 1)
-        omega, theta = _update(state, 0.5 * dt, np.add(rates, rates1, out=rates1))
-    return _finalize(state, omega, theta, cfg, dt)
+    lanes, (error,) = _advance(Lanes.of([state]), basis, increments.values[None], dt, cfg,
+                               state.t + dt)
+    if error is not None:
+        raise error
+    return lanes.state(0)
 
 
 @dataclass
@@ -329,63 +404,108 @@ def run(initial: SimState, basis: NoiseBasis, cfg: SchemeConfig, T: float,
     NaN/Inf abort the partial trajectory is returned with
     ``blowup_suspected`` set and records up to the last finite state.  A
     failed invariant guard's ``AssertionError`` propagates with the index of
-    its step as ``step``.
+    its step as ``step``.  This is the one-lane case of :func:`_run_lanes`.
     """
-    if T < initial.t:
-        raise ValueError(f"final time {T} precedes initial time {initial.t}")
+    (traj,) = _run_lanes([initial], basis, cfg, T, [rng],
+                         None if increments is None else [increments],
+                         diag_interval, p, observers)
+    if isinstance(traj, Exception):
+        raise traj
+    return traj
+
+
+def _increment(rng, path, index: int, dt: float, m: int) -> np.ndarray:
+    """One lane's Brownian increments for step ``index``."""
+    if path is not None:
+        return np.asarray(path[index], dtype=float)
+    if m > 0:
+        return sample_increments(rng, dt, m).values
+    return np.zeros(0)
+
+
+def _run_lanes(initial: list, basis: NoiseBasis, cfg: SchemeConfig, T: float,
+               rngs: list | None = None, increments: list | None = None,
+               diag_interval: int = 1, p: float = 2.0, observers: tuple = ()) -> list:
+    """:func:`run` for R realizations at once, stepped as lanes of one stack.
+
+    ``initial`` holds each lane's initial state (one grid, one time; a state
+    may be shared), ``rngs`` and ``increments`` each lane's ``rng`` or
+    precomputed path, as in :func:`run`; ``observers`` fire for every lane.
+    Each lane's result is bit for bit that of :func:`run` alone: a
+    :class:`Trajectory`, partial with ``blowup_suspected`` set when the lane
+    blew up (the other lanes go on without it), or the exception that failed
+    the lane, the omega mean guard's ``AssertionError`` (with ``step``) or a
+    ``TimeStepError``.
+    """
+    t0 = initial[0].t
+    if T < t0:
+        raise ValueError(f"final time {T} precedes initial time {t0}")
     if diag_interval < 1:
         raise ValueError("diag_interval must be >= 1")
     m = len(basis)
-    if increments is None and m > 0 and rng is None:
+    rngs = rngs or [None] * len(initial)
+    paths = increments or [None] * len(initial)
+    if m > 0 and any(rng is None and path is None for rng, path in zip(rngs, paths)):
         raise ValueError("either rng or a precomputed increment path is required")
-    steps = (T - initial.t) / cfg.dt
+    steps = (T - t0) / cfg.dt
     whole = abs(steps - round(steps)) <= 1e-9
     nsteps = round(steps) if whole else math.ceil(steps)
-    if increments is not None:
+    for path in paths:
+        if path is None:
+            continue
         if not whole:
             raise ValueError(
                 "a precomputed increment path requires the horizon to be an "
                 "integer number of steps")
-        if increments.shape[0] < nsteps:
+        if path.shape[0] < nsteps:
             raise ValueError("precomputed increment path too short")
 
-    traj = Trajectory(final_state=initial)
-    state = initial
+    lanes = Lanes.of(initial)
+    trajs = [Trajectory(final_state=state) for state in initial]
+    results = list(trajs)
+    alive = list(range(len(initial)))  # the lane of each row of the stack
 
     def emit(index: int, force: bool):
         on_diag = force or index % diag_interval == 0
         firing = [fn for every, fn in observers if force or index % every == 0]
         if not (on_diag or firing):
             return
-        record = compute_record(state, p=p)
-        if on_diag:
-            traj.records.append(record)
-        for fn in firing:
-            fn(index, state, record)
+        records = {}  # lanes sharing a state share its record
+        for lane, state in zip(alive, lanes.states()):
+            if id(state) not in records:
+                records[id(state)] = compute_record(state, p=p)
+            record = records[id(state)]
+            if on_diag:
+                trajs[lane].records.append(record)
+            for fn in firing:
+                fn(index, state, record)
 
     emit(0, force=True)
     for index in range(nsteps):
         last = index == nsteps - 1
-        t_end = T if last else initial.t + (index + 1) * cfg.dt
-        step_cfg = replace(cfg, dt=T - state.t) if last and not whole else cfg
+        t_end = T if last else t0 + (index + 1) * cfg.dt
+        step_cfg = replace(cfg, dt=T - lanes.t) if last and not whole else cfg
         dt = step_cfg.dt
-        if increments is not None:
-            db = BrownianIncrements(np.asarray(increments[index], dtype=float), dt)
-        elif m > 0:
-            db = sample_increments(rng, dt, m)
-        else:
-            db = BrownianIncrements(np.zeros(0), dt)
-        try:
-            state = replace(step(state, basis, db, step_cfg), t=t_end)
-        except BlowUpSuspected as exc:
-            traj.final_state = exc.last_state
-            traj.blowup_suspected = True
-            traj.abort_step = index
-            return traj
-        except AssertionError as exc:
-            exc.step = index
-            raise
-        traj.steps_taken = index + 1
+        db = np.array([_increment(rngs[lane], paths[lane], index, dt, m) for lane in alive])
+        if db.shape[1] != m:
+            raise ValueError("one Brownian increment per noise mode required")
+        lanes, errors = _advance(lanes, basis, db, dt, step_cfg, t_end)
+        for lane, error in zip(alive, errors):
+            if isinstance(error, BlowUpSuspected):
+                trajs[lane].final_state = error.last_state
+                trajs[lane].blowup_suspected = True
+                trajs[lane].abort_step = index
+            elif error is not None:
+                error.step = index
+                results[lane] = error
+        if any(errors):
+            rows = [row for row, error in enumerate(errors) if error is None]
+            lanes, alive = lanes.take(rows), [alive[row] for row in rows]
+            if not alive:
+                break
+        for lane in alive:
+            trajs[lane].steps_taken = index + 1
         emit(index + 1, force=last)
-    traj.final_state = state
-    return traj
+    for row, lane in enumerate(alive):
+        trajs[lane].final_state = lanes.state(row)
+    return results

@@ -9,7 +9,11 @@ infinite family (decay exponent gamma = 5 is more than enough in 2D).
 Seeding: realization ``i`` of a run with ``master_seed`` uses the stream seed
 ``mix_seed(master_seed, i)``, the splitmix64 avalanche finalizer applied to
 ``master_seed XOR (i * golden-ratio-odd-constant)``.  The constants are fixed
-here so runs are reproducible for a given package version.
+here so runs are reproducible for a given package version.  Realizations
+stepped together as lanes (:mod:`sbq.integrator`) each draw from their own
+stream, one :func:`sample_increments` call per lane and step, and
+:meth:`NoiseBasis.transport_half` turns the lanes' increments, one row per
+lane, into their transport fields in one call.
 """
 
 from __future__ import annotations
@@ -117,14 +121,23 @@ class NoiseBasis:
             matrix[:, p, i] += (c1, c2)
         return np.fromiter(positions, dtype=np.intp, count=len(positions)), matrix
 
-    def transport_half(self, db: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients (2, n, n/2 + 1) of the transport field
-        w = sum_i db_i xi_i, formed from the modes' exact coefficients."""
+    def transport_half(self, db: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum coefficients (..., 2, n, n/2 + 1) of the transport
+        fields w = sum_i db_i xi_i, one per row of ``db`` (..., m), formed
+        from the modes' exact coefficients; written into ``out``, zero-filled
+        in place, when given (the stepper passes a workspace array)."""
         index, matrix = self._half_coefficients
         n = self.grid.n
-        out = np.zeros((2, n * (n // 2 + 1)), dtype=np.complex128)
-        out[:, index] = matrix @ np.asarray(db, dtype=np.float64)
-        return out.reshape(2, n, -1)
+        db = np.asarray(db, dtype=np.float64)
+        lead = db.shape[:-1]
+        if out is None:
+            out = np.zeros((*lead, 2, n, n // 2 + 1), dtype=np.complex128)
+        else:
+            out.fill(0.0)
+        # one matrix-vector product per row, as for a single row
+        coefficients = np.matmul(matrix, db[..., None, :, None])
+        out.reshape(*lead, 2, -1)[..., index] = coefficients[..., 0]
+        return out
 
 
 def _ito_diagonals(modes: tuple, grid: Grid) -> tuple[np.ndarray, tuple]:

@@ -77,7 +77,7 @@ def _first_order(samples: np.ndarray, f: SpectralField) -> SpectralField:
     summed in physical space in that order, one forward transform.
     """
     grid = f.grid
-    half = _gradient_half(f)
+    half = _gradient_half(f.half, grid)
     if len(samples) == 3:
         half = np.concatenate((half, f.half[None]))
     planes = _to_physical(half, grid, dealias=True)

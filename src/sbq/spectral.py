@@ -330,13 +330,19 @@ def bessel_multiplier(f: SpectralField, s: float) -> SpectralField:
 def inner(f: SpectralField, g: SpectralField) -> float:
     """L2 inner product over the torus, integral of f*g dV."""
     f._check(g)
-    n = f.grid.n
-    a, b = f.half, g.half
+    return float(_inner_half(f.half, g.half))
+
+
+def _inner_half(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L2 inner products of half-spectrum planes (..., n, n/2 + 1), one per
+    leading index; row-wise ``vecdot``, so each equals its plane's own."""
+    lead, n = a.shape[:-2], a.shape[-2]
     # every column but the self-paired k2 = 0, n/2 stands for its mirror too;
     # vecdot, not the BLAS vdot: no thread start-up stalls of an unpinned BLAS
-    dot = (2.0 * np.vecdot(a.ravel(), b.ravel())
-           - np.vecdot(a[:, ::n // 2].ravel(), b[:, ::n // 2].ravel()))
-    return float(np.real(dot)) * (2.0 * np.pi) ** 2 / n**4
+    dot = (2.0 * np.vecdot(a.reshape(*lead, -1), b.reshape(*lead, -1))
+           - np.vecdot(a[..., ::n // 2].reshape(*lead, -1),
+                       b[..., ::n // 2].reshape(*lead, -1)))
+    return np.real(dot) * (2.0 * np.pi) ** 2 / n**4
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -379,10 +385,22 @@ def biot_savart(omega: SpectralField) -> VelocityField:
     mean = abs(omega.half[0, 0]) / g.n**2
     if mean > 1e-12 * max(1.0, l2_norm(omega)):
         raise ValueError(f"vorticity must have zero mean, got mean {mean:.3e}")
-    ksq = g._ksq_half
+    u = _velocity_half(omega.half, g)
+    return VelocityField(SpectralField(g, u[0]), SpectralField(g, u[1]))
+
+
+def _velocity_half(omega: np.ndarray, grid: Grid,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra (..., 2, n, n/2 + 1) of the Biot-Savart velocities of
+    vorticity half spectra (..., n, n/2 + 1): psi = -omega / |k|^2 (zero mode
+    dropped), u = (-d_y psi, d_x psi), as :func:`stream_to_velocity`."""
+    psi = np.negative(omega, out=_workspace("psi", omega.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi = SpectralField(g, np.where(ksq > 0, -omega.half / ksq, 0.0))
-    return stream_to_velocity(psi)
+        np.divide(psi, grid._ksq_half, out=psi)
+    psi[..., 0, 0] = 0.0  # |k|^2 vanishes at k = 0 only
+    u = np.multiply(psi[..., None, :, :], grid._deriv_half[::-1], out=out)
+    np.negative(u[..., 0, :, :], out=u[..., 0, :, :])
+    return u
 
 
 def stream_to_velocity(psi: SpectralField) -> VelocityField:
@@ -409,10 +427,12 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
 # stepper hands them
 
 
-def _gradient_half(f: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
-    """Half-spectrum coefficients of (d_x f, d_y f), stacked (2, n, n/2 + 1);
-    equal to the ``half`` of :func:`derivative`'s output."""
-    return np.multiply(f.half, f.grid._deriv_half, out=out)
+def _gradient_half(half: np.ndarray, grid: Grid,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Half-spectrum coefficients (..., 2, n, n/2 + 1) of (d_x f, d_y f) for
+    half spectra (..., n, n/2 + 1); each plane equals the ``half`` of
+    :func:`derivative`'s output."""
+    return np.multiply(half[..., None, :, :], grid._deriv_half, out=out)
 
 
 def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False,
@@ -453,14 +473,14 @@ def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False,
 
 
 def _full_layout(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """Read-only ``fft2``-layout array (n, n) of a half spectrum, the columns
-    k2 > n/2 completed by the mirror."""
+    """Read-only ``fft2``-layout planes (..., n, n) of half spectra
+    (..., n, n/2 + 1), the columns k2 > n/2 completed by the mirror."""
     n, h = grid.n, grid.n // 2 + 1
-    out = np.empty((n, n), dtype=np.complex128)
-    out[:, :h] = half
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = half
     # coeff(k1, -k2) = conj(coeff(-k1, k2)); row -0 is row 0, row -k1 is n - k1
-    np.conjugate(half[:1, h - 2:0:-1], out=out[:1, h:])
-    np.conjugate(half[:0:-1, h - 2:0:-1], out=out[1:, h:])
+    np.conjugate(half[..., :1, h - 2:0:-1], out=out[..., :1, h:])
+    np.conjugate(half[..., :0:-1, h - 2:0:-1], out=out[..., 1:, h:])
     return _read_only(out)
 
 

@@ -358,7 +358,7 @@ def lie_derivative_four_plane_reference(xi: VelocityField,
     """xi . grad f from one inverse of (xi1, xi2, d_x f, d_y f), nothing
     cached on xi."""
     grid = f.grid
-    planes = np.concatenate((np.stack((xi.u1.half, xi.u2.half)), _gradient_half(f)))
+    planes = np.concatenate((np.stack((xi.u1.half, xi.u2.half)), _gradient_half(f.half, grid)))
     x1, x2, fx, fy = _to_physical(planes, grid, dealias=True)
     return SpectralField(grid, _to_fourier(x1 * fx + x2 * fy, grid, dealias=True))
 

@@ -32,7 +32,7 @@ from sbq.diagnostics import (
     offline_blowup_quadrature,
     update_stopping_report,
 )
-from sbq.integrator import SchemeConfig, run, step
+from sbq.integrator import SchemeConfig, _run_lanes, run, step
 from sbq.noise import NoiseBasis, build_basis, constant_shift_basis, default_family
 from sbq.operators import (
     BASELINES,
@@ -228,16 +228,17 @@ def test_criterion_7_constant_noise_change_of_variables():
     det = {dt: run(state0, empty_basis(grid), cfgs[dt], 1.0,
                    diag_interval=10**9).final_state for dt in dts}
     master, paths = 2024, 12
+    fine = [np.random.default_rng((master, j)).normal(
+        0, np.sqrt(dts[-1]), size=(int(round(1.0 / dts[-1])), 1)) for j in range(paths)]
     sq = np.zeros(len(dts))
-    for j in range(paths):
-        rng = np.random.default_rng((master, j))
-        fine = rng.normal(0, np.sqrt(dts[-1]), size=(int(round(1.0 / dts[-1])), 1))
-        b_T = fine.sum()
-        for i, dt in enumerate(dts):
-            incr = coarsen(fine, int(round(dt / dts[-1])))
-            stoch = run(state0, basis, cfgs[dt], 1.0, increments=incr,
-                        diag_interval=10**9).final_state
-            shift = np.exp(-1j * grid.k1 * b_T)
+    for i, dt in enumerate(dts):
+        # the paths of one dt, stepped as lanes
+        incr = [coarsen(path, int(round(dt / dts[-1]))) for path in fine]
+        trajs = _run_lanes([state0] * paths, basis, cfgs[dt], 1.0, increments=incr,
+                           diag_interval=10**9)
+        for path, traj in zip(fine, trajs):
+            stoch = traj.final_state
+            shift = np.exp(-1j * grid.k1 * path.sum())
             e_om = sp.l2_norm(stoch.omega - sp.SpectralField.from_coeffs(
                 grid, det[dt].omega.coeffs * shift))
             e_th = sp.l2_norm(stoch.theta - sp.SpectralField.from_coeffs(
@@ -285,16 +286,17 @@ def test_criterion_9_pathwise_tracer_norm():
     basis = build_basis(default_family(grid, k_max=1, sigma=0.2), grid)
     dts = [2.0**-k for k in (7, 8, 9)]
     master, paths = 42, 8
+    fine = [np.random.default_rng((master, j)).normal(
+        0, np.sqrt(dts[-1]), size=(int(round(1.0 / dts[-1])), len(basis)))
+        for j in range(paths)]
     acc = np.zeros(len(dts))
-    for j in range(paths):
-        rng = np.random.default_rng((master, j))
-        fine = rng.normal(0, np.sqrt(dts[-1]),
-                          size=(int(round(1.0 / dts[-1])), len(basis)))
-        for i, dt in enumerate(dts):
-            incr = coarsen(fine, int(round(dt / dts[-1])))
-            final = run(state0, basis, SchemeConfig("stratonovich_heun", dt=dt),
-                        1.0, increments=incr, diag_interval=10**9).final_state
-            acc[i] += abs(sp.l2_norm(final.theta) - theta_norm0)
+    for i, dt in enumerate(dts):
+        # the paths of one dt, stepped as lanes
+        incr = [coarsen(path, int(round(dt / dts[-1]))) for path in fine]
+        trajs = _run_lanes([state0] * paths, basis, SchemeConfig("stratonovich_heun", dt=dt),
+                           1.0, increments=incr, diag_interval=10**9)
+        for traj in trajs:
+            acc[i] += abs(sp.l2_norm(traj.final_state.theta) - theta_norm0)
     mean = acc / paths
     ratios = (mean[:-1] / mean[1:]).tolist()
     ok = all(1.7 <= r <= 2.3 for r in ratios)

@@ -98,13 +98,14 @@ class TestSimulate:
         # the guard fires inside the third step; run attaches its index
         calls = []
 
-        def failing_step(state, *args):
+        def failing_advance(lanes, *args):
             calls.append(None)
+            new, errors = real_advance(lanes, *args)
             if len(calls) == 3:
-                raise AssertionError("omega mean mode drifted to 1.000e-03")
-            return real_step(state, *args)
-        real_step = sbq.integrator.step
-        monkeypatch.setattr("sbq.integrator.step", failing_step)
+                errors = [AssertionError("omega mean mode drifted to 1.000e-03")]
+            return new, errors
+        real_advance = sbq.integrator._advance
+        monkeypatch.setattr("sbq.integrator._advance", failing_advance)
         cfg = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == 3
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())

@@ -8,10 +8,17 @@ import os
 import numpy as np
 import pytest
 
+from sbq import integrator
 from sbq.cli import main
-from sbq.config import parse_config
+from sbq.config import (
+    build_initial_state,
+    build_noise_basis,
+    build_scheme,
+    parse_config,
+)
 from sbq.ensemble import (
     EnsembleConfig,
+    _run_chunk,
     RealizationResult,
     moment_estimate,
     run_ensemble,
@@ -19,7 +26,9 @@ from sbq.ensemble import (
     summarize,
 )
 from sbq.diagnostics import DiagnosticsRecord
+from sbq.io import write_summary_csv
 from sbq.noise import mix_seed
+from sbq.spectral import Grid
 
 
 def small_config(noise=None, realizations=1, T=0.05):
@@ -56,24 +65,25 @@ class TestRealization:
         assert "ValueError" in res.error
 
 
-def dying_realization(cfg, master_seed, index):
-    # module level so forked pool workers can unpickle it
-    if index == 1:
+def dying_chunk(cfg, master_seed, indices):
+    # module level so forked pool workers can unpickle it; a task holding
+    # index 1 kills its worker
+    if 1 in indices:
         os._exit(1)
-    return run_realization(cfg, master_seed, index)
+    return _run_chunk(cfg, master_seed, indices)
 
 
-def dying_once_realization(marker, cfg, master_seed, index):
-    # the first attempt at index 1 leaves the marker and kills its worker
-    if index == 1 and not marker.exists():
+def dying_once_chunk(marker, cfg, master_seed, indices):
+    # the first task holding index 1 leaves the marker and kills its worker
+    if 1 in indices and not marker.exists():
         marker.touch()
         os._exit(1)
-    return run_realization(cfg, master_seed, index)
+    return _run_chunk(cfg, master_seed, indices)
 
 
 class TestDeadWorker:
     def test_dead_worker_fails_its_realization(self, monkeypatch):
-        monkeypatch.setattr("sbq.ensemble.run_realization", dying_realization)
+        monkeypatch.setattr("sbq.ensemble._run_chunk", dying_chunk)
         cfg = small_config(realizations=3)
         summary, results = run_ensemble(EnsembleConfig(cfg, 3, cfg.seed, 2))
         assert 1 in summary.failed
@@ -83,7 +93,7 @@ class TestDeadWorker:
         assert dead.error and not dead.records
 
     def test_ensemble_command_exits_3_with_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("sbq.ensemble.run_realization", dying_realization)
+        monkeypatch.setattr("sbq.ensemble._run_chunk", dying_chunk)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "n": 32, "T": 0.05, "dt": 0.01, "scheme": "stratonovich_heun",
@@ -98,8 +108,8 @@ class TestDeadWorker:
         cfg = small_config(realizations=4)
         serial, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 1))
         marker = tmp_path / "died"
-        monkeypatch.setattr("sbq.ensemble.run_realization",
-                            functools.partial(dying_once_realization, marker))
+        monkeypatch.setattr("sbq.ensemble._run_chunk",
+                            functools.partial(dying_once_chunk, marker))
         summary, results = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
         assert marker.exists()
         assert summary.failed == []
@@ -109,6 +119,77 @@ class TestDeadWorker:
         for f in serial.stats:
             for stat in ("mean", "var", "max"):
                 assert np.array_equal(summary.stats[f][stat], serial.stats[f][stat])
+
+
+    def test_chunk_mates_of_a_dead_realization_match_serial(self, monkeypatch):
+        # realizations 1 and 3 share a task; 3 is run again alone and keeps
+        # the result of a serial run
+        cfg = small_config(realizations=4)
+        _, serial = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 1))
+        monkeypatch.setattr("sbq.ensemble._run_chunk", dying_chunk)
+        summary, results = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
+        assert summary.failed == [1]
+        expected = summarize([r if r.index != 1 else results[1] for r in serial])
+        assert np.array_equal(summary.times, expected.times)
+        assert np.array_equal(summary.counts, expected.counts)
+        for f in expected.stats:
+            for stat in ("mean", "var", "max"):
+                assert np.array_equal(summary.stats[f][stat], expected.stats[f][stat])
+
+
+def mean_guard_fires(monkeypatch, lane, call):
+    """Make the stepping kernel report the omega mean guard for ``lane`` in
+    its ``call``-th step."""
+    real, calls = integrator._advance, []
+
+    def advance(lanes, *args):
+        new, errors = real(lanes, *args)
+        calls.append(None)
+        if len(calls) == call:
+            errors[lane] = AssertionError("omega mean mode drifted to 1.000e-03")
+        return new, errors
+    monkeypatch.setattr(integrator, "_advance", advance)
+
+
+class TestLanes:
+    def test_mean_guard_fails_only_its_realization(self, monkeypatch):
+        cfg = small_config(realizations=4)
+        _, clean = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 1))
+        mean_guard_fires(monkeypatch, lane=1, call=3)
+        summary, results = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 1))
+        assert summary.failed == [1]
+        assert results[1].error == "AssertionError: omega mean mode drifted to 1.000e-03"
+        assert not results[1].records
+        for got, want in zip(results, clean):
+            if got.index != 1:
+                assert not got.failed and got.records == want.records
+
+    def test_mean_guard_propagates_from_a_single_run(self, monkeypatch):
+        cfg = small_config()
+        grid = Grid(cfg.n)
+        args = (build_initial_state(cfg, grid), build_noise_basis(cfg, grid),
+                build_scheme(cfg), cfg.T)
+        mean_guard_fires(monkeypatch, lane=0, call=3)
+        with pytest.raises(AssertionError, match="omega mean mode drifted") as info:
+            integrator.run(*args, rng=np.random.default_rng(1))
+        assert info.value.step == 2
+
+    def test_summary_csv_independent_of_workers_and_lanes(self, tmp_path, monkeypatch):
+        cfg = small_config(realizations=5)
+
+        def csv(summary):
+            path = tmp_path / "summary.csv"
+            write_summary_csv(path, summary)
+            return path.read_bytes()
+
+        blobs = [csv(run_ensemble(EnsembleConfig(cfg, 5, cfg.seed, w))[0]) for w in (1, 2, 4)]
+        for chunks in ([[0, 1, 2, 3, 4]], [[i] for i in range(5)], [[3, 0], [4, 1, 2]]):
+            results = [r for chunk in chunks for r in _run_chunk(cfg, cfg.seed, chunk)]
+            blobs.append(csv(summarize(sorted(results, key=lambda r: r.index))))
+        # a memory budget of two lanes runs one task's lanes in batches
+        monkeypatch.setattr("sbq.ensemble._LANE_BUDGET_BYTES", 2 * 440 * cfg.n**2)
+        blobs.append(csv(summarize(_run_chunk(cfg, cfg.seed, list(range(5))))))
+        assert all(b == blobs[0] for b in blobs)
 
 
 class TestEnsembleDeterminism:

@@ -17,6 +17,7 @@ from sbq.integrator import (
     BlowUpSuspected,
     SchemeConfig,
     TimeStepError,
+    _run_lanes,
     eta_cutoff,
     run,
     step,
@@ -687,6 +688,38 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 """
 
 
+_LANE_FAULTS_SCRIPT = """
+import resource, sys
+import numpy as np
+from sbq import spectral as sp
+from sbq.integrator import SchemeConfig, _advance
+from sbq.noise import build_basis, default_family
+from sbq.state import Lanes, SimState
+n, lanes = int(sys.argv[1]), int(sys.argv[2])
+g = sp.Grid(n)
+rng = np.random.default_rng(3)
+stack = Lanes.of([SimState(sp.random_field(g, rng, band=n // 3, zero_mean=True),
+                           sp.random_field(g, rng, band=n // 3)) for _ in range(lanes)])
+basis = build_basis(default_family(g), g)
+cfg = SchemeConfig("stratonovich_heun", dt=1e-3, variant="hyper", r=0.5, nu=1e-12)
+path = rng.normal(0.0, np.sqrt(1e-3), (70, lanes, len(basis)))
+for k, db in enumerate(path):
+    if k == 20:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    stack, errors = _advance(stack, basis, db, 1e-3, cfg, (k + 1) * 1e-3)
+    assert not any(errors)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+def _minor_faults_per_step(script, pad, *args):
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", SBQ_TEST_PAD="x" * pad)
+    out = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         env=env, capture_output=True, text=True, check=True)
+    return float(out.stdout)
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("case", [
         "plain", "truncated", "hyper", "unpaired", "no_drift", "empty_basis"])
@@ -780,12 +813,77 @@ class TestWorkspace:
     def test_steps_take_no_page_faults(self, scheme, n, pad):
         # freed per-stage temporaries used to come back as hundreds of minor
         # page faults per step; the environment size moves the heap layout
-        src = os.path.dirname(os.path.dirname(sp.__file__))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-                   SBQ_TEST_PAD="x" * pad)
-        out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, scheme, str(n)],
-                             env=env, capture_output=True, text=True, check=True)
-        assert float(out.stdout) <= 10.0
+        assert _minor_faults_per_step(_FAULTS_SCRIPT, pad, scheme, n) <= 10.0
+
+    @pytest.mark.parametrize("pad", [1, 3000])
+    def test_lane_steps_take_no_page_faults(self, pad):
+        # four lanes at n = 64 hold the stack's fresh arrays of a 1-lane step
+        # at n = 128; only the new fields and velocities are allocated per step
+        assert _minor_faults_per_step(_LANE_FAULTS_SCRIPT, pad, 64, 4) <= 10.0
+
+
+class TestLanes:
+    """Realizations stepped as lanes of one stack: every lane is bit for bit
+    the realization run alone."""
+
+    @staticmethod
+    def lane_states(g, rng):
+        # lane 0's cutoffs agree (both sups below r); lanes 1 and 2 each have
+        # two cutoffs inside (0, 1), and no cutoff of one equals one of the other
+        base = two_cutoff_state(g, rng, band=10)
+        r = 0.9 * base.grad_sups[0]
+        return [SimState(0.1 * base.omega, 0.1 * base.theta), base,
+                SimState(1.1 * base.omega, 0.9 * base.theta)], r
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.final_state.omega.half.tobytes() == want.final_state.omega.half.tobytes()
+        assert got.final_state.theta.half.tobytes() == want.final_state.theta.half.tobytes()
+        assert got.final_state.blowup_accum == want.final_state.blowup_accum
+        assert got.records == want.records
+        assert (got.blowup_suspected, got.abort_step, got.steps_taken) == \
+            (want.blowup_suspected, want.abort_step, want.steps_taken)
+
+    @pytest.mark.parametrize("case", ["plain", "truncated", "hyper", "unpaired", "empty_basis"])
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_lanes_match_solo_runs(self, scheme, case):
+        g = sp.Grid(32)
+        states, r = self.lane_states(g, np.random.default_rng(40))
+        params = {"truncated": {"variant": "truncated", "r": r},
+                  "hyper": {"variant": "hyper", "r": r, "nu": 1e-9}}.get(case, {})
+        cfg = SchemeConfig(scheme, dt=1e-3, **params)
+        if case == "truncated":
+            etas = [tuple(eta_cutoff(x, r) for x in s.grad_sups) for s in states]
+            assert etas[0] == (1.0, 1.0) and len({*etas[1], *etas[2]}) == 4
+        if case == "empty_basis":
+            basis = empty_basis(g)
+        else:
+            basis = build_basis(default_family(g, max_modes=3 if case == "unpaired" else None), g)
+        lanes = _run_lanes(states, basis, cfg, 0.01, diag_interval=4,
+                           rngs=[np.random.default_rng(50 + i) for i in range(3)])
+        for i, (state, got) in enumerate(zip(states, lanes)):
+            want = run(state, basis, cfg, 0.01, rng=np.random.default_rng(50 + i),
+                       diag_interval=4)
+            assert want.steps_taken == 10 and len(want.records) == 4
+            self.assert_same(got, want)
+
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_blown_up_lane_keeps_partial_records(self, scheme):
+        g = sp.Grid(32)
+        rng = np.random.default_rng(41)
+        state = two_cutoff_state(g, rng, band=10)
+        basis = build_basis(default_family(g, max_modes=3), g)
+        paths = [rng.normal(0.0, np.sqrt(1e-3), (10, 3)) for _ in range(3)]
+        paths[1][4, 0] = np.nan  # lane 1 goes non-finite in its fifth step
+        cfg = SchemeConfig(scheme, dt=1e-3)
+        lanes = _run_lanes([state] * 3, basis, cfg, 0.01, increments=paths, diag_interval=1)
+        for got, path in zip(lanes, paths):
+            self.assert_same(got, run(state, basis, cfg, 0.01, increments=path,
+                                      diag_interval=1))
+        assert lanes[1].blowup_suspected and lanes[1].abort_step == 4
+        assert lanes[1].steps_taken == 4 and len(lanes[1].records) == 5
+        assert not (lanes[0].blowup_suspected or lanes[2].blowup_suspected)
+        assert lanes[0].steps_taken == lanes[2].steps_taken == 10
 
 
 class TestRun:
