@@ -301,7 +301,8 @@ def _finalize(start: Lanes, fields: np.ndarray, cfg: SchemeConfig, dt: float,
             continue
         if not finite[lane]:
             errors[lane] = BlowUpSuspected(start.state(lane))
-        elif max(norm_omega, norm_theta) > _MAGNITUDE_LIMIT:
+        elif not (norm_omega <= _MAGNITUDE_LIMIT and norm_theta <= _MAGNITUDE_LIMIT):
+            # also NaN: past about 1e154 the norms' sums overflow to inf - inf
             errors[lane] = BlowUpSuspected(start.state(lane),
                                            "field magnitude beyond overflow guard")
         else:

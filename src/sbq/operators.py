@@ -16,12 +16,24 @@ xi band-limited to b_xi and f to b_f, a grid with n >= 3 * (b_xi + b_f)
 represents every intermediate product without truncation, which turns the
 analytic identity into an exact-zero numerical statement (round-off only).
 
-``lie_derivative`` and ``apply_first_order`` share one first-order kernel:
-one batched inverse transform of the dealiased (d_x f, d_y f), plus f for
-Q, the products with the coefficients' physical samples summed in physical
-space, and one forward transform under the 2/3 rule.  The coefficient
-samples are computed on first use and cached on the ``VelocityField`` or
+One first-order kernel serves every operator here: one batched inverse
+transform of the dealiased (d_x f, d_y f), plus f for Q, the products with
+the coefficients' physical samples summed in physical space, and one
+forward transform under the 2/3 rule.  It takes leading axes, one row per
+sample, and each row equals its one-row call bit for bit.
+``lie_derivative``, ``apply_first_order`` and the residual, ratio, defect
+and commutator functions are its one-row case; their coefficient samples
+are computed on first use and cached on the ``VelocityField`` or
 ``FirstOrderOp``, so a repeated xi or Q is never transformed again.
+
+:func:`run_verification` draws each check's inputs in the order of a
+sample-by-sample loop and evaluates them in batches of rows: one batched
+inverse gives a batch's xi or Q samples, then batched first-order
+applications and row-wise inner products.  A batch's size comes from a
+fixed byte budget (``_BATCH_BYTES``, 4 rows at n = 64) and its large
+temporaries live in the per-thread workspace (``spectral._workspace``),
+so a standard pass makes 845 transform calls, and its report equals the
+sample-by-sample evaluation's bit for bit.
 
 The unspecified constants in the weighted estimates are handled as recorded
 regression baselines: ``BASELINES`` stores the maximal ratios measured over
@@ -40,17 +52,14 @@ from .spectral import (
     Grid,
     SpectralField,
     VelocityField,
-    derivative,
-    fractional_laplacian,
-    inner,
     l2_norm,
-    product,
     random_divergence_free,
     random_field,
     sobolev_norm,
     stream_to_velocity,
 )
-from .spectral import _gradient_half, _read_only, _to_fourier, _to_physical
+from .spectral import (_fractional_multiplier, _gradient_half, _inner_half, _product_half,
+                       _read_only, _to_fourier, _to_physical, _workspace)
 
 __all__ = [
     "FirstOrderOp",
@@ -69,22 +78,38 @@ __all__ = [
 ]
 
 
-def _first_order(samples: np.ndarray, f: SpectralField) -> SpectralField:
-    """a * d_x f + b * d_y f (+ c * f) under the 2/3 rule, for the physical
-    coefficient samples (a, b[, c]) stacked in ``samples``.
+def _grid(*objects) -> Grid:
+    """The objects' common grid; a mismatch is a ValueError."""
+    grid = objects[0].grid
+    if any(o.grid != grid for o in objects[1:]):
+        raise ValueError("grid mismatch")
+    return grid
 
-    One batched inverse of the dealiased (d_x f, d_y f[, f]), the products
-    summed in physical space in that order, one forward transform.
+
+def _first_order(samples: np.ndarray, half: np.ndarray, grid: Grid,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra of a * d_x f + b * d_y f (+ c * f) under the 2/3 rule,
+    for the physical coefficient samples (..., k, n, n), k = 2 for (a, b)
+    and 3 for (a, b, c), and the half spectra (..., n, n/2 + 1) of f; the
+    samples' leading axes broadcast against f's, one row per leading index.
+
+    One batched inverse of the dealiased (d_x f, d_y f[, f]) and the
+    products, summed in physical space in that order, in this thread's
+    workspace; one batched forward into ``out`` or a fresh array.  Each row
+    equals its one-row call bit for bit.
     """
-    grid = f.grid
-    half = _gradient_half(f.half, grid)
-    if len(samples) == 3:
-        half = np.concatenate((half, f.half[None]))
-    planes = _to_physical(half, grid, dealias=True)
-    out = samples[0] * planes[0] + samples[1] * planes[1]
-    if len(samples) == 3:
-        out += samples[2] * planes[2]
-    return SpectralField(grid, _to_fourier(out, grid, dealias=True))
+    k, lead, n = samples.shape[-3], half.shape[:-2], grid.n
+    planes = _workspace("transform-half", (*lead, k, n, n // 2 + 1))
+    _gradient_half(half, grid, out=planes[..., :2, :, :])
+    if k == 3:
+        planes[..., 2, :, :] = half
+    phys = _to_physical(planes, grid, dealias=True,
+                        out=_workspace("transform-phys", (*lead, k, n, n), np.float64))
+    np.multiply(samples, phys, out=phys)
+    total = np.add(phys[..., 0, :, :], phys[..., 1, :, :], out=phys[..., 0, :, :])
+    if k == 3:
+        total += phys[..., 2, :, :]
+    return _to_fourier(total, grid, dealias=True, out=out)
 
 
 def lie_derivative(xi: VelocityField, f: SpectralField) -> SpectralField:
@@ -95,9 +120,7 @@ def lie_derivative(xi: VelocityField, f: SpectralField) -> SpectralField:
     the stepper forms its transport terms the same way.  xi's dealiased
     samples are computed on its first use and cached on xi.
     """
-    if xi.grid != f.grid:
-        raise ValueError("grid mismatch")
-    return _first_order(xi._dealiased_samples, f)
+    return SpectralField(f.grid, _first_order(xi._dealiased_samples, f.half, _grid(xi, f)))
 
 
 def lie_second(xi: VelocityField, f: SpectralField) -> SpectralField:
@@ -105,25 +128,41 @@ def lie_second(xi: VelocityField, f: SpectralField) -> SpectralField:
     return lie_derivative(xi, lie_derivative(xi, f))
 
 
+def _estimate_terms(k: float, samples: np.ndarray, half: np.ndarray,
+                    grid: Grid) -> np.ndarray:
+    """<P L^2 f, P f> + <P L f, P L f> per row, for the first-order operator
+    L of the coefficient ``samples`` (:func:`_first_order`) and the half
+    spectra ``half`` of f, with P = Lambda^k (the identity for k = 0); the
+    intermediate spectra live in this thread's workspace."""
+    lf = _first_order(samples, half, grid, out=_workspace("lf", half.shape))
+    llf = _first_order(samples, lf, grid, out=_workspace("llf", half.shape))
+    if k:
+        mult = _fractional_multiplier(grid, k)
+        half = np.multiply(half, mult, out=_workspace("pf", half.shape))
+        lf *= mult
+        llf *= mult
+    return _inner_half(llf, half) + _inner_half(lf, lf)
+
+
+def _checked_denominator(f: SpectralField, k: float) -> float:
+    """||f||_{H^k}^2, which a ratio divides by: f must be nonzero."""
+    denom = sobolev_norm(f, k) ** 2
+    if denom == 0.0:
+        raise ValueError("field must be nonzero")
+    return denom
+
+
 def cancellation_residual(xi: VelocityField, f: SpectralField) -> float:
     """<L_xi^2 f, f> + <L_xi f, L_xi f>; zero for divergence-free xi."""
-    lf = lie_derivative(xi, f)
-    llf = lie_derivative(xi, lf)
-    return inner(llf, f) + inner(lf, lf)
+    return float(_estimate_terms(0.0, xi._dealiased_samples, f.half, _grid(xi, f)))
 
 
 def weighted_cancellation_ratio(k: float, xi: VelocityField, f: SpectralField) -> float:
     """(<Lam^k L^2 f, Lam^k f> + <Lam^k Lf, Lam^k Lf>) / ||f||_{H^k}^2."""
     if k < 1:
         raise ValueError(f"weight order must be >= 1, got {k}")
-    denom = sobolev_norm(f, k) ** 2
-    if denom == 0.0:
-        raise ValueError("field must be nonzero")
-    lf = lie_derivative(xi, f)
-    llf = lie_derivative(xi, lf)
-    pl, pf = fractional_laplacian(llf, k), fractional_laplacian(f, k)
-    plf = fractional_laplacian(lf, k)
-    return (inner(pl, pf) + inner(plf, plf)) / denom
+    grid, denom = _grid(xi, f), _checked_denominator(f, k)
+    return float(_estimate_terms(k, xi._dealiased_samples, f.half, grid)) / denom
 
 
 @dataclass(frozen=True)
@@ -151,33 +190,64 @@ class FirstOrderOp:
         return self.a.grid
 
     @cached_property
+    def _coeffs(self) -> np.ndarray:
+        """Half spectra of (a, b, c), stacked (3, n, n/2 + 1), read-only."""
+        return _read_only(np.stack([f.half for f in (self.a, self.b, self.c)]))
+
+    @cached_property
     def _samples(self) -> np.ndarray:
         """Physical samples of (a, b, c), stacked (3, n, n), read-only; the
         coefficients are already inside the dealiasing ball."""
-        half = np.stack([f.half for f in (self.a, self.b, self.c)])
-        return _read_only(_to_physical(half, self.grid))
+        return _read_only(_to_physical(self._coeffs, self.grid))
 
 
 def apply_first_order(q: FirstOrderOp, f: SpectralField) -> SpectralField:
     """Qf = a f_x + b f_y + c f, the three 2/3-rule products summed in
     physical space before one forward transform; Q's coefficient samples are
     computed on its first use and cached on Q."""
-    if q.grid != f.grid:
-        raise ValueError("grid mismatch")
-    return _first_order(q._samples, f)
+    return SpectralField(f.grid, _first_order(q._samples, f.half, _grid(q, f)))
+
+
+def _defect_symbol(coeffs: np.ndarray, grid: Grid,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra of e = 2c - a_x - b_y for the half spectra of (a, b, c)
+    stacked (..., 3, n, n/2 + 1), into ``out`` or a fresh array."""
+    a, b, c = (coeffs[..., i, :, :] for i in range(3))
+    e = np.multiply(c, 2.0, out=out)
+    term = _workspace("defect-term", e.shape)
+    e -= np.multiply(a, grid.deriv_x, out=term)
+    e -= np.multiply(b, grid.deriv_y, out=term)
+    return e
 
 
 def zero_order_defect(q: FirstOrderOp) -> SpectralField:
     """Symbol e of the zero-order defect E in Q* = -Q + E: e = 2c - a_x - b_y."""
-    return 2.0 * q.c - derivative(q.a, "x") - derivative(q.b, "y")
+    return SpectralField(q.grid, _defect_symbol(q._coeffs, q.grid))
+
+
+def _skew_defects(samples: np.ndarray, f: np.ndarray, g: np.ndarray,
+                  grid: Grid) -> np.ndarray:
+    """<Qf, g> + <f, Qg> per row for the first-order operator Q of the
+    coefficient ``samples`` (..., k, n, n) and the half spectra f, g
+    (..., n, n/2 + 1); Qf and Qg live in this thread's workspace."""
+    qf = _first_order(samples, f, grid, out=_workspace("lf", f.shape))
+    qg = _first_order(samples, g, grid, out=_workspace("llf", g.shape))
+    return _inner_half(qf, g) + _inner_half(f, qg)
+
+
+def _adjoint_defects(samples: np.ndarray, e: np.ndarray, f: np.ndarray, g: np.ndarray,
+                     grid: Grid) -> np.ndarray:
+    """<Qf, g> + <f, Qg> - <Ef, g> per row, e the half spectra of E's symbol
+    (:func:`_defect_symbol`)."""
+    skew = _skew_defects(samples, f, g, grid)
+    return skew - _inner_half(_product_half(e, f, grid, out=_workspace("lf", f.shape)), g)
 
 
 def adjoint_defect(q: FirstOrderOp, f: SpectralField, g: SpectralField) -> float:
     """<Qf, g> + <f, Qg> - <Ef, g>, zero up to round-off for any f, g."""
-    e = zero_order_defect(q)
-    return (inner(apply_first_order(q, f), g)
-            + inner(f, apply_first_order(q, g))
-            - inner(product(e, f), g))
+    grid = _grid(q, f, g)
+    return float(_adjoint_defects(q._samples, _defect_symbol(q._coeffs, grid),
+                                  f.half, g.half, grid))
 
 
 def general_estimate_ratio(k: float, q: FirstOrderOp, f: SpectralField) -> float:
@@ -187,16 +257,15 @@ def general_estimate_ratio(k: float, q: FirstOrderOp, f: SpectralField) -> float
     """
     if k < 0:
         raise ValueError(f"weight order must be >= 0, got {k}")
-    denom = sobolev_norm(f, k) ** 2
-    if denom == 0.0:
-        raise ValueError("field must be nonzero")
-    qf = apply_first_order(q, f)
-    qqf = apply_first_order(q, qf)
-    if k == 0:
-        return (inner(qqf, f) + inner(qf, qf)) / denom
-    pq, pf = fractional_laplacian(qqf, k), fractional_laplacian(f, k)
-    pqf = fractional_laplacian(qf, k)
-    return (inner(pq, pf) + inner(pqf, pqf)) / denom
+    grid, denom = _grid(q, f), _checked_denominator(f, k)
+    return float(_estimate_terms(k, q._samples, f.half, grid)) / denom
+
+
+def _commutator(k: float, samples: np.ndarray, half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectra of [Lambda^k, Q] f per row, Lambda^k Q f - Q Lambda^k f."""
+    mult = _fractional_multiplier(grid, k)
+    return (_first_order(samples, half, grid) * mult
+            - _first_order(samples, half * mult, grid))
 
 
 def commutators(k: float, q: FirstOrderOp):
@@ -205,8 +274,7 @@ def commutators(k: float, q: FirstOrderOp):
         raise ValueError(f"multiplier order must be >= 1, got {k}")
 
     def t1(f: SpectralField) -> SpectralField:
-        return fractional_laplacian(apply_first_order(q, f), k) \
-            - apply_first_order(q, fractional_laplacian(f, k))
+        return SpectralField(f.grid, _commutator(k, q._samples, f.half, _grid(q, f)))
 
     def t2(f: SpectralField) -> SpectralField:
         return t1(apply_first_order(q, f)) - apply_first_order(q, t1(f))
@@ -260,6 +328,70 @@ def _standard_q(grid: Grid, rng: np.random.Generator) -> FirstOrderOp:
     )
 
 
+# A batch of the battery evaluates its rows together; its largest stack of
+# physical planes (3 a row: Q's samples, or the first-order kernel's
+# d_x f, d_y f and f) stays within this many bytes of the workspace.
+_BATCH_BYTES = 3 << 17
+
+
+def _in_batches(count: int, grid: Grid, draw, evaluate) -> list:
+    """``evaluate(rows)`` of successive batches of the rows ``draw(i)``,
+    i < count, each batch drawn just before it is evaluated (so the draws
+    come in the order of a row-by-row loop); the results in row order."""
+    size = max(1, _BATCH_BYTES // (3 * 8 * grid.n**2))
+    out = []
+    for start in range(0, count, size):
+        out += evaluate([draw(i) for i in range(start, min(start + size, count))])
+    return out
+
+
+def _field_rows(fields: list, user: str = "f") -> np.ndarray:
+    """The fields' half spectra stacked (R, n, n/2 + 1) in this thread's
+    workspace for ``user``."""
+    out = _workspace(user, (len(fields), *fields[0].half.shape))
+    return np.stack([f.half for f in fields], out=out)
+
+
+def _pair_rows(rows: list) -> tuple:
+    """The half spectra of the rows' last two fields (f, g), each stacked
+    (R, n, n/2 + 1) in this thread's workspace."""
+    return _field_rows([row[-2] for row in rows]), _field_rows([row[-1] for row in rows], "g")
+
+
+def _coefficient_rows(rows: list) -> np.ndarray:
+    """R rows of k coefficient half spectra (xi's velocities, or Q's a, b
+    and c) stacked (R, k, n, n/2 + 1) in the transform kernels' half buffer
+    of this thread's workspace, which is free between kernel calls:
+    :func:`_batch_samples` consumes the stack before the next one."""
+    planes = [p for row in rows for p in row]
+    out = _workspace("transform-half", (len(rows), len(rows[0]), *planes[0].shape))
+    np.stack(planes, out=out.reshape(len(planes), *planes[0].shape))
+    return out
+
+
+def _batch_samples(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Physical samples (R, k, n, n) of R rows of k coefficient half spectra
+    (``coeffs``, overwritten) under the 2/3 rule (the velocities of xi, or
+    Q's coefficients, which are inside the ball already), by one batched
+    inverse into this thread's workspace; row r equals the row's
+    ``_dealiased_samples`` or ``_samples``."""
+    out = _workspace("samples", coeffs.shape[:-1] + (grid.n,), np.float64)
+    return _to_physical(coeffs, grid, dealias=True, out=out)
+
+
+def _ratios(k: float, samples: np.ndarray, fields: list, grid: Grid) -> list:
+    """The ratios of :func:`weighted_cancellation_ratio` (or
+    :func:`general_estimate_ratio`) of a batch of fields for one operator."""
+    terms = _estimate_terms(k, samples, _field_rows(fields), grid).tolist()
+    return [t / _checked_denominator(f, k) for t, f in zip(terms, fields)]
+
+
+def _relative(values: np.ndarray, rows: list) -> list:
+    """|value| / max(||f|| ||g||, 1e-30) per row (.., f, g)."""
+    return [abs(v) / max(l2_norm(f) * l2_norm(g), 1e-30)
+            for v, (*_, f, g) in zip(values.tolist(), rows)]
+
+
 def run_verification(seed: int = STANDARD_SEED, n: int = 64,
                      samples: int = 50, pairs: int = 100) -> dict:
     """Run the full operator battery and return a JSON-serializable report.
@@ -268,6 +400,12 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
     defect identity, boundedness of the weighted ratios against the recorded
     baselines, the single-mode sweep, the Biot-Savart style antisymmetry of
     L_xi, and the commutator order check.
+
+    Each check draws its random inputs in the order of a sample-by-sample
+    loop and evaluates them in batches (:func:`_in_batches`), one row per
+    sample: one batched inverse gives the batch's xi or Q samples, then
+    batched first-order applications and row-wise inner products, each row
+    bit for bit the public one-sample function's value.
     """
     rng = np.random.default_rng(seed)
     grid = Grid(n)
@@ -275,12 +413,17 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
 
     # exact cancellation, divergence-free xi and f, alias-free by construction
     band = n // 6 - 1  # 3 * (band + band) < n
-    worst = 0.0
-    for _ in range(samples):
-        xi = random_divergence_free(grid, rng, band)
-        f = random_field(grid, rng, band)
-        res = abs(cancellation_residual(xi, f))
-        worst = max(worst, res / max(1.0, sobolev_norm(f, 1.0) ** 2))
+
+    def cancellation(rows):
+        xis = _batch_samples(_coefficient_rows([(xi.u1.half, xi.u2.half) for xi, _ in rows]),
+                             grid)
+        fields = [f for _, f in rows]
+        residuals = _estimate_terms(0.0, xis, _field_rows(fields), grid).tolist()
+        return [abs(r) / max(1.0, sobolev_norm(f, 1.0) ** 2)
+                for r, f in zip(residuals, fields)]
+
+    worst = max([0.0, *_in_batches(samples, grid, lambda _: (
+        random_divergence_free(grid, rng, band), random_field(grid, rng, band)), cancellation)])
     report["checks"]["cancellation"] = {
         "max_scaled_residual": worst,
         "tolerance": 1e-10,
@@ -288,42 +431,33 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
     }
 
     # adjoint defect identity over random (Q, f, g)
-    worst = 0.0
-    for _ in range(pairs):
-        q = _standard_q(grid, rng)
-        f = random_field(grid, rng, band=8)
-        g = random_field(grid, rng, band=8)
-        scale = max(l2_norm(f) * l2_norm(g), 1e-30)
-        worst = max(worst, abs(adjoint_defect(q, f, g)) / scale)
+    def adjoint(rows):
+        coeffs = _coefficient_rows([(q.a.half, q.b.half, q.c.half) for q, _, _ in rows])
+        e = _defect_symbol(coeffs, grid, out=_workspace("e", coeffs[:, 0].shape))
+        return _relative(_adjoint_defects(_batch_samples(coeffs, grid), e, *_pair_rows(rows),
+                                          grid), rows)
+
+    worst = max([0.0, *_in_batches(pairs, grid, lambda _: (
+        _standard_q(grid, rng), random_field(grid, rng, band=8),
+        random_field(grid, rng, band=8)), adjoint)])
     report["checks"]["adjoint_defect"] = {
         "max_relative_defect": worst,
         "tolerance": 1e-10,
         "pass": worst <= 1e-10,
     }
 
-    # weighted cancellation ratios against recorded baselines
-    xi = _standard_xi(grid)
-    for k in (1, 2, 3):
-        ratios = []
-        for i in range(100):
-            f = random_field(grid, rng, band=12, amplitude=float(1 + i % 7))
-            ratios.append(weighted_cancellation_ratio(float(k), xi, f))
-        key = f"weighted_ratio_k{k}"
-        measured = float(np.max(np.abs(ratios)))
-        report["checks"][key] = {
-            "max_abs_ratio": measured,
-            "baseline": BASELINES[key],
-            "pass": measured <= 1.5 * BASELINES[key],
-        }
+    # weighted cancellation ratios of xi, then general first-order estimate
+    # ratios of Q, against recorded baselines
+    def draw_ratio_field(i):
+        return random_field(grid, rng, band=12, amplitude=float(1 + i % 7))
 
-    # general first-order estimate ratios
+    xi = _standard_xi(grid)
     q = _standard_q(grid, np.random.default_rng(seed + 1))
-    for k in (0, 1):
-        ratios = []
-        for i in range(100):
-            f = random_field(grid, rng, band=12, amplitude=float(1 + i % 7))
-            ratios.append(general_estimate_ratio(float(k), q, f))
-        key = f"general_ratio_k{k}"
+    for key, k, coefficients in [
+            *((f"weighted_ratio_k{k}", k, xi._dealiased_samples) for k in (1, 2, 3)),
+            *((f"general_ratio_k{k}", k, q._samples) for k in (0, 1))]:
+        ratios = _in_batches(100, grid, draw_ratio_field, lambda rows: _ratios(
+            float(k), coefficients, rows, grid))
         measured = float(np.max(np.abs(ratios)))
         report["checks"][key] = {
             "max_abs_ratio": measured,
@@ -340,11 +474,13 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
         grid, np.sin(grid.y) + 0.5 * np.sin(2 * grid.y)))
     xi_single = stream_to_velocity(
         SpectralField.from_physical(grid, np.sin(grid.y)))
-    sweep, single = [], []
-    for m in range(1, 9):
-        f = SpectralField.from_physical(grid, np.cos(m * grid.x))
-        sweep.append(abs(weighted_cancellation_ratio(2.0, xi_sweep, f)))
-        single.append(abs(weighted_cancellation_ratio(2.0, xi_single, f)))
+    modes = [SpectralField.from_physical(grid, np.cos(m * grid.x)) for m in range(1, 9)]
+
+    def sweep_ratios(v: VelocityField) -> list:
+        return [abs(r) for r in _in_batches(len(modes), grid, modes.__getitem__, lambda rows: (
+            _ratios(2.0, v._dealiased_samples, rows, grid)))]
+
+    sweep, single = sweep_ratios(xi_sweep), sweep_ratios(xi_single)
     sweep_max = float(np.max(sweep))
     spread = float(np.max(sweep) / np.min(sweep))
     single_max = float(np.max(single))
@@ -363,13 +499,14 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
     }
 
     # antisymmetry of L_xi for divergence-free xi
-    worst = 0.0
-    for _ in range(50):
-        xi_r = random_divergence_free(grid, rng, band=8)
-        f = random_field(grid, rng, band=8)
-        g = random_field(grid, rng, band=8)
-        val = inner(lie_derivative(xi_r, f), g) + inner(f, lie_derivative(xi_r, g))
-        worst = max(worst, abs(val) / max(l2_norm(f) * l2_norm(g), 1e-30))
+    def antisymmetry(rows):
+        xis = _batch_samples(_coefficient_rows([(xi_r.u1.half, xi_r.u2.half)
+                                                for xi_r, _, _ in rows]), grid)
+        return _relative(_skew_defects(xis, *_pair_rows(rows), grid), rows)
+
+    worst = max([0.0, *_in_batches(50, grid, lambda _: (
+        random_divergence_free(grid, rng, band=8), random_field(grid, rng, band=8),
+        random_field(grid, rng, band=8)), antisymmetry)])
     report["checks"]["lie_antisymmetry"] = {
         "max_relative_defect": worst,
         "tolerance": 1e-10,
@@ -378,11 +515,13 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
 
     # commutator order: ||T1 f_m|| / ||f_m||_{H^k} bounded in the mode number
     q2 = _standard_q(grid, np.random.default_rng(seed + 2))
-    t1, _ = commutators(2.0, q2)
-    ratios = []
-    for m in range(1, 9):
-        f = SpectralField.from_physical(grid, np.cos(m * grid.x))
-        ratios.append(l2_norm(t1(f)) / sobolev_norm(f, 2.0))
+
+    def commutator_order(rows):
+        t1 = _commutator(2.0, q2._samples, _field_rows(rows), grid)
+        return [float(np.sqrt(max(v, 0.0))) / sobolev_norm(f, 2.0)
+                for v, f in zip(_inner_half(t1, t1).tolist(), rows)]
+
+    ratios = _in_batches(len(modes), grid, modes.__getitem__, commutator_order)
     order_max = float(np.max(ratios))
     report["checks"]["commutator_order"] = {
         "ratios": ratios,

@@ -21,7 +21,11 @@ Conventions used throughout the package:
   :meth:`SpectralField.values`, :meth:`SpectralField.from_physical`,
   :func:`product`, :func:`sbq.operators.lie_derivative` and the stepper
   share this one pair, so the stepper's transport terms equal the public
-  operators' bit for bit.  The stepper's buffers come from a per-thread
+  operators' bit for bit.  Under the 2/3 rule both run as their two 1-D
+  passes pruned to the kept columns k2 <= n/3 (the others are zero): the
+  inverse's ``ifft`` over the rows, and the forward's ``fft`` after its
+  ``rfft`` over the rows, with the bits of the full transforms.  The
+  stepper's and the operator battery's buffers come from a per-thread
   workspace (:func:`_workspace`).
 * All L2-type norms and inner products include the ``(2*pi)**2`` measure of
   the torus, so e.g. ``||sin x||_L2 = pi * sqrt(2)``; they sum over the half
@@ -43,6 +47,8 @@ workspace is per thread and never escapes into a field).
 
 from __future__ import annotations
 
+import math
+import mmap
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -99,6 +105,7 @@ class Grid:
         coord = -np.pi + self.spacing * np.arange(n)
         self.x, self.y = np.meshgrid(coord, coord, indexing="ij")
         self._nyquist = n // 2  # index of the Nyquist line along either axis
+        self._kept_cols = n // 3 + 1  # half-spectrum columns k2 <= n/3 the 2/3 rule keeps
 
     @cached_property
     def deriv_x(self) -> np.ndarray:
@@ -415,16 +422,29 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     product alias-free for inputs inside the retained ball.
     """
     f._check(g)
-    grid = f.grid
-    a, b = _to_physical(np.stack((f.half, g.half)), grid, dealias=True)
-    return SpectralField(grid, _to_fourier(a * b, grid, dealias=True))
+    return SpectralField(f.grid, _product_half(f.half, g.half, f.grid))
+
+
+def _product_half(a: np.ndarray, b: np.ndarray, grid: Grid,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra (..., n, n/2 + 1) of the 2/3-rule products of half
+    spectra ``a`` and ``b`` (..., n, n/2 + 1), one row per leading index:
+    one batched inverse of both in this thread's workspace, one batched
+    forward into ``out`` or a fresh array."""
+    lead, n = a.shape[:-2], grid.n
+    half = np.stack((a, b), axis=-3,
+                    out=_workspace("transform-half", (*lead, 2, n, n // 2 + 1)))
+    phys = _to_physical(half, grid, dealias=True,
+                        out=_workspace("transform-phys", (*lead, 2, n, n), np.float64))
+    prod = np.multiply(phys[..., 0, :, :], phys[..., 1, :, :], out=phys[..., 0, :, :])
+    return _to_fourier(prod, grid, dealias=True, out=out)
 
 
 # ----------------------------------------------------------------------------
 # the transform kernel: every physical <-> Fourier transform goes through
-# these two functions, one numpy.fft call per (batched) direction (two for
-# an inverse into a caller's buffer), plus the per-thread workspace the
-# stepper hands them
+# these two functions, one batched transform per direction (one numpy.fft
+# call, or two passes under the 2/3 rule or into a caller's buffer), plus
+# the per-thread workspace the stepper and the operator battery hand them
 
 
 def _gradient_half(half: np.ndarray, grid: Grid,
@@ -438,34 +458,46 @@ def _gradient_half(half: np.ndarray, grid: Grid,
 def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples of half-spectrum planes (..., n, n/2 + 1), one
-    ``irfft2`` call for the stack.  ``dealias`` first zeroes the modes the
-    2/3 rule removes, in place: pass an array the caller owns.
+    batched inverse for the stack.
 
-    With ``out`` (float, (..., n, n)) the samples are written there and
-    ``half`` is overwritten: ``irfft2`` drops ``out=`` (numpy 2.4), so the
-    inverse runs as its own two passes, ``ifft`` over the rows in place,
-    then ``irfft`` into ``out``, with the same bits.
+    ``dealias`` first zeroes the modes the 2/3 rule removes, in place, and
+    then runs the inverse as its own two passes with the bits of ``irfft2``:
+    ``ifft`` over axis -2, in place and only on the columns k2 <= n/3 that
+    the rule keeps (the others are zero and stay zero), then ``irfft`` over
+    the rows.  ``half`` is overwritten: pass an array the caller owns.  With
+    ``out`` (float, (..., n, n)) the samples are written there, by the same
+    two passes (``irfft2`` drops ``out=`` on numpy 2.4).
     """
+    if not (dealias or out is not None):
+        return np.fft.irfft2(half, s=(grid.n, grid.n))
+    cols = half
     if dealias:
         np.copyto(half, 0.0, where=grid._drop_half)
-    if out is None:
-        return np.fft.irfft2(half, s=(grid.n, grid.n))
-    np.fft.ifft(half, axis=-2, out=half)
+        cols = half[..., :grid._kept_cols]
+    np.fft.ifft(cols, axis=-2, out=cols)
     return np.fft.irfft(half, n=grid.n, axis=-1, out=out)
 
 
 def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients (..., n, n/2 + 1) of real planes
-    (..., n, n): one ``rfft2`` call for the stack, into ``out`` when given,
-    optionally under the 2/3 rule.
+    (..., n, n): one batched forward for the stack, into ``out`` when given.
+
+    Without ``dealias`` it is one ``rfft2`` call.  Under the 2/3 rule it runs
+    as the two passes of ``rfft2``, ``rfft`` over the rows and then ``fft``
+    over axis -2 only on the kept columns k2 <= n/3, in place, with the same
+    bits there; then every mode the rule removes is zeroed.
 
     The self-paired columns k2 = 0 and n/2 are replaced by their Hermitian
     parts, so every coefficient pair they hold is exactly Hermitian.
     """
-    half = np.fft.rfft2(values, out=out)
     if dealias:
+        half = np.fft.rfft(values, axis=-1, out=out)
+        cols = half[..., :grid._kept_cols]
+        np.fft.fft(cols, axis=-2, out=cols)
         np.copyto(half, 0.0, where=grid._drop_half)
+    else:
+        half = np.fft.rfft2(values, out=out)
     for j in (0, grid.n // 2):
         col = half[..., j]
         half[..., j] = 0.5 * (col + np.conj(col[..., grid._mirror_rows]))
@@ -488,21 +520,28 @@ _scratch = threading.local()
 
 
 def _workspace(user: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-    """This thread's scratch array for ``user`` (uninitialised contents),
-    keyed by (user, shape, dtype): two uses live at once must name
-    different users.  The stepper's per-stage arrays live here, so a step
-    takes no page faults (freed 0.1-1 MB temporaries used to come back as
-    hundreds per step), and threads may step concurrently.  A workspace
-    array must never be returned to a caller or cached on a value.
+    """A contiguous ``shape`` view of this thread's scratch array for ``user``
+    (uninitialised contents).  Each (user, dtype) has one flat array, grown
+    to the largest size asked of it, so callers whose shapes vary (lane
+    counts, battery batches) reuse it; two uses live at once must name
+    different users.  The stepper's per-stage arrays and the operator
+    battery's batch temporaries live here, so a step or a batch takes no
+    page faults (freed 0.1-1 MB temporaries used to come back as hundreds
+    per step), and threads may step concurrently.  A workspace array must
+    never be returned to a caller or cached on a value.
     """
+    size, dtype = math.prod(shape), np.dtype(dtype)
     bufs = _scratch.__dict__.setdefault("bufs", {})
-    key = (user, shape, np.dtype(dtype))
-    buf = bufs.get(key)
-    if buf is None:
-        if len(bufs) >= 64:  # many grid sizes in one thread: start over
-            bufs.clear()
-        buf = bufs[key] = np.empty(shape, dtype=dtype)
-    return buf
+    buf = bufs.get((user, dtype))
+    if buf is None or buf.size < size:
+        # a private anonymous map of its own, not a malloc block: a buffer
+        # that lives on inside malloc's heap pins it, which changes when
+        # malloc hands freed memory back to the system, and so the page
+        # faults of every later allocation in the process
+        pages = mmap.mmap(-1, max(size, 1) * dtype.itemsize,
+                          flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        buf = bufs[user, dtype] = np.frombuffer(pages, dtype=dtype)
+    return buf[:size].reshape(shape)
 
 
 def _physical(f: SpectralField, oversample: int) -> np.ndarray:
@@ -554,25 +593,51 @@ def random_field(grid: Grid, rng: np.random.Generator, band: int,
     rescaled so its L2 norm equals ``amplitude`` (zero-amplitude draws are
     left as zero).  ``zero_mean`` clears the k = 0 mode, as required of
     vorticity fields.
+
+    The draw is an (n, n) array raw of complex normals (the real parts
+    drawn first) in the ``fft2`` layout; only the band's modes of the half
+    spectrum are formed, each the Hermitian average of raw(k) and
+    conj(raw(-k)).
     """
     n = grid.n
     if band > n // 2 - 1:
         raise ValueError("band exceeds grid resolution")
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    keep = np.maximum(np.abs(grid.k1), np.abs(grid.k2)) <= band
-    raw = np.where(keep, raw, 0.0)
+    re, im = rng.standard_normal((2, n * n))
+    at, mirror, sd_at, sd_mirror = _band_gather(grid, band, decay)
+    raw = re[at] + 1j * im[at]
+    raw_mirror = re[mirror] + 1j * im[mirror]
     if decay:
-        raw = raw * (1.0 + grid.ksq) ** (-decay / 2.0)
-    # make real: average with the reflected conjugate, coeff(-k) being the
-    # reversed array shifted by one on both axes
-    sym = 0.5 * (raw + np.conj(np.roll(raw[::-1, ::-1], 1, axis=(0, 1))))
+        raw = raw * sd_at
+        raw_mirror = raw_mirror * sd_mirror
+    sym = 0.5 * (raw + np.conj(raw_mirror))
+    half = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    half[:band + 1, :band + 1] = sym[:band + 1]
+    half[n - band:, :band + 1] = sym[band + 1:]
     if zero_mean:
-        sym[0, 0] = 0.0
-    f = SpectralField.from_coeffs(grid, sym)
-    norm = l2_norm(f)
+        half[0, 0] = 0.0
+    norm = float(np.sqrt(max(_inner_half(half, half), 0.0)))
     if norm > 0:
-        f = f * (amplitude / norm)
-    return f
+        np.multiply(half, amplitude / norm, out=half)
+    return SpectralField(grid, half)
+
+
+@lru_cache(maxsize=32)
+def _band_gather(grid: Grid, band: int, decay: float) -> tuple:
+    """Flat ``fft2``-layout indices of the modes k of the half spectrum with
+    max(|k1|, |k2|) <= band, as (2 band + 1, band + 1) blocks of the rows
+    k1 = 0..band, -band..-1 and the columns k2 = 0..band, and of their
+    mirrors -k; with the factor (1 + |k|^2)^(-decay/2) at each, read from
+    one array over the whole grid (None without decay)."""
+    n = grid.n
+    rows = np.r_[0:band + 1, n - band:n]
+    cols = np.arange(band + 1)
+    at = rows[:, None] * n + cols
+    mirror = ((-rows) % n)[:, None] * n + (-cols) % n
+    at, mirror = _read_only(at), _read_only(mirror)
+    if not decay:
+        return at, mirror, None, None
+    sd = ((1.0 + grid.ksq) ** (-decay / 2.0)).ravel()
+    return at, mirror, _read_only(sd[at]), _read_only(sd[mirror])
 
 
 def random_divergence_free(grid: Grid, rng: np.random.Generator, band: int,

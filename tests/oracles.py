@@ -11,8 +11,9 @@ test_spectral.py, which involves no differentiation at all.
 
 :func:`count_ffts` counts the 2-D transforms a call makes, and
 :func:`fft_planes` the planes each of them carries, for the tests that pin
-how many a step, a record or a study pays; the stepper's inverse into its
-workspace (``ifft`` over the rows, then ``irfft``) counts as one ``irfft2``.
+how many a step, a record or a study pays; a transform run as its two 1-D
+passes (an inverse into a buffer or under the 2/3 rule, a forward under the
+rule) counts as one ``irfft2`` or ``rfft2``.
 
 :func:`product_fft2_reference` and :func:`build_basis_reference` are the
 earlier full complex ``fft2`` implementations of the dealiased product and
@@ -27,6 +28,10 @@ stepper's half storage and its per-thread workspace.
 :func:`apply_first_order_reference` (three products summed in Fourier
 space) and :func:`lie_derivative_four_plane_reference` (xi inverted with
 f on every call) are the earlier forms of the first-order kernel.
+:func:`random_field_reference` is the earlier full-grid form of the random
+draw, and :func:`run_verification_reference` the operator battery evaluated
+sample by sample, the bit-for-bit references for the half-only draw and the
+batched battery.
 """
 
 from __future__ import annotations
@@ -34,15 +39,31 @@ from __future__ import annotations
 import numpy as np
 
 from sbq.integrator import eta_cutoff
-from sbq.operators import FirstOrderOp, lie_derivative, lie_second
+from sbq.operators import (
+    BASELINES,
+    STANDARD_SEED,
+    FirstOrderOp,
+    _standard_q,
+    _standard_xi,
+    adjoint_defect,
+    cancellation_residual,
+    commutators,
+    general_estimate_ratio,
+    lie_derivative,
+    lie_second,
+    weighted_cancellation_ratio,
+)
 from sbq.spectral import (
     Grid,
     SpectralField,
     VelocityField,
     biot_savart,
     derivative,
+    inner,
     l2_norm,
     product,
+    random_divergence_free,
+    random_field,
     resample,
     sobolev_norm,
     stream_to_velocity,
@@ -153,26 +174,53 @@ def hs_field_reference(grid: Grid, s: float, rng: np.random.Generator,
     return f * (amplitude / norm) if norm > 0 else f
 
 
+def random_field_reference(grid: Grid, rng: np.random.Generator, band: int,
+                           amplitude: float = 1.0, decay: float = 0.0,
+                           zero_mean: bool = False) -> SpectralField:
+    """The random_field draw written out on the full grid: two (n, n) normal
+    draws as real and imaginary parts, masked to the band, scaled by
+    (1 + |k|^2)^(-decay/2), symmetrized with the reflected conjugate (the
+    reversed array rolled by one on both axes), cut to its half and
+    rescaled to the requested L2 norm."""
+    n = grid.n
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    keep = np.maximum(np.abs(grid.k1), np.abs(grid.k2)) <= band
+    raw = np.where(keep, raw, 0.0)
+    if decay:
+        raw = raw * (1.0 + grid.ksq) ** (-decay / 2.0)
+    sym = 0.5 * (raw + np.conj(np.roll(raw[::-1, ::-1], 1, axis=(0, 1))))
+    if zero_mean:
+        sym[0, 0] = 0.0
+    f = SpectralField.from_coeffs(grid, sym)
+    norm = l2_norm(f)
+    return f * (amplitude / norm) if norm > 0 else f
+
+
 def _fft_calls(monkeypatch, fn) -> list[tuple[str, int]]:
     """(name, planes) of each 2-D ``numpy.fft`` transform ``fn()`` makes, in
-    call order.  The inverse into a caller's buffer, ``ifft`` over axis -2
-    and then ``irfft``, is the two passes of one ``irfft2`` and counts as
-    one, with its planes."""
+    call order.  A transform run as its two 1-D passes counts as one, with
+    its planes: ``ifft`` over axis -2 and then ``irfft`` is one ``irfft2``,
+    and ``rfft`` over the rows and then ``fft`` over axis -2 (the pruned
+    forward under the 2/3 rule) is one ``rfft2``."""
     calls, first_pass = [], []
+    second = {"irfft": ("ifft", "irfft2"), "fft": ("rfft", "rfft2")}
     with monkeypatch.context() as mp:
-        for name in ("fft2", "ifft2", "rfft2", "irfft2", "ifft", "irfft"):
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "ifft", "irfft", "rfft", "fft"):
             def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 planes = int(np.prod(np.shape(a)[:-2]))
-                if _name == "ifft" and kwargs.get("axis") == -2:
-                    first_pass.append(planes)
-                elif _name == "irfft" and first_pass:
-                    calls.append(("irfft2", first_pass.pop()))
+                if _name in ("ifft", "rfft"):
+                    first_pass.append((_name, planes))
+                elif _name in second:
+                    opener, joint = second[_name]
+                    assert first_pass and first_pass[-1][0] == opener, \
+                        f"{_name} without a first {opener} pass"
+                    calls.append((joint, first_pass.pop()[1]))
                 else:
                     calls.append((_name, planes))
                 return _fn(a, *args, **kwargs)
             mp.setattr(np.fft, name, counted)
         fn()
-    assert not first_pass, "an ifft over axis -2 without its irfft"
+    assert not first_pass, f"first passes without their second: {first_pass}"
     return calls
 
 
@@ -379,3 +427,91 @@ def build_basis_reference(modes, grid: Grid) -> tuple[list, float, float]:
                                     np.real(np.fft.ifft2(v.u2.coeffs)))))
               for v in fields)
     return fields, budget, sup
+
+
+def run_verification_reference(seed: int = STANDARD_SEED, n: int = 64,
+                               samples: int = 50, pairs: int = 100) -> dict:
+    """The operator battery evaluated sample by sample through the public
+    one-sample functions, each check's inputs drawn in the same order: the
+    reference for :func:`sbq.operators.run_verification`, which evaluates
+    them in batches."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(n)
+    report = {"seed": seed, "grid_n": n, "checks": {}}
+
+    band = n // 6 - 1
+    worst = 0.0
+    for _ in range(samples):
+        xi = random_divergence_free(grid, rng, band)
+        f = random_field(grid, rng, band)
+        res = abs(cancellation_residual(xi, f))
+        worst = max(worst, res / max(1.0, sobolev_norm(f, 1.0) ** 2))
+    report["checks"]["cancellation"] = {
+        "max_scaled_residual": worst, "tolerance": 1e-10, "pass": worst <= 1e-10}
+
+    worst = 0.0
+    for _ in range(pairs):
+        q = _standard_q(grid, rng)
+        f = random_field(grid, rng, band=8)
+        g = random_field(grid, rng, band=8)
+        scale = max(l2_norm(f) * l2_norm(g), 1e-30)
+        worst = max(worst, abs(adjoint_defect(q, f, g)) / scale)
+    report["checks"]["adjoint_defect"] = {
+        "max_relative_defect": worst, "tolerance": 1e-10, "pass": worst <= 1e-10}
+
+    def ratio_check(key, ratio):
+        measured = float(np.max(np.abs(ratio)))
+        report["checks"][key] = {"max_abs_ratio": measured, "baseline": BASELINES[key],
+                                 "pass": measured <= 1.5 * BASELINES[key]}
+
+    xi = _standard_xi(grid)
+    for k in (1, 2, 3):
+        ratio_check(f"weighted_ratio_k{k}", [weighted_cancellation_ratio(
+            float(k), xi, random_field(grid, rng, band=12, amplitude=float(1 + i % 7)))
+            for i in range(100)])
+    q = _standard_q(grid, np.random.default_rng(seed + 1))
+    for k in (0, 1):
+        ratio_check(f"general_ratio_k{k}", [general_estimate_ratio(
+            float(k), q, random_field(grid, rng, band=12, amplitude=float(1 + i % 7)))
+            for i in range(100)])
+
+    xi_sweep = stream_to_velocity(SpectralField.from_physical(
+        grid, np.sin(grid.y) + 0.5 * np.sin(2 * grid.y)))
+    xi_single = stream_to_velocity(SpectralField.from_physical(grid, np.sin(grid.y)))
+    sweep, single = [], []
+    for m in range(1, 9):
+        f = SpectralField.from_physical(grid, np.cos(m * grid.x))
+        sweep.append(abs(weighted_cancellation_ratio(2.0, xi_sweep, f)))
+        single.append(abs(weighted_cancellation_ratio(2.0, xi_single, f)))
+    sweep_max, spread = float(np.max(sweep)), float(np.max(sweep) / np.min(sweep))
+    report["checks"]["mode_sweep"] = {
+        "ratios": sweep, "max": sweep_max, "max_over_min": spread,
+        "baseline": BASELINES["mode_sweep_max"],
+        "pass": sweep_max <= 1.5 * BASELINES["mode_sweep_max"] and spread <= 2.0}
+    single_max = float(np.max(single))
+    report["checks"]["single_harmonic_sweep"] = {
+        "ratios": single, "max": single_max, "baseline": BASELINES["example_sweep_max"],
+        "pass": single_max <= 1.5 * BASELINES["example_sweep_max"]}
+
+    worst = 0.0
+    for _ in range(50):
+        xi_r = random_divergence_free(grid, rng, band=8)
+        f = random_field(grid, rng, band=8)
+        g = random_field(grid, rng, band=8)
+        val = inner(lie_derivative(xi_r, f), g) + inner(f, lie_derivative(xi_r, g))
+        worst = max(worst, abs(val) / max(l2_norm(f) * l2_norm(g), 1e-30))
+    report["checks"]["lie_antisymmetry"] = {
+        "max_relative_defect": worst, "tolerance": 1e-10, "pass": worst <= 1e-10}
+
+    t1, _ = commutators(2.0, _standard_q(grid, np.random.default_rng(seed + 2)))
+    ratios = []
+    for m in range(1, 9):
+        f = SpectralField.from_physical(grid, np.cos(m * grid.x))
+        ratios.append(l2_norm(t1(f)) / sobolev_norm(f, 2.0))
+    order_max = float(np.max(ratios))
+    report["checks"]["commutator_order"] = {
+        "ratios": ratios, "max": order_max, "baseline": BASELINES["commutator_order_max"],
+        "pass": order_max <= 1.5 * BASELINES["commutator_order_max"]}
+
+    report["pass"] = all(c["pass"] for c in report["checks"].values())
+    return report

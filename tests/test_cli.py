@@ -85,6 +85,18 @@ class TestSimulate:
         assert manifest["blowup_suspected"] is True
         assert manifest["abort_step"] is not None
 
+    def test_overflowing_norms_exit_4(self, tmp_path):
+        # the third step overflows the norms' sums (NaN): the magnitude guard
+        # aborts the run, not the omega mean guard (exit 3)
+        cfg = write_config(
+            tmp_path, T=40.0, dt=0.5, noise={"type": "none"},
+            initial={"type": "random_hs", "s_omega": 0.0, "s_theta": 0.0,
+                     "seed": 0, "amplitude": 100.0, "band": 8})
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 4
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["blowup_suspected"] is True
+        assert manifest["abort_step"] == 3
+
     def test_assertion_exit_3(self, tmp_path, monkeypatch, capsys):
         # e.g. the stepper's omega mean guard firing mid-run
         def failing_run(*args, **kwargs):

@@ -510,6 +510,21 @@ class TestBlowUpBookkeeping:
             step(state, basis, bad, cfg)
         assert info.value.last_state is state
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_overflowing_norms_trip_the_magnitude_guard(self, seed):
+        # a step takes these fields from below the guard to past 1e154, where
+        # the half-weighted norm sums read inf - inf = NaN: the magnitude
+        # guard must count NaN as beyond it, not leave it to the mean guard
+        grid = sp.Grid(32)
+        rng = np.random.default_rng(seed)
+        state = SimState(sp.random_field(grid, rng, band=8, amplitude=30.0, zero_mean=True),
+                         sp.random_field(grid, rng, band=8, amplitude=30.0))
+        cfg = SchemeConfig("stratonovich_heun", dt=0.5)
+        traj = run(state, empty_basis(grid), cfg, T=50.0)
+        assert traj.blowup_suspected and traj.abort_step is not None
+        with pytest.raises(BlowUpSuspected, match="overflow guard"):
+            step(traj.final_state, empty_basis(grid), zero_increments(0.5), cfg)
+
     def test_cfl_guard_triggers(self, grid):
         state = stationary_state(grid)
         cfg = SchemeConfig("stratonovich_heun", dt=0.5, cfl=0.5)

@@ -14,9 +14,11 @@ from sbq import spectral as sp
 from sbq import operators as op
 from oracles import (
     apply_first_order_reference,
+    count_ffts,
     fft_planes,
     lie_derivative_fft2_reference,
     lie_derivative_four_plane_reference,
+    run_verification_reference,
 )
 
 
@@ -364,3 +366,53 @@ class TestVerificationBattery:
         report = op.run_verification()
         failures = [k for k, v in report["checks"].items() if not v["pass"]]
         assert report["pass"], f"failed checks: {failures}"
+
+
+class TestBatchedBattery:
+    """The battery evaluates each check's samples as rows of a batch; every
+    figure equals the sample-by-sample evaluation of the oracles."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_small_pass_equals_reference(self, seed):
+        assert op.run_verification(seed, samples=5, pairs=5) == \
+            run_verification_reference(seed, samples=5, pairs=5)
+
+    def test_standard_report_equals_reference(self):
+        assert op.run_verification() == run_verification_reference()
+
+    def test_other_grids_equal_reference(self):
+        # batches of 16 rows at n = 32 and of 1 row at n = 128
+        for n in (32, 128):
+            assert op.run_verification(4, n=n, samples=3, pairs=17) == \
+                run_verification_reference(4, n=n, samples=3, pairs=17)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_first_order_rows_equal_single_calls(self, grid, k):
+        rng = np.random.default_rng(20 + k)
+        rows = 5
+        fields = [sp.random_field(grid, rng, band=8) for _ in range(rows)]
+        if k == 2:
+            ops = [sp.random_divergence_free(grid, rng, band=6) for _ in range(rows)]
+            samples = np.stack([xi._dealiased_samples for xi in ops])
+            single = [op.lie_derivative(xi, f) for xi, f in zip(ops, fields)]
+        else:
+            ops = [op.FirstOrderOp(*(sp.random_field(grid, rng, band=4) for _ in range(3)))
+                   for _ in range(rows)]
+            samples = np.stack([q._samples for q in ops])
+            single = [op.apply_first_order(q, f) for q, f in zip(ops, fields)]
+        halves = np.stack([f.half for f in fields])
+        batched = op._first_order(samples, halves, grid)
+        for row, want in zip(batched, single):
+            assert row.tobytes() == want.half.tobytes()
+        # one operator's samples broadcast over the rows, and over (f, g) pairs
+        pairs = np.stack((halves, halves[::-1]), axis=1)
+        shared = op._first_order(samples[0], pairs, grid)
+        for r in range(rows):
+            for i, h in enumerate((halves[r], halves[rows - 1 - r])):
+                want = op._first_order(samples[0], h, grid)
+                assert shared[r, i].tobytes() == want.tobytes()
+
+    def test_fft_calls_per_small_pass(self, monkeypatch):
+        # the sample-by-sample reference makes 2430
+        calls = count_ffts(monkeypatch, lambda: op.run_verification(1, samples=5, pairs=5))
+        assert calls == 629

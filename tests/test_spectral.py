@@ -5,15 +5,20 @@ oracles.py (finite differences on refined grids, dense quadrature);
 trivial single-mode identities are asserted directly.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from sbq import spectral as sp
+from sbq.config import random_hs_field
 from oracles import (
     fd_derivative_on_refined,
     fine_values,
+    hs_field_reference,
     product_fft2_reference,
     quadrature_sobolev_sq,
+    random_field_reference,
 )
 
 
@@ -391,6 +396,88 @@ class TestDealiasedProduct:
         p = sp.product(f, f)
         outside = ~grid.dealias_keep
         assert np.max(np.abs(p.coeffs[outside])) == 0.0
+
+
+class TestPrunedTransforms:
+    """Under the 2/3 rule the transforms skip the columns k2 > n/3, which
+    are zero: the samples and coefficients are those of the full
+    ``irfft2``/``rfft2`` byte for byte."""
+
+    @pytest.mark.parametrize("n", [8, 10, 16, 32, 48, 64, 96, 128, 256])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3), (6,)])
+    def test_byte_equal_to_full_transforms(self, n, lead):
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n)
+        shape = (*lead, n, n // 2 + 1)
+        half = np.where(g._drop_half, 0.0,
+                        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        full = np.fft.irfft2(half, s=(n, n))
+        for out in (None, np.empty((*lead, n, n))):
+            got = sp._to_physical(half.copy(), g, dealias=True, out=out)
+            assert got.tobytes() == full.tobytes()
+        values = rng.standard_normal((*lead, n, n))
+        want = np.where(g._drop_half, 0.0, np.fft.rfft2(values))
+        for j in (0, n // 2):
+            col = want[..., j]
+            want[..., j] = 0.5 * (col + np.conj(col[..., g._mirror_rows]))
+        for out in (None, np.empty(shape, dtype=np.complex128)):
+            got = sp._to_fourier(values, g, dealias=True, out=out)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestRandomField:
+    """The half-only draw equals the full-grid draw of the oracles byte for
+    byte, and leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_plain_band_matches_reference_draw(self, n):
+        g = sp.Grid(n)
+        for band in sorted({0, 1, n // 6, n // 3, n // 2 - 1}):
+            for decay, zero_mean, amplitude in ((0.0, False, 1.0), (0.0, True, 2.5),
+                                                (1.5, False, 3.0), (4.1, True, 0.7),
+                                                (0.0, False, 0.0)):
+                ours_rng, ref_rng = np.random.default_rng(band), np.random.default_rng(band)
+                ours = sp.random_field(g, ours_rng, band, amplitude, decay, zero_mean)
+                ref = random_field_reference(g, ref_rng, band, amplitude, decay, zero_mean)
+                assert ours.half.tobytes() == ref.half.tobytes()
+                assert ours_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_hs_draw_matches_reference_draw(self, n):
+        g = sp.Grid(n)
+        for s, band, zero_mean in ((1.0, None, True), (2.5, None, False), (3.0, 9, True)):
+            ours = random_hs_field(g, s, np.random.default_rng(n), 1.5, band, zero_mean)
+            ref = hs_field_reference(g, s, np.random.default_rng(n), 1.5, band, zero_mean)
+            assert ours.half.tobytes() == ref.half.tobytes()
+
+    def test_rejects_band_beyond_grid(self, grid):
+        with pytest.raises(ValueError):
+            sp.random_field(grid, np.random.default_rng(0), grid.n // 2)
+
+
+def _write_workspace(user):
+    sp._workspace(user, (4, 4), np.float64)[...] = 2.0
+
+
+class TestWorkspace:
+    def test_one_buffer_per_user_grown_to_the_largest_shape(self):
+        small = sp._workspace("test-grow", (2, 3))
+        large = sp._workspace("test-grow", (4, 5))
+        again = sp._workspace("test-grow", (3, 2))
+        assert again.shape == (3, 2) and again.flags.c_contiguous
+        assert np.shares_memory(again, large) and not np.shares_memory(small, large)
+        assert not np.shares_memory(large, sp._workspace("test-other", (4, 5)))
+
+    def test_a_forked_child_writes_its_own_copy(self):
+        # pool workers are forked: the buffers are private maps, never shared
+        buf = sp._workspace("test-fork", (4, 4), np.float64)
+        buf[...] = 1.0
+        child = multiprocessing.get_context("fork").Process(
+            target=_write_workspace, args=("test-fork",))
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert np.all(sp._workspace("test-fork", (4, 4), np.float64) == 1.0)
 
 
 class TestPointwiseNorms:
