@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -97,6 +98,12 @@ def _manifest_base(cfg: RunConfig, seeds: list) -> dict:
         },
         "package_version": __version__,
         "build_id": os.environ.get("SBQ_BUILD_ID", "unreleased"),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "fft_backend": "numpy.fft",
+            "usable_cores": len(os.sched_getaffinity(0)),
+        },
     }
 
 

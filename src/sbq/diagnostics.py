@@ -69,12 +69,19 @@ def lp_grad_theta(theta: SpectralField, p: float) -> float:
 
 def lp_magnitude(gx: np.ndarray, gy: np.ndarray, p: float) -> float:
     """L^p norm of the pointwise magnitude of physical samples (gx, gy);
-    with ``SimState.grad_theta`` it is ||grad theta||_p without a transform."""
+    with ``SimState.grad_theta`` it is ||grad theta||_p without a transform.
+
+    Sums (gx^2 + gy^2)^(p/2), never the magnitude itself: for p = 2 that is
+    two dot products, with no power at all."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    mag = np.hypot(gx, gy)
-    spacing = 2.0 * np.pi / mag.shape[0]
-    return float((np.sum(mag**p) * spacing**2) ** (1.0 / p))
+    spacing = 2.0 * np.pi / gx.shape[0]
+    gx, gy = gx.reshape(-1), gy.reshape(-1)
+    if p == 2:
+        total = np.vecdot(gx, gx) + np.vecdot(gy, gy)
+    else:
+        total = np.sum((gx * gx + gy * gy) ** (0.5 * p))
+    return float((total * spacing**2) ** (1.0 / p))
 
 
 def potential_term(state: SimState) -> float:

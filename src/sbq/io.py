@@ -78,7 +78,10 @@ def read_snapshot(path) -> SimState:
     expected = _HEADER.size + nfields * n * n * 8
     if len(raw) != expected:
         raise SnapshotError(f"size mismatch: {len(raw)} != {expected}")
-    grid = Grid(n)
+    try:
+        grid = Grid(n)
+    except ValueError as exc:  # an odd or too small n with a matching body
+        raise SnapshotError(f"bad grid size: {exc}") from exc
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     omega = SpectralField.from_physical(grid, body[:n * n].reshape(n, n))
     theta = SpectralField.from_physical(grid, body[n * n:].reshape(n, n))

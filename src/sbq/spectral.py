@@ -86,26 +86,69 @@ class Grid:
     """Uniform n x n collocation grid on the torus [-pi, pi]^2.
 
     Holds the wavenumber meshes ``k1``, ``k2``, ``ksq`` and the 2/3-rule mask
-    ``dealias_keep`` in the ``fft2`` layout, and the physical coordinates;
-    the half-spectrum multipliers (``deriv_x``, ``deriv_y``, ...) are built
-    on first use and cached, read-only.  Immutable after construction; two
-    grids compare equal iff they have the same ``n``.
+    ``dealias_keep`` in the ``fft2`` layout, the physical coordinates ``x``,
+    ``y`` and the half-spectrum multipliers (``deriv_x``, ``deriv_y``, ...),
+    each built on first use, cached and read-only: a grid that only
+    resamples or transforms builds none of them.  There is one grid per
+    ``n``: ``Grid(n)`` returns the shared instance (built on first use, also
+    after a pickle round trip or in a forked child), so grids compare and
+    hash by identity and each array is built once per process.
     """
 
-    def __init__(self, n: int):
-        if n < 8 or n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 8, got {n}")
-        self.n = n
-        self.spacing = 2.0 * np.pi / n
-        self.k_max = n // 2 - 1
-        k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0,1,..,n/2-1,-n/2,..,-1
-        self.k1, self.k2 = np.meshgrid(k, k, indexing="ij")
-        self.ksq = (self.k1**2 + self.k2**2).astype(np.float64)
-        self.dealias_keep = (np.maximum(np.abs(self.k1), np.abs(self.k2)) <= n / 3.0)
-        coord = -np.pi + self.spacing * np.arange(n)
-        self.x, self.y = np.meshgrid(coord, coord, indexing="ij")
-        self._nyquist = n // 2  # index of the Nyquist line along either axis
-        self._kept_cols = n // 3 + 1  # half-spectrum columns k2 <= n/3 the 2/3 rule keeps
+    _instances: dict = {}
+
+    def __new__(cls, n: int):
+        grid = cls._instances.get(n)
+        if grid is None:
+            if n < 8 or n % 2 != 0:
+                raise ValueError(f"grid size must be even and >= 8, got {n}")
+            grid = super().__new__(cls)
+            grid.n = n
+            grid.spacing = 2.0 * np.pi / n
+            grid.k_max = n // 2 - 1
+            grid._nyquist = n // 2  # index of the Nyquist line along either axis
+            # the 2/3 rule keeps the half-spectrum columns k2 <= n/3 and,
+            # within them, the rows |k1| <= n/3: it drops the rows in between
+            grid._kept_cols = n // 3 + 1
+            grid._dropped_rows = slice(n // 3 + 1, n - n // 3)
+            grid = cls._instances.setdefault(n, grid)  # one winner if threads race
+        return grid
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        """Integer wavenumber k1 of each mode, (n, n): 0, 1, .., n/2 - 1,
+        -n/2, .., -1 down the rows."""
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
+        return _read_only(np.repeat(k[:, None], self.n, axis=1))
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """Integer wavenumber k2 of each mode, (n, n), along the columns."""
+        return _read_only(self.k1.T.copy())
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        """|k|^2 of each mode, (n, n), float."""
+        return _read_only((self.k1**2 + self.k2**2).astype(np.float64))
+
+    @cached_property
+    def dealias_keep(self) -> np.ndarray:
+        """The modes max(|k1|, |k2|) <= n/3 the 2/3 rule keeps, (n, n)."""
+        return _read_only(np.maximum(np.abs(self.k1), np.abs(self.k2)) <= self.n / 3.0)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Coordinate x_i = -pi + i * spacing of each collocation point, (n, n)."""
+        coord = -np.pi + self.spacing * np.arange(self.n)
+        return _read_only(np.repeat(coord[:, None], self.n, axis=1))
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Coordinate y_j of each collocation point, (n, n)."""
+        return _read_only(self.x.T.copy())
+
+    def __reduce__(self):
+        return Grid, (self.n,)
 
     @cached_property
     def deriv_x(self) -> np.ndarray:
@@ -124,9 +167,23 @@ class Grid:
                                     for axis in ("x", "y")]))
 
     @cached_property
+    def _perp_half(self) -> np.ndarray:
+        """(d_y, -d_x) multipliers on the half spectrum, stacked (2, n, n/2 + 1):
+        the perpendicular gradient that maps -psi to the velocity."""
+        dx, dy = self._deriv_half
+        return _read_only(np.stack((dy, -dx)))
+
+    @cached_property
     def _ksq_half(self) -> np.ndarray:
         """|k|^2 on the half spectrum."""
         return _read_only(self.ksq[:, :self._nyquist + 1].copy())
+
+    @cached_property
+    def _inv_ksq_half(self) -> np.ndarray:
+        """1 / |k|^2 on the half spectrum with the k = 0 entry 0."""
+        inv = np.zeros_like(self._ksq_half)
+        np.divide(1.0, self._ksq_half, out=inv, where=self._ksq_half > 0)
+        return _read_only(inv)
 
     @cached_property
     def _drop_half(self) -> np.ndarray:
@@ -137,12 +194,6 @@ class Grid:
     def _mirror_rows(self) -> np.ndarray:
         """Row index of -k1 for each row k1."""
         return _read_only((-np.arange(self.n)) % self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, Grid) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("Grid", self.n))
 
     def __repr__(self):
         return f"Grid(n={self.n})"
@@ -400,14 +451,15 @@ def _velocity_half(omega: np.ndarray, grid: Grid,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Half spectra (..., 2, n, n/2 + 1) of the Biot-Savart velocities of
     vorticity half spectra (..., n, n/2 + 1): psi = -omega / |k|^2 (zero mode
-    dropped), u = (-d_y psi, d_x psi), as :func:`stream_to_velocity`."""
-    psi = np.negative(omega, out=_workspace("psi", omega.shape))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(psi, grid._ksq_half, out=psi)
-    psi[..., 0, 0] = 0.0  # |k|^2 vanishes at k = 0 only
-    u = np.multiply(psi[..., None, :, :], grid._deriv_half[::-1], out=out)
-    np.negative(u[..., 0, :, :], out=u[..., 0, :, :])
-    return u
+    dropped), u = (-d_y psi, d_x psi), as :func:`stream_to_velocity`.
+
+    Two multiplies by the grid's multipliers: q = omega / |k|^2, then
+    u = q * (d_y, -d_x).  The bits equal those of the complex division
+    -omega / |k|^2, which numpy runs as a multiply by 1 / |k|^2, up to the
+    signs of zeros."""
+    q = np.multiply(omega, grid._inv_ksq_half, out=_workspace("psi", omega.shape))
+    q[..., 0, 0] = 0.0  # a non-finite mean must not reach the velocity
+    return np.multiply(q[..., None, :, :], grid._perp_half, out=out)
 
 
 def stream_to_velocity(psi: SpectralField) -> VelocityField:
@@ -472,7 +524,7 @@ def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False,
         return np.fft.irfft2(half, s=(grid.n, grid.n))
     cols = half
     if dealias:
-        np.copyto(half, 0.0, where=grid._drop_half)
+        _zero_dropped(half, grid)
         cols = half[..., :grid._kept_cols]
     np.fft.ifft(cols, axis=-2, out=cols)
     return np.fft.irfft(half, n=grid.n, axis=-1, out=out)
@@ -489,19 +541,30 @@ def _to_fourier(values: np.ndarray, grid: Grid, dealias: bool = False,
     bits there; then every mode the rule removes is zeroed.
 
     The self-paired columns k2 = 0 and n/2 are replaced by their Hermitian
-    parts, so every coefficient pair they hold is exactly Hermitian.
+    parts (under the rule only k2 = 0: the other is zero), so every
+    coefficient pair they hold is exactly Hermitian.
     """
     if dealias:
         half = np.fft.rfft(values, axis=-1, out=out)
         cols = half[..., :grid._kept_cols]
         np.fft.fft(cols, axis=-2, out=cols)
-        np.copyto(half, 0.0, where=grid._drop_half)
+        _zero_dropped(half, grid)
+        self_paired = (0,)  # the rule has just zeroed the column n/2
     else:
         half = np.fft.rfft2(values, out=out)
-    for j in (0, grid.n // 2):
+        self_paired = (0, grid.n // 2)
+    for j in self_paired:
         col = half[..., j]
         half[..., j] = 0.5 * (col + np.conj(col[..., grid._mirror_rows]))
     return half
+
+
+def _zero_dropped(half: np.ndarray, grid: Grid) -> None:
+    """Zero in place the modes of half spectra (..., n, n/2 + 1) that the 2/3
+    rule removes (``grid._drop_half``), as two slice fills: the columns
+    k2 > n/3, then the rows n/3 < |k1| of the kept columns."""
+    half[..., grid._kept_cols:] = 0.0
+    half[..., grid._dropped_rows, :grid._kept_cols] = 0.0
 
 
 def _full_layout(half: np.ndarray, grid: Grid) -> np.ndarray:

@@ -32,6 +32,9 @@ f on every call) are the earlier forms of the first-order kernel.
 draw, and :func:`run_verification_reference` the operator battery evaluated
 sample by sample, the bit-for-bit references for the half-only draw and the
 batched battery.
+:func:`velocity_half_reference` (psi by complex division) and
+:func:`lp_magnitude_reference` (through ``hypot``) are the earlier forms of
+the Biot-Savart kernel and of the record's ||grad theta||_p.
 """
 
 from __future__ import annotations
@@ -268,6 +271,26 @@ def full_layout_samples(omega: np.ndarray, theta: np.ndarray, grid: Grid):
     u = (-(psi * dy), psi * dx)
     grads = np.stack([f * d for f in (*u, theta) for d in (dx, dy)])
     return u, np.fft.irfft2(grads[..., :grid.n // 2 + 1], s=(grid.n, grid.n))
+
+
+def velocity_half_reference(omega: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectra (..., 2, n, n/2 + 1) of the Biot-Savart velocities of
+    vorticity half spectra: psi = -omega / |k|^2 by complex division (zero
+    mode dropped), u = (-d_y psi, d_x psi)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = np.divide(-omega, grid._ksq_half)
+    psi[..., 0, 0] = 0.0
+    u = psi[..., None, :, :] * grid._deriv_half[::-1]
+    np.negative(u[..., 0, :, :], out=u[..., 0, :, :])
+    return u
+
+
+def lp_magnitude_reference(gx: np.ndarray, gy: np.ndarray, p: float) -> float:
+    """L^p norm of the pointwise magnitude ``hypot(gx, gy)`` by collocation
+    quadrature."""
+    mag = np.hypot(gx, gy)
+    spacing = 2.0 * np.pi / mag.shape[0]
+    return float((np.sum(mag**p) * spacing**2) ** (1.0 / p))
 
 
 def step_full_layout_reference(ref: tuple, basis, increments, cfg) -> tuple:

@@ -1,7 +1,10 @@
 """CLI subcommands, exit codes, output layout."""
 
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 import sbq.integrator
@@ -25,6 +28,15 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def assert_environment(manifest):
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "fft_backend", "usable_cores"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["fft_backend"] == "numpy.fft"
+    assert env["usable_cores"] == len(os.sched_getaffinity(0)) >= 1
+
+
 class TestSimulate:
     def test_basic_run_outputs(self, tmp_path):
         cfg = write_config(tmp_path, snapshot_interval=2)
@@ -38,6 +50,7 @@ class TestSimulate:
         assert manifest["realization_seeds"]
         assert manifest["format_versions"]["snapshot"] == 1
         assert "stopping" in manifest and "potential_term" in manifest
+        assert_environment(manifest)
         snaps = sorted((out / "snapshots").iterdir())
         assert [s.name for s in snaps] == [
             "step_00000000.sbq", "step_00000002.sbq", "step_00000004.sbq",
@@ -128,6 +141,7 @@ class TestSimulate:
         assert manifest["realization_seeds"] == [mix_seed(config["seed"], 0)]
         for key in ("config", "format_versions", "package_version", "build_id"):
             assert key in manifest
+        assert_environment(manifest)
 
     @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
     def test_never_builds_a_full_layout_view(self, tmp_path, monkeypatch, scheme):
@@ -170,6 +184,7 @@ class TestEnsembleCommand:
         assert len(summary) == 1 + 6
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["realization_seeds"]) == 3
+        assert_environment(manifest)
 
     def test_workers_flag_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, realizations=4)

@@ -1,6 +1,8 @@
 """Config parsing (strict, path-naming errors), initial conditions, snapshot
 and CSV round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,15 @@ class TestSnapshots:
         write_snapshot(path, state)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(SnapshotError):
+            read_snapshot(path)
+
+
+    @pytest.mark.parametrize("n", [7, 0])
+    def test_bad_grid_size_rejected(self, tmp_path, n):
+        # a header n no grid accepts, with a body of the size it implies
+        path = tmp_path / "n.sbq"
+        path.write_bytes(struct.pack("<4sHIId", b"SBQ1", 1, n, 2, 0.0) + bytes(2 * n * n * 8))
+        with pytest.raises(SnapshotError, match="bad grid size"):
             read_snapshot(path)
 
 

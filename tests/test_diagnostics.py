@@ -13,12 +13,13 @@ from sbq.diagnostics import (
     compute_record,
     conservation_defects,
     lp_grad_theta,
+    lp_magnitude,
     offline_blowup_quadrature,
     potential_term,
     update_stopping_report,
 )
 from sbq.state import SimState
-from oracles import fine_values, quadrature, quadrature_sobolev_sq
+from oracles import fine_values, lp_magnitude_reference, quadrature, quadrature_sobolev_sq
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,16 @@ class TestComputeRecord:
             assert lp_grad_theta(theta, p) == pytest.approx(expect, rel=1e-12)
         with pytest.raises(ValueError):
             lp_grad_theta(theta, 1.0)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0])
+    def test_lp_magnitude_matches_hypot_form(self, grid, p):
+        rng = np.random.default_rng(int(p))
+        for scale in (1.0, 1e-3, 1e3):
+            gx, gy = scale * rng.standard_normal((2, 64, 64))
+            want = lp_magnitude_reference(gx, gy, p)
+            assert abs(lp_magnitude(gx, gy, p) - want) <= 1e-15 * want
+        zero = np.zeros((64, 64))
+        assert lp_magnitude(zero, zero, p) == 0.0
 
     def test_potential_term_reference(self, grid):
         # theta = sin y: integral of y sin y over [-pi, pi) x [-pi, pi)

@@ -102,6 +102,8 @@ class TestDeadWorker:
         assert main(["ensemble", "--config", str(path), "--quiet"]) == 3
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert 1 in manifest["failed_realizations"]
+        assert set(manifest["environment"]) == {"python", "numpy", "fft_backend",
+                                                "usable_cores"}
         assert (tmp_path / "out" / "summary.csv").exists()
 
     def test_lost_realizations_resubmitted_once(self, tmp_path, monkeypatch):

@@ -6,6 +6,8 @@ trivial single-mode identities are asserted directly.
 """
 
 import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from oracles import (
     product_fft2_reference,
     quadrature_sobolev_sq,
     random_field_reference,
+    velocity_half_reference,
 )
 
 
@@ -48,6 +51,39 @@ class TestGrid:
     def test_equality_by_size(self, grid):
         assert grid == sp.Grid(64)
         assert grid != sp.Grid(32)
+
+    def test_one_instance_per_size(self, grid):
+        k1, deriv_x = grid.k1, grid.deriv_x
+        assert sp.Grid(64) is grid
+        # the constructor never rebuilds what the shared instance holds
+        assert grid.k1 is k1 and grid.deriv_x is deriv_x
+        assert pickle.loads(pickle.dumps(grid)) is grid
+        assert sp._fractional_multiplier(pickle.loads(pickle.dumps(grid)), 1.5) \
+            is sp._fractional_multiplier(grid, 1.5)
+
+    def test_resampling_builds_no_meshes(self):
+        # a shared grid lives as long as the process: an oversampled norm's
+        # fine grid must not keep (n, n) meshes it never reads
+        f = sp.random_field(sp.Grid(40), np.random.default_rng(0), band=5)
+        fine = sp.resample(f, 1000)
+        assert sp.linf_norm(f, oversample=25) == np.max(np.abs(fine.values()))
+        assert not {"k1", "k2", "ksq", "dealias_keep", "x", "y"} & set(vars(fine.grid))
+
+    def test_shared_arrays_are_read_only(self, grid):
+        for name in ("k1", "k2", "ksq", "dealias_keep", "x", "y", "deriv_x",
+                     "_inv_ksq_half", "_perp_half"):
+            assert not getattr(grid, name).flags.writeable
+
+    def test_forked_workers_share_the_instance(self, grid):
+        # a grid sent to a forked pool worker and back is the same grid on
+        # both sides
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            same_in_child, back = pool.submit(_is_grid_64, grid).result(timeout=60)
+        assert same_in_child and back is grid
+
+
+def _is_grid_64(grid):
+    return grid is sp.Grid(64), grid
 
 
 class TestSpectralField:
@@ -334,6 +370,37 @@ class TestBiotSavart:
         u = sp.biot_savart(om)
         assert sp.velocity_sobolev_norm(u, 1.0) / sp.sobolev_norm(om, 0.0) == \
             pytest.approx(np.sqrt(2), rel=1e-12)
+
+
+class TestMultiplierKernels:
+    """Biot-Savart as two multiplies and the 2/3 rule as two slice fills
+    against the division and masked forms they replace."""
+
+    SIZES = [8, 12, 30, 32, 48, 64, 96, 128, 256]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_velocity_equals_division_form(self, n):
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n)
+        shape = (3, n, n // 2 + 1)  # every mode, the mean and the Nyquist lines too
+        omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        omega[1] = 0.0  # an all-zero plane
+        # equal up to the signs of zeros
+        assert np.array_equal(sp._velocity_half(omega, g), velocity_half_reference(omega, g))
+        for plane in omega:
+            assert np.array_equal(sp._velocity_half(plane, g),
+                                  velocity_half_reference(plane, g))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_slice_fill_equals_masked_copy(self, n):
+        g = sp.Grid(n)
+        rng = np.random.default_rng(n)
+        shape = (2, 3, n, n // 2 + 1)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = half.copy()
+        np.copyto(want, 0.0, where=g._drop_half)
+        sp._zero_dropped(half, g)
+        assert half.tobytes() == want.tobytes()
 
 
 class TestDealiasedProduct:
