@@ -51,9 +51,22 @@ grad omega, grad theta and the velocities (6 planes when eta_u == eta_th and
 omega and theta share one velocity, 8 otherwise) and one batched forward of
 the 2 transports, each with both products summed in physical space as
 :func:`sbq.operators.lie_derivative` sums them.  With the start state's own
-batched inverse, a Heun step makes 5 transform calls (6 when the variant
-truncates and reads the predictor's sups) and an Ito-Euler step 3; the CFL
-guard, when on, adds two.
+batched inverse (6 planes), a Heun step makes 5 transform calls (6 when the
+variant truncates and reads the predictor's sups) and an Ito-Euler step 3;
+the CFL guard, when on, adds two.
+
+Inside the 2/3 ball (no lane has a nonzero mode the rule removes;
+``Lanes.in_ball``) the gradient samples of a state come from the stage's
+own pruned inverse, and a stage reads grad theta from them instead of
+inverting it: 4 planes, or 6 with two velocities.  Stage 0 reads the start
+state's samples, which the blow-up integrand needs anyway; the Heun
+corrector reads the predictor's when the variant truncates.  The rule
+leaves such planes unchanged and the pruned inverse skips only zero
+columns, so the samples carry the bits of ``irfft2`` and of the stage's
+own grad theta alike, and no state moves.  The ball holds along a run: a
+stage's rates are zero outside it.  A stack with a lane outside it (a
+``from_physical`` state such as Taylor-Green, a snapshot read back) keeps
+the full inverse and the 6- or 8-plane stage.
 
 Lanes: every array of a step carries the lanes on a leading axis, so each
 stage makes one batched inverse and one batched forward for all lanes, and
@@ -100,8 +113,8 @@ import numpy as np
 from .diagnostics import compute_record
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
 from .spectral import Grid
-from .spectral import (_full_layout, _gradient_half, _inner_half, _read_only, _to_fourier,
-                       _to_physical, _velocity_half, _workspace)
+from .spectral import (_full_layout, _gradient_half, _in_ball, _inner_half, _read_only,
+                       _to_fourier, _to_physical, _velocity_half, _workspace)
 from .state import Lanes, SimState, _grad_sups, _gradient_samples
 
 __all__ = [
@@ -184,27 +197,31 @@ def _cutoffs(cfg: SchemeConfig, count: int, sups: list | None) -> list:
     return [tuple(dict.fromkeys(eta_cutoff(x, cfg.r) for x in lane)) for lane in sups]
 
 
-def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray, etas: list,
-                    basis: NoiseBasis, noise: np.ndarray, cfg: SchemeConfig,
-                    stage: int) -> np.ndarray:
+def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray,
+                    grad_theta: np.ndarray | None, etas: list, basis: NoiseBasis,
+                    noise: np.ndarray, cfg: SchemeConfig, stage: int) -> np.ndarray:
     """Rates (d omega, d theta) of every lane, stacked (R, 2, n, n/2 + 1) in
     this thread's workspace for ``stage``, from the lanes' ``fields`` and
     Biot-Savart ``velocity`` (both (R, 2, n, n/2 + 1)), their ``etas``
     (:func:`_cutoffs`) and ``noise``, the half spectra of w / dt: each field
-    f is transported once, by eta_f u + w / dt."""
+    f is transported once, by eta_f u + w / dt.  ``grad_theta`` is None or
+    the lanes' grad theta samples (R, 2, n, n) from the pruned inverse, the
+    bits this stage's own inverse would make of them (lanes inside the 2/3
+    ball, :mod:`sbq.state`)."""
     lanes, n, h = len(fields), grid.n, grid.n // 2 + 1
     rates = _workspace(f"rates{stage}", (lanes, 2, n, h))
     if not (cfg.drift_enabled or len(basis)):
         rates.fill(0.0)
         return rates
-    # one inverse: grad omega, grad theta, then the velocities; one forward:
-    # v_f . grad f for f = omega, theta, both products summed before the
-    # transform, as in lie_derivative.  A lane whose cutoffs agree while
-    # another's differ repeats its velocity, which leaves its bits unchanged.
-    k = max(1, *map(len, etas))
-    half = _workspace("stage-half", (lanes, 4 + 2 * k, n, h))
-    _gradient_half(fields, grid, out=half[:, :4].reshape(lanes, 2, 2, n, h))
-    velocities = half[:, 4:].reshape(lanes, k, 2, n, h)
+    # one inverse: grad omega, grad theta unless given, then the velocities;
+    # one forward: v_f . grad f for f = omega, theta, both products summed
+    # before the transform, as in lie_derivative.  A lane whose cutoffs agree
+    # while another's differ repeats its velocity, which leaves its bits
+    # unchanged.
+    k, g = max(1, *map(len, etas)), 2 if grad_theta is None else 1
+    half = _workspace("stage-half", (lanes, 2 * (g + k), n, h))
+    _gradient_half(fields[:, :g], grid, out=half[:, :2 * g].reshape(lanes, g, 2, n, h))
+    velocities = half[:, 2 * g:].reshape(lanes, k, 2, n, h)
     if cfg.drift_enabled:
         eta = np.array([lane + lane[-1:] * (k - len(lane)) for lane in etas])
         np.multiply(eta[:, :, None, None, None], velocity[:, None], out=velocities)
@@ -212,9 +229,14 @@ def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray, etas: 
     else:
         velocities[:, 0] = noise
     phys = _workspace("stage-phys", half.shape[:2] + (n, n), np.float64)
-    phys = _to_physical(half, grid, dealias=True, out=phys).reshape(lanes, -1, 2, n, n)
-    products = phys[:, :2]
-    np.multiply(phys[:, 2:], products, out=products)
+    phys = _to_physical(half, grid, dealias=True, out=phys).reshape(lanes, g + k, 2, n, n)
+    if grad_theta is None:
+        grad_theta = phys[:, 1]
+    # omega's products into its gradient's planes, theta's into its velocity's
+    # (the last), after omega's have read them
+    np.multiply(phys[:, g], phys[:, 0], out=phys[:, 0])
+    np.multiply(phys[:, -1], grad_theta, out=phys[:, -1])
+    products = phys[:, ::g + k - 1]
     np.add(products[:, :, 0], products[:, :, 1], out=products[:, :, 0])
     _to_fourier(products[:, :, 0], grid, dealias=True, out=rates)
     np.negative(rates, out=rates)
@@ -332,6 +354,7 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
     """
     grid, count = lanes.grid, len(lanes)
     sups = lanes.sups  # the blow-up integrand and the cutoffs, for every lane at once
+    grad_theta = lanes.stage_samples[:, 4:] if lanes.in_ball else None
     errors = [None] * count
     if cfg.cfl is not None:
         for lane in range(count):
@@ -340,8 +363,8 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
             except TimeStepError as exc:
                 errors[lane] = exc
     noise = basis.transport_half(db / dt, out=_workspace("noise", lanes.fields.shape))
-    rates = _evaluate_stage(grid, lanes.fields, lanes.stage_velocity, _cutoffs(cfg, count, sups),
-                            basis, noise, cfg, 0)
+    rates = _evaluate_stage(grid, lanes.fields, lanes.stage_velocity, grad_theta,
+                            _cutoffs(cfg, count, sups), basis, noise, cfg, 0)
     if cfg.scheme == "ito_euler":
         return _finalize(lanes, _update(lanes.fields, dt, rates), cfg, dt, t, errors), errors
     # Heun: the Euler-Maruyama update is the predictor
@@ -351,13 +374,16 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
                                                        "non-finite predictor")
     velocity = _velocity_half(fields[:, 0], grid,
                               out=_workspace("predictor-velocity", fields.shape))
-    predictor_sups = None
+    predictor_sups = grad_theta = None
     if cfg.drift_enabled and cfg.variant != "plain":
-        samples = _workspace("predictor-samples", (count, 6, grid.n, grid.n), np.float64)
-        predictor_sups = _grad_sups(_gradient_samples(
-            velocity[:, 0], velocity[:, 1], fields[:, 1], grid, out=samples)).tolist()
-    rates1 = _evaluate_stage(grid, fields, velocity, _cutoffs(cfg, count, predictor_sups),
-                             basis, noise, cfg, 1)
+        in_ball = _in_ball(fields, grid)
+        samples = _gradient_samples(
+            velocity[:, 0], velocity[:, 1], fields[:, 1], grid, in_ball,
+            _workspace("predictor-samples", (count, 6, grid.n, grid.n), np.float64))
+        predictor_sups = _grad_sups(samples).tolist()
+        grad_theta = samples[:, 4:] if in_ball else None
+    rates1 = _evaluate_stage(grid, fields, velocity, grad_theta,
+                             _cutoffs(cfg, count, predictor_sups), basis, noise, cfg, 1)
     fields = _update(lanes.fields, 0.5 * dt, np.add(rates, rates1, out=rates1))
     return _finalize(lanes, fields, cfg, dt, t, errors), errors
 

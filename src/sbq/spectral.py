@@ -24,7 +24,9 @@ Conventions used throughout the package:
   operators' bit for bit.  Under the 2/3 rule both run as their two 1-D
   passes pruned to the kept columns k2 <= n/3 (the others are zero): the
   inverse's ``ifft`` over the rows, and the forward's ``fft`` after its
-  ``rfft`` over the rows, with the bits of the full transforms.  The
+  ``rfft`` over the rows, with the bits of the full transforms.  Planes
+  already inside the 2/3 ball (:func:`_in_ball`) take the pruned inverse
+  for their plain samples too, the bits of ``irfft2``.  The
   stepper's and the operator battery's buffers come from a per-thread
   workspace (:func:`_workspace`).
 * All L2-type norms and inner products include the ``(2*pi)**2`` measure of
@@ -565,6 +567,15 @@ def _zero_dropped(half: np.ndarray, grid: Grid) -> None:
     k2 > n/3, then the rows n/3 < |k1| of the kept columns."""
     half[..., grid._kept_cols:] = 0.0
     half[..., grid._dropped_rows, :grid._kept_cols] = 0.0
+
+
+def _in_ball(half: np.ndarray, grid: Grid) -> bool:
+    """Whether every mode of half spectra (..., n, n/2 + 1) that the 2/3 rule
+    removes is zero, scanned as the two slices :func:`_zero_dropped` fills
+    (NaN counts as nonzero).  Such planes are unchanged by the rule, so
+    ``_to_physical(..., dealias=True)`` gives them the bits of ``irfft2``."""
+    return not (half[..., grid._kept_cols:].any()
+                or half[..., grid._dropped_rows, :grid._kept_cols].any())
 
 
 def _full_layout(half: np.ndarray, grid: Grid) -> np.ndarray:

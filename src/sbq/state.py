@@ -5,10 +5,22 @@ running blow-up integral, plus the quantities derived from the fields.
 on first use and cached, as ``SpectralField.values()`` caches samples: the
 velocity, and the physical samples of grad u and grad theta from one batched
 inverse transform.  The stepper (blow-up integrand, truncation cutoffs, CFL
-speed) and ``compute_record`` both read them, so ``run``, which records a
-state before stepping from it, evaluates each state's samples once.  The
-samples' half planes are built in the per-thread workspace of
-:mod:`sbq.spectral` and inverted into a fresh array, which the state owns.
+speed, and the grad theta of its first stage) and ``compute_record`` all
+read them, so ``run``, which records a state before stepping from it,
+evaluates each state's samples once.  The samples' half planes are built in
+the per-thread workspace of :mod:`sbq.spectral` and inverted into a fresh
+array, which the state owns.
+
+Inside the 2/3 ball: a state whose omega and theta have no mode the 2/3
+rule removes (:func:`sbq.spectral._in_ball`; every state the stepper makes
+from such a state is one, and so are the ``random_hs`` initial states) has
+gradients inside it too.  Its samples take the pruned inverse of
+``_to_physical(..., dealias=True)``, which runs ``ifft`` only on the
+columns k2 <= n/3; the other columns are zero, so the bits are those of
+``irfft2``, and the grad theta planes are those a stage's dealiased inverse
+would make, which is why the stage reads them instead of inverting them.
+A state outside the ball (``from_physical`` fields such as Taylor-Green, a
+snapshot read back) keeps the full inverse.
 
 :class:`Lanes` is R realizations ("lanes") at one time on one grid, their
 fields stacked (R, 2, n, n/2 + 1) along a leading lane axis, the stepper's
@@ -28,7 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import Grid, SpectralField, VelocityField, biot_savart
-from .spectral import _gradient_half, _read_only, _to_physical, _velocity_half, _workspace
+from .spectral import (_gradient_half, _in_ball, _read_only, _to_physical, _velocity_half,
+                       _workspace)
 
 
 @dataclass(frozen=True)
@@ -69,8 +82,9 @@ class SimState:
         """Physical samples, from one batched inverse transform, of
         d_x u1, d_y u1, d_x u2, d_y u2, d_x theta, d_y theta; each plane
         equals the ``values()`` of the corresponding derivative."""
-        u = self.velocity
-        return _read_only(_gradient_samples(u.u1.half, u.u2.half, self.theta.half, self.grid))
+        u, g = self.velocity, self.grid
+        dealias = _in_ball(self.omega.half, g) and _in_ball(self.theta.half, g)
+        return _read_only(_gradient_samples(u.u1.half, u.u2.half, self.theta.half, g, dealias))
 
     @property
     def grad_theta(self) -> tuple[np.ndarray, np.ndarray]:
@@ -86,17 +100,19 @@ class SimState:
 
 
 def _gradient_samples(u1: np.ndarray, u2: np.ndarray, theta: np.ndarray, grid: Grid,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      dealias: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples (..., 6, n, n) of the gradients of u1, u2 and theta,
     given as half spectra (..., n, n/2 + 1): one batched inverse transform,
-    into ``out`` or a fresh array."""
+    into ``out`` or a fresh array.  ``dealias`` prunes it to the 2/3 rule's
+    columns, which keeps the bits of the full inverse only for fields inside
+    the ball."""
     lead, n = theta.shape[:-2], grid.n
     half = _workspace("state-samples", (*lead, 6, n, n // 2 + 1))
     for i, f in enumerate((u1, u2, theta)):
         _gradient_half(f, grid, out=half[..., 2 * i:2 * i + 2, :, :])
     if out is None:
         out = np.empty((*lead, 6, n, n))
-    return _to_physical(half, grid, out=out)
+    return _to_physical(half, grid, dealias, out)
 
 
 def _grad_sups(samples: np.ndarray) -> np.ndarray:
@@ -114,10 +130,14 @@ class Lanes:
     ``velocity`` (R, 2, n, n/2 + 1), ``samples`` (R, 6, n, n) and ``sups``
     (one (||grad u||_inf, ||grad theta||_inf) per lane) are computed on first
     use for the whole stack, the first two into fresh arrays that the lanes'
-    states share.  A step reads only ``stage_velocity`` and ``sups``, which
-    leave the velocity and the samples in the workspace unless a state needs
-    them (records, :meth:`states`), so a step allocates only the new fields.
-    Lanes built from states (:meth:`of`) read those states' own caches.
+    states share.  A step reads only ``stage_velocity``, ``stage_samples``
+    and ``sups``, which leave the velocity and the samples in the workspace
+    unless a state needs them (records, :meth:`states`), so a step allocates
+    only the new fields.  ``in_ball`` says whether every lane lies inside the
+    2/3 ball; the samples then come from the pruned inverse, and a step's
+    first stage reads its grad theta from them.  Lanes built from states
+    (:meth:`of`) read those states' own caches; their samples are the
+    ``stage_samples``, stacked in the workspace when there are several.
     """
 
     def __init__(self, grid: Grid, fields: np.ndarray, t: float, accum: list,
@@ -135,6 +155,9 @@ class Lanes:
         lanes = cls(grid, np.array([(s.omega.half, s.theta.half) for s in states]), t,
                     [s.blowup_accum for s in states], list(states))
         lanes.velocity = np.array([(s.velocity.u1.half, s.velocity.u2.half) for s in states])
+        samples, n = [s._samples for s in states], grid.n  # one lane's are not copied
+        lanes.stage_samples = samples[0][None] if len(samples) == 1 else np.stack(
+            samples, out=_workspace("lane-samples", (len(samples), 6, n, n), np.float64))
         lanes.sups = [s.grad_sups for s in states]
         return lanes
 
@@ -155,18 +178,29 @@ class Lanes:
                               out=_workspace("lane-velocity", self.fields.shape))
 
     @cached_property
+    def in_ball(self) -> bool:
+        """Whether every lane's fields lie inside the 2/3 ball."""
+        return _in_ball(self.fields, self.grid)
+
+    @cached_property
     def samples(self) -> np.ndarray:
         v = self.velocity
-        return _read_only(_gradient_samples(v[:, 0], v[:, 1], self.fields[:, 1], self.grid))
+        return _read_only(_gradient_samples(v[:, 0], v[:, 1], self.fields[:, 1], self.grid,
+                                            self.in_ball))
+
+    @cached_property
+    def stage_samples(self) -> np.ndarray:
+        """``samples`` if computed, else the same in the workspace: what a
+        step from these lanes reads when no state keeps them."""
+        if "samples" in vars(self):
+            return self.samples
+        v, n = self.stage_velocity, self.grid.n
+        return _gradient_samples(v[:, 0], v[:, 1], self.fields[:, 1], self.grid, self.in_ball,
+                                 _workspace("lane-samples", (len(self), 6, n, n), np.float64))
 
     @cached_property
     def sups(self) -> list:
-        samples = vars(self).get("samples")
-        if samples is None:  # no state reads them: leave them in the workspace
-            v, n = self.stage_velocity, self.grid.n
-            samples = _workspace("lane-samples", (len(self), 6, n, n), np.float64)
-            _gradient_samples(v[:, 0], v[:, 1], self.fields[:, 1], self.grid, out=samples)
-        return _grad_sups(samples).tolist()
+        return _grad_sups(self.stage_samples).tolist()
 
     def states(self) -> list:
         """Every lane as a :class:`SimState`; the gradient samples that

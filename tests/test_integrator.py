@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sbq import spectral as sp
-from sbq.config import random_hs_field
+from sbq.config import initial_condition, random_hs_field
 from sbq.diagnostics import compute_record
 from sbq.integrator import (
     BlowUpSuspected,
@@ -31,7 +31,7 @@ from sbq.noise import (
     sample_increments,
 )
 from sbq.operators import lie_derivative
-from sbq.state import SimState
+from sbq.state import Lanes, SimState
 from oracles import (
     count_ffts,
     fd_derivative,
@@ -624,7 +624,10 @@ class TestTransformCounts:
     def test_heun_plane_budget(self, grid, monkeypatch, variant):
         # a stage inverts grad omega, grad theta and one velocity pair per
         # distinct cutoff, and forwards one transport per field; the state's
-        # own gradient samples are one more inverse of 6 planes
+        # own gradient samples are one more inverse of 6 planes.  Inside the
+        # 2/3 ball a stage reads grad theta from the samples of its state
+        # when they were taken: the start state's always, the predictor's
+        # when the variant truncates
         rng = np.random.default_rng(15)
         state = two_cutoff_state(grid, rng, band=10)
         gu, gth = state.grad_sups
@@ -635,10 +638,39 @@ class TestTransformCounts:
             replace(state), basis, sample_increments(rng, 1e-3, len(basis)), cfg))
         assert planes["rfft2"] == [2, 2]
         if variant == "plain":
-            assert planes["irfft2"] == [6, 6, 6]
+            assert planes["irfft2"] == [6, 4, 6]
         else:
             # the predictor's cutoffs differ too: its sups are read as well
-            assert planes["irfft2"] == [6, 8, 6, 8]
+            assert planes["irfft2"] == [6, 6, 6, 6]
+
+    @pytest.mark.parametrize("variant", ["plain", "truncated"])
+    def test_ito_plane_budget(self, grid, monkeypatch, variant):
+        # from a fresh state inside the 2/3 ball: its samples, then one stage
+        # that inverts grad omega and the velocities only
+        rng = np.random.default_rng(17)
+        state = two_cutoff_state(grid, rng, band=10)
+        params = {"plain": {}, "truncated": {"r": 0.9 * state.grad_sups[0]}}[variant]
+        cfg = SchemeConfig("ito_euler", dt=1e-3, variant=variant, **params)
+        basis = build_basis(default_family(grid), grid)
+        planes = fft_planes(monkeypatch, lambda: step(
+            replace(state), basis, sample_increments(rng, 1e-3, len(basis)), cfg))
+        assert planes == {"irfft2": [6, 4] if variant == "plain" else [6, 6], "rfft2": [2]}
+
+    @pytest.mark.parametrize("m", [3, 48])
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_steps_stay_inside_the_ball(self, scheme, m):
+        # every rate is zero outside the ball (the Ito diagonals of an
+        # unpaired family too), so the saving holds for the whole run
+        g = sp.Grid(30)
+        rng = np.random.default_rng(18)
+        state = SimState(sp.random_field(g, rng, band=10, zero_mean=True),
+                         sp.random_field(g, rng, band=10))
+        basis = build_basis(default_family(g, max_modes=m), g)
+        cfg = SchemeConfig(scheme, dt=1e-3, variant="hyper", r=0.5, nu=1e-9)
+        for _ in range(4):
+            assert Lanes.of([state]).in_ball
+            state = step(state, basis, sample_increments(rng, 1e-3, m), cfg)
+        assert Lanes.of([state]).in_ball
 
 
 class TestOneVelocityStage:
@@ -899,6 +931,75 @@ class TestLanes:
         assert lanes[1].steps_taken == 4 and len(lanes[1].records) == 5
         assert not (lanes[0].blowup_suspected or lanes[2].blowup_suspected)
         assert lanes[0].steps_taken == lanes[2].steps_taken == 10
+
+
+class TestOutsideTheBall:
+    """States with modes the 2/3 rule removes take the full inverse for
+    their samples, and their stages invert grad theta themselves: the bits
+    are those of the derivatives' samples, the full-layout reference step
+    and the realization stepped alone, also next to a lane inside the ball."""
+
+    @staticmethod
+    def outside(g, kind):
+        if kind == "taylor_green":  # from_physical: round-off in every mode
+            tg = initial_condition({"type": "taylor_green", "amplitude": 1.0}, g)
+            return SimState(tg.omega, sp.SpectralField.from_physical(
+                g, 0.5 * np.cos(g.x + 2.0 * g.y)))
+        # theta a single mode beyond n/3 that the stage's 2/3 rule removes
+        theta = initial_condition({"type": "single_mode", "wavevector": [g.n // 3 + 1, 1],
+                                   "amplitude": 0.5, "target": "theta"}, g).theta
+        rng = np.random.default_rng(g.n)
+        return SimState(sp.random_field(g, rng, band=5, zero_mean=True), theta)
+
+    @staticmethod
+    def assert_samples(state):
+        u = state.velocity
+        want = [sp.derivative(f, axis).values()
+                for f in (u.u1, u.u2, state.theta) for axis in ("x", "y")]
+        for got, plane in zip(state._samples, want):
+            assert np.array_equal(got, plane)
+
+    @pytest.mark.parametrize("kind", ["taylor_green", "single_mode"])
+    @pytest.mark.parametrize("variant", ["plain", "truncated"])
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_steps_match_full_layout_reference(self, scheme, variant, kind):
+        g = sp.Grid(32)
+        state = self.outside(g, kind)
+        assert not sp._in_ball(np.stack((state.omega.half, state.theta.half)), g)
+        params = {"truncated": {"variant": "truncated", "r": 0.5 * max(state.grad_sups)}}
+        cfg = SchemeConfig(scheme, dt=1e-3, **params.get(variant, {}))
+        basis = build_basis(default_family(g), g)
+        rng = np.random.default_rng(60)
+        ref = (state.omega.coeffs, state.theta.coeffs, state.blowup_accum)
+        for _ in range(5):
+            self.assert_samples(state)
+            db = sample_increments(rng, 1e-3, len(basis))
+            state, ref = step(state, basis, db, cfg), step_full_layout_reference(
+                ref, basis, db, cfg)
+            assert np.array_equal(state.omega.coeffs, ref[0])
+            assert np.array_equal(state.theta.coeffs, ref[1])
+            assert state.blowup_accum == ref[2]
+        self.assert_samples(state)
+
+    @pytest.mark.parametrize("kind", ["taylor_green", "single_mode"])
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_mixed_stack_matches_solo_runs(self, scheme, kind):
+        # one lane inside the ball, one outside: the stack takes the full
+        # path, and the inside lane's bits do not move
+        g = sp.Grid(32)
+        states = [two_cutoff_state(g, np.random.default_rng(61), band=10), self.outside(g, kind)]
+        assert not Lanes.of(states).in_ball and Lanes.of(states[:1]).in_ball
+        cfg = SchemeConfig(scheme, dt=1e-3, variant="truncated",
+                           r=0.9 * states[0].grad_sups[0])
+        basis = build_basis(default_family(g), g)
+        lanes = _run_lanes(states, basis, cfg, 0.006, diag_interval=2,
+                           rngs=[np.random.default_rng(70 + i) for i in range(2)])
+        for i, (state, got) in enumerate(zip(states, lanes)):
+            want = run(state, basis, cfg, 0.006, rng=np.random.default_rng(70 + i),
+                       diag_interval=2)
+            assert want.steps_taken == 6 and len(want.records) == 4
+            TestLanes.assert_same(got, want)
+            self.assert_samples(got.final_state)
 
 
 class TestRun:

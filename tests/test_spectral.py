@@ -468,9 +468,10 @@ class TestDealiasedProduct:
 class TestPrunedTransforms:
     """Under the 2/3 rule the transforms skip the columns k2 > n/3, which
     are zero: the samples and coefficients are those of the full
-    ``irfft2``/``rfft2`` byte for byte."""
+    ``irfft2``/``rfft2`` byte for byte.  Planes inside the ball (an all-zero
+    one among them) are what the states' pruned gradient samples rest on."""
 
-    @pytest.mark.parametrize("n", [8, 10, 16, 32, 48, 64, 96, 128, 256])
+    @pytest.mark.parametrize("n", [8, 10, 16, 30, 32, 48, 64, 96, 128, 256])
     @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3), (6,)])
     def test_byte_equal_to_full_transforms(self, n, lead):
         g = sp.Grid(n)
@@ -478,6 +479,9 @@ class TestPrunedTransforms:
         shape = (*lead, n, n // 2 + 1)
         half = np.where(g._drop_half, 0.0,
                         rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if lead:
+            half[(0,) * len(lead)] = 0.0
+        assert sp._in_ball(half, g)
         full = np.fft.irfft2(half, s=(n, n))
         for out in (None, np.empty((*lead, n, n))):
             got = sp._to_physical(half.copy(), g, dealias=True, out=out)
@@ -490,6 +494,20 @@ class TestPrunedTransforms:
         for out in (None, np.empty(shape, dtype=np.complex128)):
             got = sp._to_fourier(values, g, dealias=True, out=out)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 30, 64])
+    def test_in_ball_scan(self, n):
+        g = sp.Grid(n)
+        half = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
+        half[1, n // 3, n // 3] = half[1, -(n // 3), 0] = 1.0  # corners of the ball
+        assert sp._in_ball(half, g)
+        for mode in ((n // 3 + 1, 0), (-(n // 3) - 1, n // 3), (0, n // 3 + 1), (0, n // 2)):
+            for value in (1e-300, np.nan):
+                outside = half.copy()
+                outside[0, mode[0], mode[1]] = value
+                assert not sp._in_ball(outside, g)
+        half[0, 0, 0] = np.nan  # a kept mode: the scan reads only the removed ones
+        assert sp._in_ball(half, g)
 
 
 class TestRandomField:
