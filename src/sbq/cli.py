@@ -232,6 +232,9 @@ def _cmd_report(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.csv}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as exc:  # a malformed file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if not records:
         print("error: empty series", file=sys.stderr)
         return EXIT_CONFIG

@@ -63,10 +63,13 @@ state's samples, which the blow-up integrand needs anyway; the Heun
 corrector reads the predictor's when the variant truncates.  The rule
 leaves such planes unchanged and the pruned inverse skips only zero
 columns, so the samples carry the bits of ``irfft2`` and of the stage's
-own grad theta alike, and no state moves.  The ball holds along a run: a
-stage's rates are zero outside it.  A stack with a lane outside it (a
-``from_physical`` state such as Taylor-Green, a snapshot read back) keeps
-the full inverse and the 6- or 8-plane stage.
+own grad theta alike, and no state moves; the planes of such a stage and
+of such samples skip the rule's zero fill.  The ball holds along a run: a
+stage's rates are zero outside it, so ``Lanes.in_ball`` is scanned once,
+when the lanes are made from states, and carried from step to step (and to
+the Heun predictor).  A stack with a lane outside it (a ``from_physical``
+state such as Taylor-Green, a snapshot read back) keeps the full inverse
+and the 6- or 8-plane stage.
 
 Lanes: every array of a step carries the lanes on a leading axis, so each
 stage makes one batched inverse and one batched forward for all lanes, and
@@ -85,11 +88,19 @@ stack, and the other lanes go on.  The lane count is the caller's;
 
 Storage: every coefficient array is a half spectrum (:mod:`sbq.spectral`).
 A stage's planes, samples, products and rates, the predictor and the noise
-live in the per-thread workspace (``spectral._workspace``), written with
-``out=``, so a step takes no page faults; the inverse into it runs as
-``ifft`` over the rows then ``irfft``, counted as one transform above.  The
-updated fields and the velocities, which the lanes' states keep, are fresh
-arrays.
+live in the per-thread workspace (``spectral._workspace``, which hands out
+a cached view per use), written with ``out=``, so a step takes no page
+faults; the inverse into it runs as ``ifft`` over the rows then ``irfft``,
+counted as one transform above.  The updated fields and the velocities,
+which the lanes' states keep, are fresh arrays.  Around the transforms a
+step pays only for its arithmetic: the real multipliers it applies to
+complex planes (1/|k|^2, the Ito multiplier, the hyper decay, the cutoffs)
+are complex arrays, so numpy casts none of them on each call, and the
+rates' negation and the finite guards run on the float view of the
+complex arrays, which numpy's complex ufuncs take 2-5x as long over.  The
+negation is not folded into the velocities (-eta u - w): the forward
+transform of the negated products gives +0 where the negated transform
+gives -0, which moves signed zeros of the states.
 
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
@@ -113,8 +124,8 @@ import numpy as np
 from .diagnostics import compute_record
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
 from .spectral import Grid
-from .spectral import (_full_layout, _gradient_half, _in_ball, _inner_half, _read_only,
-                       _to_fourier, _to_physical, _velocity_half, _workspace)
+from .spectral import (_full_layout, _gradient_half, _inner_half, _mapped, _to_fourier,
+                       _to_physical, _velocity_half, _workspace)
 from .state import Lanes, SimState, _grad_sups, _gradient_samples
 
 __all__ = [
@@ -204,10 +215,11 @@ def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray,
     this thread's workspace for ``stage``, from the lanes' ``fields`` and
     Biot-Savart ``velocity`` (both (R, 2, n, n/2 + 1)), their ``etas``
     (:func:`_cutoffs`) and ``noise``, the half spectra of w / dt: each field
-    f is transported once, by eta_f u + w / dt.  ``grad_theta`` is None or
-    the lanes' grad theta samples (R, 2, n, n) from the pruned inverse, the
-    bits this stage's own inverse would make of them (lanes inside the 2/3
-    ball, :mod:`sbq.state`)."""
+    f is transported once, by eta_f u + w / dt.  ``grad_theta`` is
+    None or the lanes' grad theta samples (R, 2, n, n) from the pruned
+    inverse, the bits this stage's own inverse would make of them; it is
+    given exactly when the lanes lie inside the 2/3 ball (:mod:`sbq.state`),
+    and so do the stage's planes, which then skip the zero fill."""
     lanes, n, h = len(fields), grid.n, grid.n // 2 + 1
     rates = _workspace(f"rates{stage}", (lanes, 2, n, h))
     if not (cfg.drift_enabled or len(basis)):
@@ -223,14 +235,18 @@ def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray,
     _gradient_half(fields[:, :g], grid, out=half[:, :2 * g].reshape(lanes, g, 2, n, h))
     velocities = half[:, 2 * g:].reshape(lanes, k, 2, n, h)
     if cfg.drift_enabled:
-        eta = np.array([lane + lane[-1:] * (k - len(lane)) for lane in etas])
+        # complex, as the planes it scales: a real factor is cast on every call
+        eta = np.array([lane + lane[-1:] * (k - len(lane)) for lane in etas],
+                       dtype=np.complex128)
         np.multiply(eta[:, :, None, None, None], velocity[:, None], out=velocities)
         velocities += noise[:, None]
     else:
         velocities[:, 0] = noise
     phys = _workspace("stage-phys", half.shape[:2] + (n, n), np.float64)
-    phys = _to_physical(half, grid, dealias=True, out=phys).reshape(lanes, g + k, 2, n, n)
-    if grad_theta is None:
+    in_ball = grad_theta is not None  # the noise lies inside the ball (build_basis)
+    phys = _to_physical(half, grid, dealias=True, out=phys, in_ball=in_ball)
+    phys = phys.reshape(lanes, g + k, 2, n, n)
+    if not in_ball:
         grad_theta = phys[:, 1]
     # omega's products into its gradient's planes, theta's into its velocity's
     # (the last), after omega's have read them
@@ -239,7 +255,9 @@ def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray,
     products = phys[:, ::g + k - 1]
     np.add(products[:, :, 0], products[:, :, 1], out=products[:, :, 0])
     _to_fourier(products[:, :, 0], grid, dealias=True, out=rates)
-    np.negative(rates, out=rates)
+    # the transport's minus sign, on the float view: the bytes of the complex
+    # negative, which numpy takes about five times as long over
+    np.negative(rates.view(np.float64), out=rates.view(np.float64))
     if cfg.drift_enabled:
         buoyancy = _workspace("buoyancy", (lanes, n, h))
         rates[:, 0] += np.multiply(fields[:, 1], grid.deriv_x, out=buoyancy)
@@ -259,10 +277,9 @@ def _ito_correction(basis: NoiseBasis, fields: np.ndarray) -> np.ndarray:
     +-offset pair is summed first, which keeps the correction exactly
     Hermitian.
     """
-    d0, shifted = basis.ito_diagonals
+    shifted = basis.ito_diagonals[1]
     h = fields.shape[-1]
-    c = _workspace("ito", fields.shape)
-    np.multiply(d0[:, :h], fields, out=c)
+    c = np.multiply(basis.ito_multiplier, fields, out=_workspace("ito", fields.shape))
     if shifted:
         full = _full_layout(fields, basis.grid)
         for (o1, d1), (o2, d2) in zip(shifted[::2], shifted[1::2]):
@@ -294,9 +311,11 @@ def _cfl_guard(state: SimState, basis: NoiseBasis, cfg: SchemeConfig):
 @lru_cache(maxsize=8)
 def _hyper_decay(grid: Grid, nu: float, dt: float) -> np.ndarray:
     """Integrating-factor decay exp(-nu |k|^10 dt) and exp(-nu |k|^14 dt)
-    on the half spectrum, stacked (2, n, n/2 + 1) to scale (omega, theta)."""
+    on the half spectrum, stacked (2, n, n/2 + 1) to scale (omega, theta),
+    stored complex (zero imaginary parts) as the fields it scales."""
     ksq = grid._ksq_half
-    return _read_only(np.stack((np.exp(-nu * ksq**5 * dt), np.exp(-nu * ksq**7 * dt))))
+    decay = np.stack((np.exp(-nu * ksq**5 * dt), np.exp(-nu * ksq**7 * dt)))
+    return _mapped(decay.astype(np.complex128))
 
 
 # beyond this magnitude float products corrupt the exact conservation
@@ -307,15 +326,17 @@ _MAGNITUDE_LIMIT = 1e75
 def _finalize(start: Lanes, fields: np.ndarray, cfg: SchemeConfig, dt: float,
               t: float, errors: list) -> Lanes:
     """The lanes at ``t`` from their updated ``fields`` (a fresh array, scaled
-    in place by the hyper decay); each lane not stopped yet is checked in
-    turn for non-finite values, the magnitude guard and the omega mean guard,
-    and the first that fails goes into ``errors``."""
+    in place by the hyper decay), inside the 2/3 ball when ``start`` is (the
+    rates are zero outside it); each lane not stopped yet is checked in turn
+    for non-finite values, the magnitude guard and the omega mean guard, and
+    the first that fails goes into ``errors``."""
     grid, n = start.grid, start.grid.n
     if cfg.variant == "hyper" and cfg.nu:
         fields *= _hyper_decay(grid, cfg.nu, dt)
     # left endpoint: the integrand of the step's start state
-    new = Lanes(grid, fields, t, [a + dt * sum(s) for a, s in zip(start.accum, start.sups)])
-    finite = np.isfinite(fields).all(axis=(1, 2, 3))
+    new = Lanes(grid, fields, t, [a + dt * sum(s) for a, s in zip(start.accum, start.sups)],
+                start.in_ball)
+    finite = _finite_lanes(fields)
     with np.errstate(invalid="ignore", over="ignore"):  # stopped lanes' garbage
         norms = np.sqrt(np.maximum(_inner_half(fields, fields), 0.0)).tolist()
     for lane, (norm_omega, norm_theta) in enumerate(norms):
@@ -332,6 +353,12 @@ def _finalize(start: Lanes, fields: np.ndarray, cfg: SchemeConfig, dt: float,
             if mean > 1e-12 * max(1.0, norm_omega):
                 errors[lane] = AssertionError(f"omega mean mode drifted to {mean:.3e}")
     return new
+
+
+def _finite_lanes(fields: np.ndarray) -> np.ndarray:
+    """Whether each lane's fields (R, 2, n, n/2 + 1) are finite, read on the
+    float view: numpy's complex ``isfinite`` takes twice as long."""
+    return np.isfinite(fields.view(np.float64)).all(axis=(1, 2, 3))
 
 
 def _update(fields: np.ndarray, dt: float, rates: np.ndarray,
@@ -369,19 +396,19 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
         return _finalize(lanes, _update(lanes.fields, dt, rates), cfg, dt, t, errors), errors
     # Heun: the Euler-Maruyama update is the predictor
     fields = _update(lanes.fields, dt, rates, out=_workspace("predictor", rates.shape))
-    for lane in np.flatnonzero(~np.isfinite(fields).all(axis=(1, 2, 3))):
+    for lane in np.flatnonzero(~_finite_lanes(fields)):
         errors[lane] = errors[lane] or BlowUpSuspected(lanes.state(lane),
                                                        "non-finite predictor")
     velocity = _velocity_half(fields[:, 0], grid,
                               out=_workspace("predictor-velocity", fields.shape))
     predictor_sups = grad_theta = None
     if cfg.drift_enabled and cfg.variant != "plain":
-        in_ball = _in_ball(fields, grid)
+        # the predictor lies inside the ball when the lanes do
         samples = _gradient_samples(
-            velocity[:, 0], velocity[:, 1], fields[:, 1], grid, in_ball,
+            velocity[:, 0], velocity[:, 1], fields[:, 1], grid, lanes.in_ball,
             _workspace("predictor-samples", (count, 6, grid.n, grid.n), np.float64))
         predictor_sups = _grad_sups(samples).tolist()
-        grad_theta = samples[:, 4:] if in_ball else None
+        grad_theta = samples[:, 4:] if lanes.in_ball else None
     rates1 = _evaluate_stage(grid, fields, velocity, grad_theta,
                              _cutoffs(cfg, count, predictor_sups), basis, noise, cfg, 1)
     fields = _update(lanes.fields, 0.5 * dt, np.add(rates, rates1, out=rates1))

@@ -100,16 +100,25 @@ def write_diagnostics_csv(path, records: list) -> None:
 
 
 def read_diagnostics_csv(path) -> list:
+    """The records of a diagnostics CSV; a malformed file (wrong header, a
+    row of the wrong length, a cell that is not a number) raises
+    ``ValueError`` naming the file and the line."""
     with open(path, "r") as fh:
         header = fh.readline().strip()
         if header.split(",") != list(RECORD_FIELDS):
             raise ValueError(f"unexpected diagnostics header in {path}")
         records = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
                 continue
-            values = [float(v) for v in line.split(",")]
+            if len(cells) != len(RECORD_FIELDS):
+                raise ValueError(f"{path}, line {number}: expected {len(RECORD_FIELDS)} "
+                                 f"values, got {len(cells)}")
+            try:
+                values = [float(v) for v in cells]
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
             records.append(DiagnosticsRecord(*values))
     return records
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, VelocityField, _read_only
+from .spectral import Grid, SpectralField, VelocityField, _mapped, _read_only
 
 __all__ = [
     "NoiseMode",
@@ -100,6 +100,14 @@ class NoiseBasis:
         (see :func:`_ito_diagonals`).
         """
         return _ito_diagonals(self.modes, self.grid)
+
+    @cached_property
+    def ito_multiplier(self) -> np.ndarray:
+        """The offset-0 diagonal ``d0`` of :attr:`ito_diagonals` on the half
+        spectrum, contiguous and complex (zero imaginary parts): the
+        stepper's multiplier, with the bits of the real ``d0[:, :n/2 + 1]``."""
+        d0 = self.ito_diagonals[0][:, :self.grid.n // 2 + 1]
+        return _mapped(d0.astype(np.complex128))
 
     @cached_property
     def _half_coefficients(self) -> tuple[np.ndarray, np.ndarray]:

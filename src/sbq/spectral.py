@@ -26,9 +26,17 @@ Conventions used throughout the package:
   inverse's ``ifft`` over the rows, and the forward's ``fft`` after its
   ``rfft`` over the rows, with the bits of the full transforms.  Planes
   already inside the 2/3 ball (:func:`_in_ball`) take the pruned inverse
-  for their plain samples too, the bits of ``irfft2``.  The
-  stepper's and the operator battery's buffers come from a per-thread
-  workspace (:func:`_workspace`).
+  for their plain samples too, the bits of ``irfft2``, and skip the zero
+  fill when the caller knows them inside (``in_ball``).  The stepper's and
+  the operator battery's buffers come from a per-thread workspace
+  (:func:`_workspace`), which hands out one cached view per user, shape
+  and dtype.
+* A real multiplier that scales complex arrays on a hot path (1/|k|^2, the
+  Ito multiplier, the hyper decay) is stored complex with zero imaginary
+  parts, in a private map of its own (:func:`_mapped`): numpy casts a real
+  operand through a buffer on every call, and the cast gives the same
+  bits.  Negation runs on the float view (:meth:`SpectralField.__neg__`),
+  the bytes of the complex negative.
 * All L2-type norms and inner products include the ``(2*pi)**2`` measure of
   the torus, so e.g. ``||sin x||_L2 = pi * sqrt(2)``; they sum over the half
   with weight 2 on the columns ``0 < k2 < n/2`` and 1 on the self-paired ones.
@@ -182,10 +190,12 @@ class Grid:
 
     @cached_property
     def _inv_ksq_half(self) -> np.ndarray:
-        """1 / |k|^2 on the half spectrum with the k = 0 entry 0."""
+        """1 / |k|^2 on the half spectrum with the k = 0 entry 0, stored
+        complex (zero imaginary parts): it only scales complex arrays, which
+        then multiply without casting it on every call, to the same bits."""
         inv = np.zeros_like(self._ksq_half)
         np.divide(1.0, self._ksq_half, out=inv, where=self._ksq_half > 0)
-        return _read_only(inv)
+        return _mapped(inv.astype(np.complex128))
 
     @cached_property
     def _drop_half(self) -> np.ndarray:
@@ -287,7 +297,10 @@ class SpectralField:
         return SpectralField(self.grid, self.half - other.half)
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.half)
+        # on the float view: the bytes of the complex negative, signed zeros
+        # and NaN signs included, without numpy's slow complex ufunc
+        parts = np.ascontiguousarray(self.half).view(np.float64)
+        return SpectralField(self.grid, np.negative(parts).view(np.complex128))
 
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.grid, self.half * float(scalar))
@@ -510,7 +523,7 @@ def _gradient_half(half: np.ndarray, grid: Grid,
 
 
 def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, in_ball: bool = False) -> np.ndarray:
     """Physical samples of half-spectrum planes (..., n, n/2 + 1), one
     batched inverse for the stack.
 
@@ -518,16 +531,18 @@ def _to_physical(half: np.ndarray, grid: Grid, dealias: bool = False,
     then runs the inverse as its own two passes with the bits of ``irfft2``:
     ``ifft`` over axis -2, in place and only on the columns k2 <= n/3 that
     the rule keeps (the others are zero and stay zero), then ``irfft`` over
-    the rows.  ``half`` is overwritten: pass an array the caller owns.  With
-    ``out`` (float, (..., n, n)) the samples are written there, by the same
-    two passes (``irfft2`` drops ``out=`` on numpy 2.4).
+    the rows.  ``in_ball`` says the planes already lie inside the 2/3 ball
+    (:func:`_in_ball`): the same pruned passes run without the zero fill.
+    ``half`` is overwritten: pass an array the caller owns.  With ``out``
+    (float, (..., n, n)) the samples are written there, by the same two
+    passes (``irfft2`` drops ``out=`` on numpy 2.4).
     """
-    if not (dealias or out is not None):
+    pruned = dealias or in_ball
+    if not (pruned or out is not None):
         return np.fft.irfft2(half, s=(grid.n, grid.n))
-    cols = half
-    if dealias:
+    if dealias and not in_ball:
         _zero_dropped(half, grid)
-        cols = half[..., :grid._kept_cols]
+    cols = half[..., :grid._kept_cols] if pruned else half
     np.fft.ifft(cols, axis=-2, out=cols)
     return np.fft.irfft(half, n=grid.n, axis=-1, out=out)
 
@@ -601,21 +616,41 @@ def _workspace(user: str, shape: tuple[int, ...], dtype=np.complex128) -> np.nda
     different users.  The stepper's per-stage arrays and the operator
     battery's batch temporaries live here, so a step or a batch takes no
     page faults (freed 0.1-1 MB temporaries used to come back as hundreds
-    per step), and threads may step concurrently.  A workspace array must
-    never be returned to a caller or cached on a value.
+    per step), and threads may step concurrently.  The view of each
+    (user, shape, dtype) is built once and handed out again (a step asks
+    for a dozen); growing a buffer drops every view of the old one.  A
+    workspace array must never be returned to a caller or cached on a
+    value.
     """
-    size, dtype = math.prod(shape), np.dtype(dtype)
+    views = _scratch.__dict__.setdefault("views", {})
+    view = views.get((user, shape, dtype))
+    if view is not None:
+        return view
+    size, kind = math.prod(shape), np.dtype(dtype)
     bufs = _scratch.__dict__.setdefault("bufs", {})
-    buf = bufs.get((user, dtype))
+    buf = bufs.get((user, kind))
     if buf is None or buf.size < size:
         # a private anonymous map of its own, not a malloc block: a buffer
         # that lives on inside malloc's heap pins it, which changes when
         # malloc hands freed memory back to the system, and so the page
         # faults of every later allocation in the process
-        pages = mmap.mmap(-1, max(size, 1) * dtype.itemsize,
+        pages = mmap.mmap(-1, max(size, 1) * kind.itemsize,
                           flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        buf = bufs[user, dtype] = np.frombuffer(pages, dtype=dtype)
-    return buf[:size].reshape(shape)
+        buf = bufs[user, kind] = np.frombuffer(pages, dtype=kind)
+        for key in [key for key in views if key[0] == user and np.dtype(key[2]) == kind]:
+            del views[key]
+    view = views[user, shape, dtype] = buf[:size].reshape(shape)
+    return view
+
+
+def _mapped(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a`` in a private anonymous map of its own, for a
+    multiplier built on first use that lives as long as the process: inside
+    malloc's heap it would pin it, as a workspace buffer would."""
+    pages = mmap.mmap(-1, max(a.nbytes, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    out = np.frombuffer(pages, dtype=a.dtype, count=a.size).reshape(a.shape)
+    out[...] = a
+    return _read_only(out)
 
 
 def _physical(f: SpectralField, oversample: int) -> np.ndarray:

@@ -15,12 +15,14 @@ Inside the 2/3 ball: a state whose omega and theta have no mode the 2/3
 rule removes (:func:`sbq.spectral._in_ball`; every state the stepper makes
 from such a state is one, and so are the ``random_hs`` initial states) has
 gradients inside it too.  Its samples take the pruned inverse of
-``_to_physical(..., dealias=True)``, which runs ``ifft`` only on the
-columns k2 <= n/3; the other columns are zero, so the bits are those of
-``irfft2``, and the grad theta planes are those a stage's dealiased inverse
-would make, which is why the stage reads them instead of inverting them.
-A state outside the ball (``from_physical`` fields such as Taylor-Green, a
-snapshot read back) keeps the full inverse.
+``_to_physical(..., in_ball=True)``, which runs ``ifft`` only on the
+columns k2 <= n/3 and needs no zero fill; the other columns are zero, so
+the bits are those of ``irfft2``, and the grad theta planes are those a
+stage's dealiased inverse would make, which is why the stage reads them
+instead of inverting them.  A state outside the ball (``from_physical``
+fields such as Taylor-Green, a snapshot read back) keeps the full inverse.
+A lone state scans its fields; a stack of lanes carries the fact
+(``Lanes.in_ball``).
 
 :class:`Lanes` is R realizations ("lanes") at one time on one grid, their
 fields stacked (R, 2, n, n/2 + 1) along a leading lane axis, the stepper's
@@ -83,8 +85,8 @@ class SimState:
         d_x u1, d_y u1, d_x u2, d_y u2, d_x theta, d_y theta; each plane
         equals the ``values()`` of the corresponding derivative."""
         u, g = self.velocity, self.grid
-        dealias = _in_ball(self.omega.half, g) and _in_ball(self.theta.half, g)
-        return _read_only(_gradient_samples(u.u1.half, u.u2.half, self.theta.half, g, dealias))
+        in_ball = _in_ball(self.omega.half, g) and _in_ball(self.theta.half, g)
+        return _read_only(_gradient_samples(u.u1.half, u.u2.half, self.theta.half, g, in_ball))
 
     @property
     def grad_theta(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,19 +102,19 @@ class SimState:
 
 
 def _gradient_samples(u1: np.ndarray, u2: np.ndarray, theta: np.ndarray, grid: Grid,
-                      dealias: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+                      in_ball: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples (..., 6, n, n) of the gradients of u1, u2 and theta,
     given as half spectra (..., n, n/2 + 1): one batched inverse transform,
-    into ``out`` or a fresh array.  ``dealias`` prunes it to the 2/3 rule's
-    columns, which keeps the bits of the full inverse only for fields inside
-    the ball."""
+    into ``out`` or a fresh array.  ``in_ball`` (the fields lie inside the
+    2/3 ball, and so do their gradients) prunes it to the rule's columns,
+    with no zero fill: the bits of the full inverse."""
     lead, n = theta.shape[:-2], grid.n
     half = _workspace("state-samples", (*lead, 6, n, n // 2 + 1))
     for i, f in enumerate((u1, u2, theta)):
         _gradient_half(f, grid, out=half[..., 2 * i:2 * i + 2, :, :])
     if out is None:
         out = np.empty((*lead, 6, n, n))
-    return _to_physical(half, grid, dealias, out)
+    return _to_physical(half, grid, out=out, in_ball=in_ball)
 
 
 def _grad_sups(samples: np.ndarray) -> np.ndarray:
@@ -125,7 +127,8 @@ def _grad_sups(samples: np.ndarray) -> np.ndarray:
 class Lanes:
     """R realizations at time ``t`` on one grid: ``fields`` (R, 2, n, n/2 + 1)
     holds each lane's omega and theta half spectra (read-only), ``accum``
-    each lane's blow-up integral.
+    each lane's blow-up integral, ``in_ball`` whether every lane lies inside
+    the 2/3 ball.
 
     ``velocity`` (R, 2, n, n/2 + 1), ``samples`` (R, 6, n, n) and ``sups``
     (one (||grad u||_inf, ||grad theta||_inf) per lane) are computed on first
@@ -133,16 +136,23 @@ class Lanes:
     states share.  A step reads only ``stage_velocity``, ``stage_samples``
     and ``sups``, which leave the velocity and the samples in the workspace
     unless a state needs them (records, :meth:`states`), so a step allocates
-    only the new fields.  ``in_ball`` says whether every lane lies inside the
-    2/3 ball; the samples then come from the pruned inverse, and a step's
-    first stage reads its grad theta from them.  Lanes built from states
-    (:meth:`of`) read those states' own caches; their samples are the
+    only the new fields.  Inside the ball the samples come from the pruned
+    inverse, and a step's first stage reads its grad theta from them.
+
+    ``in_ball`` is carried, not scanned: :meth:`of` scans the states' fields
+    once, the stepper (whose rates are zero outside the ball) hands it on,
+    and :meth:`take` keeps it, rescanning only a stack outside the ball,
+    which may have dropped its only lanes outside.  Should the hyper decay
+    flush a stack's last modes outside to zero, the stack stays outside:
+    its full inverse has the bits of the pruned one.  Lanes built from
+    states read those states' own caches; their samples are the
     ``stage_samples``, stacked in the workspace when there are several.
     """
 
     def __init__(self, grid: Grid, fields: np.ndarray, t: float, accum: list,
-                 states: list | None = None):
+                 in_ball: bool, states: list | None = None):
         self.grid, self.fields, self.t, self.accum = grid, _read_only(fields), t, accum
+        self.in_ball = in_ball
         self._states = states or [None] * len(fields)
 
     @classmethod
@@ -152,8 +162,9 @@ class Lanes:
         grid, t = states[0].grid, states[0].t
         if any(s.grid != grid or s.t != t for s in states):
             raise ValueError("lanes must share the grid and the time")
-        lanes = cls(grid, np.array([(s.omega.half, s.theta.half) for s in states]), t,
-                    [s.blowup_accum for s in states], list(states))
+        fields = np.array([(s.omega.half, s.theta.half) for s in states])
+        lanes = cls(grid, fields, t, [s.blowup_accum for s in states],
+                    _in_ball(fields, grid), list(states))
         lanes.velocity = np.array([(s.velocity.u1.half, s.velocity.u2.half) for s in states])
         samples, n = [s._samples for s in states], grid.n  # one lane's are not copied
         lanes.stage_samples = samples[0][None] if len(samples) == 1 else np.stack(
@@ -176,11 +187,6 @@ class Lanes:
             return self.velocity
         return _velocity_half(self.fields[:, 0], self.grid,
                               out=_workspace("lane-velocity", self.fields.shape))
-
-    @cached_property
-    def in_ball(self) -> bool:
-        """Whether every lane's fields lie inside the 2/3 ball."""
-        return _in_ball(self.fields, self.grid)
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -229,5 +235,7 @@ class Lanes:
 
     def take(self, lanes: list) -> "Lanes":
         """The given lanes, in that order, as a new stack."""
-        return Lanes(self.grid, self.fields[lanes], self.t,
-                     [self.accum[i] for i in lanes], [self._states[i] for i in lanes])
+        fields = self.fields[lanes]  # a stack outside may drop its only lanes outside
+        return Lanes(self.grid, fields, self.t, [self.accum[i] for i in lanes],
+                     self.in_ball or _in_ball(fields, self.grid),
+                     [self._states[i] for i in lanes])

@@ -215,6 +215,26 @@ class TestReport:
         assert rc == 2
         assert "empty series" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("header", "unexpected diagnostics header"),
+        ("short_row", "line 3: expected"),
+        ("not_a_number", "line 2: could not convert"),
+    ])
+    def test_malformed_csv_exits_2_without_traceback(self, tmp_path, capsys, case, message):
+        from sbq.diagnostics import RECORD_FIELDS
+        row = ",".join(["0.5"] * len(RECORD_FIELDS))
+        lines = {"header": ["t,kinetic_energy", row],
+                 "short_row": [",".join(RECORD_FIELDS), row, "0.5,0.25"],
+                 "not_a_number": [",".join(RECORD_FIELDS), row.replace("0.5", "abc", 1)]}[case]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_diagnostics_csv(path)
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(path) in err
+        assert "Traceback" not in err
+
     def test_summary_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         main(["simulate", "--config", str(cfg), "--quiet"])

@@ -17,6 +17,7 @@ from sbq.integrator import (
     BlowUpSuspected,
     SchemeConfig,
     TimeStepError,
+    _advance,
     _run_lanes,
     eta_cutoff,
     run,
@@ -1000,6 +1001,44 @@ class TestOutsideTheBall:
             assert want.steps_taken == 6 and len(want.records) == 4
             TestLanes.assert_same(got, want)
             self.assert_samples(got.final_state)
+
+
+class TestCarriedBall:
+    """``Lanes.in_ball`` is scanned once, by ``Lanes.of``, then carried by
+    the stepper (its rates are zero outside the ball) and by ``take``: after
+    every step it equals a fresh scan of the lanes' fields."""
+
+    @staticmethod
+    def stack(g, kind):
+        hs = initial_condition({"type": "random_hs", "s_omega": 2.0, "s_theta": 2.0,
+                                "seed": 3, "amplitude": 1.0}, g)
+        tg = TestOutsideTheBall.outside(g, "taylor_green")
+        return {"random_hs": [hs, SimState(0.5 * hs.omega, 1.5 * hs.theta)],
+                "taylor_green": [tg], "mixed": [hs, tg], "taken": [hs, tg, hs]}[kind]
+
+    @pytest.mark.parametrize("kind", ["random_hs", "taylor_green", "mixed", "taken"])
+    @pytest.mark.parametrize("variant", ["plain", "truncated", "hyper"])
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_carried_flag_equals_a_fresh_scan(self, scheme, variant, kind):
+        g = sp.Grid(32)
+        states = self.stack(g, kind)
+        r = 0.5 * max(states[0].grad_sups)
+        params = {"truncated": {"r": r}, "hyper": {"r": r, "nu": 1e-9}}.get(variant, {})
+        cfg = SchemeConfig(scheme, dt=1e-3, variant=variant, **params)
+        basis = build_basis(default_family(g), g)
+        rng = np.random.default_rng(80)
+        lanes = Lanes.of(states)
+        assert lanes.in_ball == (kind == "random_hs")
+        for k in range(20):
+            db = rng.normal(0.0, np.sqrt(1e-3), (len(lanes), len(basis)))
+            if kind == "taken" and k == 5:
+                db[1, 0] = np.nan  # the Taylor-Green lane freezes and is dropped
+            lanes, errors = _advance(lanes, basis, db, 1e-3, cfg, (k + 1) * 1e-3)
+            if any(errors):
+                lanes = lanes.take([row for row, error in enumerate(errors) if error is None])
+            assert lanes.in_ball == sp._in_ball(lanes.fields, g)
+        assert len(lanes) == len(states) - (kind == "taken")
+        assert lanes.in_ball == (kind in ("random_hs", "taken"))
 
 
 class TestRun:

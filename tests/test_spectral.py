@@ -98,6 +98,24 @@ class TestSpectralField:
         f = sp.random_field(grid, rng, band=20)
         assert f.hermitian_defect() <= 1e-12
 
+    def test_negation_bytes_equal_complex_negative(self, grid):
+        # negation runs on the float view: every byte of the complex
+        # negative, signed zeros, infinities and NaN signs included, also for
+        # a strided half and through stream_to_velocity
+        rng = np.random.default_rng(5)
+        wide = rng.standard_normal((64, 66)) + 1j * rng.standard_normal((64, 66))
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        wide.real[:5, :5] = special[:, None]
+        wide.imag[:5, :5] = special[None, :]
+        for half in (wide[:, :33].copy(), wide[:, ::2]):
+            f = sp.SpectralField(grid, half)
+            assert (-f).half.tobytes() == np.negative(half).tobytes()
+            with np.errstate(invalid="ignore"):  # inf * 0 in the multipliers
+                v = sp.stream_to_velocity(f)
+                dx, dy = sp.derivative(f, "x"), sp.derivative(f, "y")
+            assert v.u1.half.tobytes() == np.negative(dy.half).tobytes()
+            assert v.u2.half.tobytes() == dx.half.tobytes()
+
     def test_shape_validation(self, grid):
         with pytest.raises(ValueError):
             sp.SpectralField.from_physical(grid, np.zeros((32, 32)))
@@ -552,6 +570,31 @@ class TestWorkspace:
         assert again.shape == (3, 2) and again.flags.c_contiguous
         assert np.shares_memory(again, large) and not np.shares_memory(small, large)
         assert not np.shares_memory(large, sp._workspace("test-other", (4, 5)))
+
+    def test_one_cached_view_per_user_shape_and_dtype(self):
+        view = sp._workspace("test-views", (3, 4))
+        assert sp._workspace("test-views", (3, 4)) is view
+        other = sp._workspace("test-views", (4, 3))  # two shapes share one buffer
+        assert other is not view and np.shares_memory(other, view)
+        assert not np.shares_memory(view, sp._workspace("test-views", (3, 4), np.float64))
+
+    def test_regrowing_drops_every_view_of_the_old_buffer(self):
+        small = sp._workspace("test-regrow", (2, 3))
+        other = sp._workspace("test-regrow", (3, 2))
+        floats = sp._workspace("test-regrow", (2, 3), np.float64)
+        large = sp._workspace("test-regrow", (4, 5))
+        assert not np.shares_memory(small, large)
+        for shape in ((2, 3), (3, 2)):
+            again = sp._workspace("test-regrow", shape)
+            assert np.shares_memory(again, large)
+            assert not (np.shares_memory(again, small) or np.shares_memory(again, other))
+        kept = {key: view for key, view in sp._scratch.views.items() if key[0] == "test-regrow"}
+        assert len(kept) == 4
+        for (_, _, dtype), view in kept.items():
+            if np.dtype(dtype) == np.complex128:
+                assert np.shares_memory(view, large)
+        # the other dtype's buffer did not grow: its view stays
+        assert sp._workspace("test-regrow", (2, 3), np.float64) is floats
 
     def test_a_forked_child_writes_its_own_copy(self):
         # pool workers are forked: the buffers are private maps, never shared
