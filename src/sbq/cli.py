@@ -7,6 +7,8 @@ Subcommands:
 * ``verify-operators``    operator identity battery, JSON report
 * ``verify-conservation`` deterministic conservation / refinement studies
 * ``report``              render a diagnostics CSV as a plain-text summary
+                          (with the truncation cutoffs at record times when a
+                          truncated or hyper run's manifest sits beside it)
 
 Exit codes: 0 success, 2 configuration error, 3 assertion failure,
 4 blow-up-suspected abort (simulate only).
@@ -40,7 +42,7 @@ from .diagnostics import (
     update_stopping_report,
 )
 from .ensemble import EnsembleConfig, run_ensemble
-from .integrator import TimeStepError, run
+from .integrator import TimeStepError, eta_cutoff, run
 from .io import (
     SNAPSHOT_VERSION,
     read_diagnostics_csv,
@@ -254,8 +256,33 @@ def _cmd_report(args) -> int:
     table = stopping.as_dict()
     lines.append(f"tau2 crossings:   {table['tau2'] or 'none'}")
     lines.append(f"tauinf crossings: {table['tauinf'] or 'none'}")
+    lines += _cutoff_lines(Path(args.csv).with_name("manifest.json"), records)
     print("\n".join(lines))
     return EXIT_OK
+
+
+def _cutoff_lines(manifest: Path, records: list) -> list:
+    """The truncation cutoffs eta_r(||grad u||_inf) and eta_r(||grad theta||_inf)
+    at the record times, when ``manifest`` names a truncated or hyper run:
+    their minima and the first record time where one is below 1.  No lines
+    for a plain run or without a manifest."""
+    if not manifest.exists():
+        return []
+    try:
+        config = json.loads(manifest.read_text())["config"]
+        if config["variant"] not in ("truncated", "hyper"):
+            return []
+        r = float(config["r"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"warning: cannot read {manifest} ({type(exc).__name__}: {exc}); "
+              f"cutoffs not shown", file=sys.stderr)
+        return []
+    eta_u = [eta_cutoff(rec.linf_grad_u, r) for rec in records]
+    eta_theta = [eta_cutoff(rec.linf_grad_theta, r) for rec in records]
+    below = [rec.t for rec, a, b in zip(records, eta_u, eta_theta) if min(a, b) < 1.0]
+    return [f"cutoffs (r = {r:g}): min eta_u {min(eta_u):.6g}, "
+            f"min eta_theta {min(eta_theta):.6g}",
+            f"first eta < 1:    {f't = {below[0]:g}' if below else 'none'}"]
 
 
 def build_parser() -> argparse.ArgumentParser:

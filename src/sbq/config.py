@@ -248,6 +248,10 @@ def parse_config(obj: dict) -> RunConfig:
     if noise.get("k_max") is not None:
         _require(noise["k_max"] <= n / 3.0, "noise.k_max",
                  "noise wavevectors must fit the dealias ball (k_max <= n/3)")
+    for i, mode in enumerate(noise.get("modes", ())):
+        _require(max(map(abs, mode["wavevector"])) <= n / 3.0,
+                 f"noise.modes[{i}].wavevector",
+                 "noise wavevectors must fit the dealias ball (max(|k1|, |k2|) <= n/3)")
     if initial.get("band") is not None:
         _require(initial["band"] <= n / 3.0, "initial.band",
                  "the initial band must fit the dealias ball (band <= n/3)")

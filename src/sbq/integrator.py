@@ -36,7 +36,18 @@ Variants:
   and the theta-advection by eta_r(||grad theta||_inf), where eta_r is 1
   below r, 0 above 2r, and a quintic smoothstep in between (C^2, Lipschitz;
   a documented relaxation of the C-infinity cutoff).  Noise, the Ito
-  correction and the buoyancy term are never truncated.
+  correction and the buoyancy term are never truncated.  Below r the
+  truncated system is the untruncated one, and so is its Heun step: the
+  corrector's cutoffs are certified 1 without a transform when they are
+  (:func:`_certified`).  Each gradient plane is a Fourier multiplier of
+  omega or theta, so a lane's predictor sups are at most its start sups
+  plus a weighted l1 norm of the step's increment
+  (``Grid._sup_weights``), scaled up by a round-off slack.  When that
+  bound is at most r for every lane, the corrector takes the cutoff 1, as
+  plain Heun's does, and the predictor's gradient samples are never made;
+  otherwise (a lane above it, a non-finite predictor) the predictor's sups
+  are read for the whole stack.  Either way the cutoffs, and so the bits,
+  are the same.
 * ``hyper(nu, r)`` composes the truncated explicit step with exact
   integrating-factor decay exp(-nu |k|^10 dt) on omega and
   exp(-nu |k|^14 dt) on theta (Lie-Trotter splitting); the two factors are
@@ -52,19 +63,22 @@ omega and theta share one velocity, 8 otherwise) and one batched forward of
 the 2 transports, each with both products summed in physical space as
 :func:`sbq.operators.lie_derivative` sums them.  With the start state's own
 batched inverse (6 planes), a Heun step makes 5 transform calls (6 when the
-variant truncates and reads the predictor's sups) and an Ito-Euler step 3;
-the CFL guard, when on, adds two.
+variant truncates and reads the predictor's sups, that is when they are
+not certified below r) and an Ito-Euler step 3; the CFL guard, when on,
+adds two.
 
 Inside the 2/3 ball (no lane has a nonzero mode the rule removes;
 ``Lanes.in_ball``) the gradient samples of a state come from the stage's
 own pruned inverse, and a stage reads grad theta from them instead of
 inverting it: 4 planes, or 6 with two velocities.  Stage 0 reads the start
 state's samples, which the blow-up integrand needs anyway; the Heun
-corrector reads the predictor's when the variant truncates.  The rule
-leaves such planes unchanged and the pruned inverse skips only zero
-columns, so the samples carry the bits of ``irfft2`` and of the stage's
-own grad theta alike, and no state moves; the planes of such a stage and
-of such samples skip the rule's zero fill.  The ball holds along a run: a
+corrector reads the predictor's when they were taken (the variant
+truncates and its cutoffs were not certified).  The rule leaves such
+planes unchanged and the pruned inverse skips only zero columns, so the
+samples carry the bits of ``irfft2`` and of the stage's own grad theta
+alike, and no state moves; such samples, and the planes of every stage
+inside the ball (also one that inverts its own grad theta), skip the
+rule's zero fill.  The ball holds along a run: a
 stage's rates are zero outside it, so ``Lanes.in_ball`` is scanned once,
 when the lanes are made from states, and carried from step to step (and to
 the Heun predictor).  A stack with a lane outside it (a ``from_physical``
@@ -198,28 +212,30 @@ def eta_cutoff(x: float, r: float) -> float:
 
 def _cutoffs(cfg: SchemeConfig, count: int, sups: list | None) -> list:
     """Each lane's distinct transport cutoffs: () with the drift off, (1.0,)
-    for the plain variant, else the distinct values among
-    (eta_r(||grad u||_inf), eta_r(||grad theta||_inf)) of its ``sups``;
-    omega and theta share one velocity when their cutoffs agree."""
+    for the plain variant or without ``sups`` (certified below r), else the
+    distinct values among (eta_r(||grad u||_inf), eta_r(||grad theta||_inf))
+    of its ``sups``; omega and theta share one velocity when their cutoffs
+    agree."""
     if not cfg.drift_enabled:
         return [()] * count
-    if cfg.variant == "plain":
+    if cfg.variant == "plain" or sups is None:
         return [(1.0,)] * count
     return [tuple(dict.fromkeys(eta_cutoff(x, cfg.r) for x in lane)) for lane in sups]
 
 
 def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray,
-                    grad_theta: np.ndarray | None, etas: list, basis: NoiseBasis,
-                    noise: np.ndarray, cfg: SchemeConfig, stage: int) -> np.ndarray:
+                    in_ball: bool, grad_theta: np.ndarray | None, etas: list,
+                    basis: NoiseBasis, noise: np.ndarray, cfg: SchemeConfig,
+                    stage: int) -> np.ndarray:
     """Rates (d omega, d theta) of every lane, stacked (R, 2, n, n/2 + 1) in
     this thread's workspace for ``stage``, from the lanes' ``fields`` and
     Biot-Savart ``velocity`` (both (R, 2, n, n/2 + 1)), their ``etas``
     (:func:`_cutoffs`) and ``noise``, the half spectra of w / dt: each field
-    f is transported once, by eta_f u + w / dt.  ``grad_theta`` is
-    None or the lanes' grad theta samples (R, 2, n, n) from the pruned
-    inverse, the bits this stage's own inverse would make of them; it is
-    given exactly when the lanes lie inside the 2/3 ball (:mod:`sbq.state`),
-    and so do the stage's planes, which then skip the zero fill."""
+    f is transported once, by eta_f u + w / dt.  ``in_ball`` says the lanes
+    lie inside the 2/3 ball (:mod:`sbq.state`), and so do the stage's planes,
+    which then skip the zero fill.  ``grad_theta`` is None or, only inside
+    the ball, the lanes' grad theta samples (R, 2, n, n) from the pruned
+    inverse, the bits this stage's own inverse would make of them."""
     lanes, n, h = len(fields), grid.n, grid.n // 2 + 1
     rates = _workspace(f"rates{stage}", (lanes, 2, n, h))
     if not (cfg.drift_enabled or len(basis)):
@@ -243,10 +259,10 @@ def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray,
     else:
         velocities[:, 0] = noise
     phys = _workspace("stage-phys", half.shape[:2] + (n, n), np.float64)
-    in_ball = grad_theta is not None  # the noise lies inside the ball (build_basis)
+    # the noise lies inside the ball (build_basis)
     phys = _to_physical(half, grid, dealias=True, out=phys, in_ball=in_ball)
     phys = phys.reshape(lanes, g + k, 2, n, n)
-    if not in_ball:
+    if grad_theta is None:
         grad_theta = phys[:, 1]
     # omega's products into its gradient's planes, theta's into its velocity's
     # (the last), after omega's have read them
@@ -361,10 +377,38 @@ def _finite_lanes(fields: np.ndarray) -> np.ndarray:
     return np.isfinite(fields.view(np.float64)).all(axis=(1, 2, 3))
 
 
-def _update(fields: np.ndarray, dt: float, rates: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """fields + dt * rates, into ``out`` or a fresh array."""
-    return np.add(fields, np.multiply(rates, dt, out=_workspace("update", rates.shape)), out=out)
+# the certificate's relative round-off slack, per n**2: 1e-11 n**2 is at
+# least 1e4 times the rounding its bound can miss, about n (n + 2) u from
+# its sums plus (10 log2(n**2) + 7) n u from the samples' transforms and
+# multipliers (u = 2**-53)
+_CERTIFICATE_SLACK = 1e-11
+
+
+def _certified(lanes: Lanes, increment: np.ndarray, finite: np.ndarray, r: float,
+               scratch: np.ndarray) -> bool:
+    """Whether every lane's Heun predictor, its fields ``lanes.fields +
+    increment``, finite by ``finite``, certainly has both gradient sups at
+    most ``r``, so that every cutoff of the corrector is exactly 1; read
+    without a transform.
+
+    Each gradient plane is a Fourier multiplier of omega or theta, so its
+    samples move by at most the weighted l1 norm of the increment's
+    coefficients (``Grid._sup_weights``, dotted with |re| + |im| of its
+    float view, formed in ``scratch``, a float array of that view's shape).
+    A lane's bound is its start sups (``lanes.sups``) plus that, scaled up
+    by the round-off slack; a NaN bound is never at most r."""
+    if not finite.all():
+        return False
+    count, n = len(lanes), lanes.grid.n
+    mags = np.abs(increment.view(np.float64), out=scratch)
+    growth = np.vecdot(mags.reshape(count, 2, -1), lanes.grid._sup_weights.reshape(2, -1))
+    bound = (np.asarray(lanes.sups) + growth) * (1.0 + _CERTIFICATE_SLACK * n * n)
+    return bool((bound <= r).all())
+
+
+def _update(fields: np.ndarray, dt: float, rates: np.ndarray) -> np.ndarray:
+    """fields + dt * rates, into a fresh array."""
+    return np.add(fields, np.multiply(rates, dt, out=_workspace("update", rates.shape)))
 
 
 def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
@@ -390,26 +434,31 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
             except TimeStepError as exc:
                 errors[lane] = exc
     noise = basis.transport_half(db / dt, out=_workspace("noise", lanes.fields.shape))
-    rates = _evaluate_stage(grid, lanes.fields, lanes.stage_velocity, grad_theta,
-                            _cutoffs(cfg, count, sups), basis, noise, cfg, 0)
+    rates = _evaluate_stage(grid, lanes.fields, lanes.stage_velocity, lanes.in_ball,
+                            grad_theta, _cutoffs(cfg, count, sups), basis, noise, cfg, 0)
     if cfg.scheme == "ito_euler":
         return _finalize(lanes, _update(lanes.fields, dt, rates), cfg, dt, t, errors), errors
-    # Heun: the Euler-Maruyama update is the predictor
-    fields = _update(lanes.fields, dt, rates, out=_workspace("predictor", rates.shape))
-    for lane in np.flatnonzero(~_finite_lanes(fields)):
+    # Heun: the Euler-Maruyama update is the predictor, inside the ball when
+    # the lanes are
+    increment = np.multiply(rates, dt, out=_workspace("update", rates.shape))
+    fields = np.add(lanes.fields, increment, out=_workspace("predictor", rates.shape))
+    finite = _finite_lanes(fields)
+    for lane in np.flatnonzero(~finite):
         errors[lane] = errors[lane] or BlowUpSuspected(lanes.state(lane),
                                                        "non-finite predictor")
     velocity = _velocity_half(fields[:, 0], grid,
                               out=_workspace("predictor-velocity", fields.shape))
     predictor_sups = grad_theta = None
     if cfg.drift_enabled and cfg.variant != "plain":
-        # the predictor lies inside the ball when the lanes do
-        samples = _gradient_samples(
-            velocity[:, 0], velocity[:, 1], fields[:, 1], grid, lanes.in_ball,
-            _workspace("predictor-samples", (count, 6, grid.n, grid.n), np.float64))
-        predictor_sups = _grad_sups(samples).tolist()
-        grad_theta = samples[:, 4:] if lanes.in_ball else None
-    rates1 = _evaluate_stage(grid, fields, velocity, grad_theta,
+        # scratch: stage 0's physical planes, read already, and paged in
+        scratch = _workspace("stage-phys", increment.view(np.float64).shape, np.float64)
+        if not _certified(lanes, increment, finite, cfg.r, scratch):
+            samples = _gradient_samples(
+                velocity[:, 0], velocity[:, 1], fields[:, 1], grid, lanes.in_ball,
+                _workspace("predictor-samples", (count, 6, grid.n, grid.n), np.float64))
+            predictor_sups = _grad_sups(samples).tolist()
+            grad_theta = samples[:, 4:] if lanes.in_ball else None
+    rates1 = _evaluate_stage(grid, fields, velocity, lanes.in_ball, grad_theta,
                              _cutoffs(cfg, count, predictor_sups), basis, noise, cfg, 1)
     fields = _update(lanes.fields, 0.5 * dt, np.add(rates, rates1, out=rates1))
     return _finalize(lanes, fields, cfg, dt, t, errors), errors

@@ -198,6 +198,22 @@ class Grid:
         return _mapped(inv.astype(np.complex128))
 
     @cached_property
+    def _sup_weights(self) -> np.ndarray:
+        """Weights (2, n, n + 2) on the float view of half spectra: the
+        largest |multiplier| of the four planes of grad u over omega,
+        m^2 / |k|^2 <= 1 with m = max(|k1|, |k2|) (Nyquist lines zeroed, as
+        in the derivatives), and of the two of grad theta over theta, m;
+        times c_k / n**2, c_k = 2 on the columns 0 < k2 < n/2 and 1 on the
+        self-paired ones; each repeated for the real and the imaginary part.
+        Dotted with |re| + |im| of a change of (omega, theta), they bound the
+        change of every gradient sample (:func:`sbq.integrator._certified`)."""
+        m = np.abs(self._deriv_half).max(axis=0)
+        c = np.full(self._nyquist + 1, 2.0)
+        c[[0, -1]] = 1.0
+        weights = np.stack((m * m * self._inv_ksq_half.real, m)) * (c / self.n**2)
+        return _mapped(np.repeat(weights, 2, axis=-1))
+
+    @cached_property
     def _drop_half(self) -> np.ndarray:
         """Half-spectrum modes the 2/3 rule removes."""
         return _read_only(~self.dealias_keep[:, :self._nyquist + 1])

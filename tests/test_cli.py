@@ -82,6 +82,15 @@ class TestSimulate:
         cfg = write_config(tmp_path, dt=-1)
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_noise_mode_outside_the_ball_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, n=16, realizations=2, noise={
+            "type": "modes", "modes": [{"wavevector": [7, 0], "amplitude": 0.1}]})
+        assert main([command, "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "noise.modes[0].wavevector" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--quiet"]) == 2
@@ -234,6 +243,53 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("variant, r", [("truncated", 0.05), ("hyper", 0.05),
+                                            ("truncated", 1e3)])
+    def test_cutoffs_from_the_manifest(self, tmp_path, capsys, variant, r):
+        cfg = write_config(tmp_path, variant=variant, r=r,
+                           **({"nu": 1e-9} if variant == "hyper" else {}))
+        main(["simulate", "--config", str(cfg), "--quiet"])
+        csv = tmp_path / "out" / "diagnostics.csv"
+        capsys.readouterr()
+        assert main(["report", str(csv)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = read_diagnostics_csv(csv)
+        eta_u = [sbq.integrator.eta_cutoff(rec.linf_grad_u, r) for rec in records]
+        eta_theta = [sbq.integrator.eta_cutoff(rec.linf_grad_theta, r) for rec in records]
+        below = [rec.t for rec, a, b in zip(records, eta_u, eta_theta) if min(a, b) < 1.0]
+        assert lines[-2] == (f"cutoffs (r = {r:g}): min eta_u {min(eta_u):.6g}, "
+                             f"min eta_theta {min(eta_theta):.6g}")
+        if r < 1:
+            assert min(eta_u + eta_theta) < 1.0 and lines[-1] == f"first eta < 1:    t = {below[0]:g}"
+        else:
+            assert min(eta_u + eta_theta) == 1.0 and lines[-1] == "first eta < 1:    none"
+        # without the manifest: the table alone, as before
+        (tmp_path / "out" / "manifest.json").unlink()
+        assert main(["report", str(csv)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines[:-2]
+
+    def test_plain_run_prints_no_cutoffs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        main(["simulate", "--config", str(cfg), "--quiet"])
+        csv = tmp_path / "out" / "diagnostics.csv"
+        capsys.readouterr()
+        assert main(["report", str(csv)]) == 0
+        with_manifest = capsys.readouterr()
+        (tmp_path / "out" / "manifest.json").unlink()
+        assert main(["report", str(csv)]) == 0
+        assert capsys.readouterr() == with_manifest
+        assert "cutoffs" not in with_manifest.out and not with_manifest.err
+
+    def test_unreadable_manifest_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, variant="truncated", r=0.05)
+        main(["simulate", "--config", str(cfg), "--quiet"])
+        (tmp_path / "out" / "manifest.json").write_text("{not json")
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out" / "diagnostics.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert "cutoffs" not in out
+        assert err.startswith("warning: cannot read") and "manifest.json" in err
 
     def test_summary_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

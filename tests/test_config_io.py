@@ -88,6 +88,19 @@ class TestParseConfig:
                           "initial": {"type": "random_hs", "band": 11}})
         assert info.value.path == "initial.band"
 
+    def test_noise_modes_vs_grid(self):
+        # each mode is checked as k_max is: a mode the 2/3 rule would remove
+        # is a config error, not a failure of the noise basis at run time
+        modes = [{"wavevector": [1, 2]}, {"wavevector": [-5, 6]}]
+        parse_config({**MINIMAL, "n": 18, "noise": {"type": "modes", "modes": modes}})
+        with pytest.raises(ConfigError) as info:
+            parse_config({**MINIMAL, "n": 16, "noise": {"type": "modes", "modes": modes}})
+        assert info.value.path == "noise.modes[1].wavevector"
+        with pytest.raises(ConfigError) as info:
+            parse_config({**MINIMAL, "n": 16, "noise": {"type": "modes", "modes": [
+                {"wavevector": [7, 0]}]}})
+        assert info.value.path == "noise.modes[0].wavevector"
+
     def test_stopping_levels_must_increase(self):
         with pytest.raises(ConfigError):
             parse_config({**MINIMAL, "stopping_levels": [1, 1, 2]})

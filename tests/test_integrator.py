@@ -9,7 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from sbq import integrator
 from sbq import spectral as sp
 from sbq.config import initial_condition, random_hs_field
 from sbq.diagnostics import compute_record
@@ -18,6 +21,7 @@ from sbq.integrator import (
     SchemeConfig,
     TimeStepError,
     _advance,
+    _certified,
     _run_lanes,
     eta_cutoff,
     run,
@@ -1039,6 +1043,193 @@ class TestCarriedBall:
             assert lanes.in_ball == sp._in_ball(lanes.fields, g)
         assert len(lanes) == len(states) - (kind == "taken")
         assert lanes.in_ball == (kind in ("random_hs", "taken"))
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+def _mode_half(g, k1, k2, c):
+    """Half spectrum of the real field with the one coefficient c at
+    (k1, k2) (and its mirror), k2 >= 0."""
+    half = np.zeros((g.n, g.n // 2 + 1), dtype=np.complex128)
+    half[k1 % g.n, k2] = c
+    if k2 == 0:  # the self-paired column holds both members of the pair
+        half[-k1 % g.n, 0] = np.conj(c)
+    return half
+
+
+def _predictor_sups(lanes, increment):
+    """The gradient sups of the predictor lanes.fields + increment, as the
+    full path reads them."""
+    fields = np.add(lanes.fields, increment)
+    return Lanes(lanes.grid, fields, 0.0, [0.0] * len(lanes),
+                 sp._in_ball(fields, lanes.grid)).sups
+
+
+def _certify(lanes, increment, r):
+    fields = np.add(lanes.fields, increment)
+    scratch = np.empty(increment.view(np.float64).shape)
+    return _certified(lanes, increment, integrator._finite_lanes(fields), r, scratch)
+
+
+def _refuse_always(monkeypatch):
+    monkeypatch.setattr(integrator, "_certified", lambda *args: False)
+
+
+def _spy_certificate(monkeypatch) -> list:
+    """(lane count, verdict) of every certificate the stepper asks for."""
+    verdicts, real = [], integrator._certified
+
+    def spy(lanes, *args):
+        verdicts.append((len(lanes), real(lanes, *args)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(integrator, "_certified", spy)
+    return verdicts
+
+
+class TestCertificate:
+    """The Heun predictor's cutoffs are certified 1 from the start sups and
+    the step's increment, without a transform: never when a sup exceeds r,
+    and with the bits of the full path when they are."""
+
+    @PROPERTY
+    @given(n=hst.sampled_from([16, 32, 64]), seed=hst.integers(0, 2**32 - 1),
+           start=hst.sampled_from([0.0, 0.3, 1.0, 3.0]),
+           kind=hst.sampled_from(["field", "omega_mode", "theta_mode"]),
+           scale=hst.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+           rel=hst.sampled_from([-1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]))
+    def test_certified_sups_are_below_r(self, n, seed, start, kind, scale, rel):
+        # around the predictor's own sup: just below, at and just above it;
+        # a lone mode with a real coefficient attains the l1 bound
+        g = sp.Grid(n)
+        rng = np.random.default_rng(seed)
+        band = int(rng.integers(1, n // 3 + 1))
+        lanes = Lanes.of([SimState(start * sp.random_field(g, rng, band, zero_mean=True),
+                                   start * sp.random_field(g, rng, band))
+                          for _ in range(int(rng.integers(1, 3)))])
+        increment = np.zeros(lanes.fields.shape, dtype=np.complex128)
+        for lane in increment:
+            if kind == "field":
+                lane[0] = sp.random_field(g, rng, band, zero_mean=True).half
+                lane[1] = sp.random_field(g, rng, band).half
+            else:
+                k1, k2 = int(rng.integers(-band, band + 1)), int(rng.integers(0, band + 1))
+                c = complex(rng.normal()) if rng.random() < 0.5 else complex(*rng.normal(size=2))
+                lane[kind == "theta_mode"] = _mode_half(g, k1, k2, c * n * n)
+        increment *= scale
+        sups = np.asarray(_predictor_sups(lanes, increment))
+        for sup in (sups.max(), sups.min()):
+            for r in (np.nextafter(sup, 0.0), sup * (1.0 + rel)):
+                if r > 0 and _certify(lanes, increment, r):
+                    assert sups.max() <= r
+
+    def test_lone_modes_attain_their_bound(self):
+        # from rest, a real lone mode's sup is the l1 bound itself, up to the
+        # rounding of the transform and of the bound's sum, which can put the
+        # sup a few ulps above the sum: the slack refuses one ulp below the
+        # sup, and the certificate holds just above it
+        g = sp.Grid(32)
+        lanes = Lanes.of([SimState(sp.SpectralField.zero(g), sp.SpectralField.zero(g))])
+        slack = integrator._CERTIFICATE_SLACK * g.n**2
+        rng = np.random.default_rng(96)
+        for k1 in range(-g.n // 3, g.n // 3 + 1):
+            for k2 in range(g.n // 3 + 1):
+                if (k1, k2) == (0, 0) or (k2 == 0 and k1 < 0):
+                    continue
+                increment = np.zeros(lanes.fields.shape, dtype=np.complex128)
+                increment[0, (k1 + k2) % 2] = _mode_half(g, k1, k2, rng.normal() * g.n**2)
+                sup = max(_predictor_sups(lanes, increment)[0])
+                assert not _certify(lanes, increment, np.nextafter(sup, 0.0))
+                assert _certify(lanes, increment, sup * (1.0 + 2.0 * slack))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_predictor_is_never_certified(self, bad):
+        g = sp.Grid(32)
+        lanes = Lanes.of([two_cutoff_state(g, np.random.default_rng(90), band=8)] * 2)
+        increment = np.zeros(lanes.fields.shape, dtype=np.complex128)
+        assert _certify(lanes, increment, 1e300)
+        scratch = np.empty(increment.view(np.float64).shape)
+        # a predictor that overflowed from a finite increment
+        assert not _certified(lanes, increment, np.array([True, False]), 1e300, scratch)
+        increment[1, 1, 2, 3] = bad
+        assert not _certify(lanes, increment, 1e300)
+
+    @pytest.mark.parametrize("kind", ["random_hs", "taylor_green"])
+    @pytest.mark.parametrize("variant", ["truncated", "hyper"])
+    @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
+    def test_certified_steps_match_the_full_path(self, monkeypatch, scheme, variant, kind):
+        # r far above the sups: every Heun predictor is certified, and the
+        # run has the bits of the path that reads the predictor's sups
+        g = sp.Grid(32)
+        state = TestCarriedBall.stack(g, kind)[0]
+        params = {"r": 50.0 * max(state.grad_sups)}
+        if variant == "hyper":
+            params["nu"] = 1e-9
+        cfg = SchemeConfig(scheme, dt=1e-3, variant=variant, **params)
+        basis = build_basis(default_family(g), g)
+        verdicts = _spy_certificate(monkeypatch)
+        got = run(state, basis, cfg, 0.008, rng=np.random.default_rng(91), diag_interval=2)
+        assert verdicts == ([(1, True)] * 8 if scheme == "stratonovich_heun" else [])
+        _refuse_always(monkeypatch)
+        want = run(state, basis, cfg, 0.008, rng=np.random.default_rng(91), diag_interval=2)
+        TestLanes.assert_same(got, want)
+
+    @pytest.mark.parametrize("variant", ["truncated", "hyper"])
+    def test_mixed_stack_takes_the_full_path(self, monkeypatch, variant):
+        # lane 0 would certify alone, lane 1 not: the stack reads every
+        # predictor's sups, and each lane keeps the bits of the full path
+        g = sp.Grid(32)
+        base = two_cutoff_state(g, np.random.default_rng(92), band=10)
+        states, r = [SimState(0.1 * base.omega, 0.1 * base.theta), base], 0.9 * base.grad_sups[0]
+        cfg = SchemeConfig("stratonovich_heun", dt=1e-3, variant=variant, r=r,
+                           **({"nu": 1e-9} if variant == "hyper" else {}))
+        basis = build_basis(default_family(g), g)
+        verdicts = _spy_certificate(monkeypatch)
+
+        def rngs():
+            return [np.random.default_rng(93 + i) for i in range(2)]
+
+        got = _run_lanes(states, basis, cfg, 0.006, rngs(), diag_interval=2)
+        solo = run(states[0], basis, cfg, 0.006, rng=rngs()[0], diag_interval=2)
+        assert verdicts == [(2, False)] * 6 + [(1, True)] * 6
+        _refuse_always(monkeypatch)
+        want = _run_lanes(states, basis, cfg, 0.006, rngs(), diag_interval=2)
+        for got_lane, want_lane in zip(got, want):
+            TestLanes.assert_same(got_lane, want_lane)
+        TestLanes.assert_same(solo, want[0])
+
+    @pytest.mark.parametrize("variant", ["truncated", "hyper"])
+    def test_certified_plane_budget(self, monkeypatch, variant):
+        # a certified corrector reads no predictor samples: it inverts its own
+        # grad theta, inside the ball without the zero fill, as plain Heun's
+        g = sp.Grid(64)
+        state = initial_condition({"type": "random_hs", "s_omega": 2.0, "s_theta": 2.0,
+                                   "seed": 4, "amplitude": 1.0}, g)
+        params = {"r": 100.0 * max(state.grad_sups)}
+        if variant == "hyper":
+            params["nu"] = 1e-12
+        cfg = SchemeConfig("stratonovich_heun", dt=1e-3, variant=variant, **params)
+        basis = build_basis(default_family(g), g)
+        rng = np.random.default_rng(94)
+        planes = fft_planes(monkeypatch, lambda: step(
+            replace(state), basis, sample_increments(rng, 1e-3, len(basis)), cfg))
+        assert planes == {"irfft2": [6, 4, 6], "rfft2": [2, 2]}
+
+    @pytest.mark.parametrize("variant", ["plain", "truncated"])
+    def test_in_ball_stages_skip_the_zero_fill(self, monkeypatch, variant):
+        # only the two forwards zero the modes the rule removes; each stage's
+        # inverse of planes inside the ball skips the fill, also when the
+        # stage inverts grad theta itself
+        g = sp.Grid(32)
+        state = TestCarriedBall.stack(g, "random_hs")[0]
+        params = {"truncated": {"r": 100.0 * max(state.grad_sups)}}.get(variant, {})
+        cfg = SchemeConfig("stratonovich_heun", dt=1e-3, variant=variant, **params)
+        basis = build_basis(default_family(g), g)
+        fills, real = [], sp._zero_dropped
+        monkeypatch.setattr(sp, "_zero_dropped", lambda *a: fills.append(1) or real(*a))
+        step(state, basis, sample_increments(np.random.default_rng(95), 1e-3, len(basis)), cfg)
+        assert len(fills) == 2
 
 
 class TestRun:
