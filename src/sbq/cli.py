@@ -8,7 +8,8 @@ Subcommands:
 * ``verify-conservation`` deterministic conservation / refinement studies
 * ``report``              render a diagnostics CSV as a plain-text summary
                           (with the truncation cutoffs at record times when a
-                          truncated or hyper run's manifest sits beside it)
+                          truncated or hyper run's manifest sits beside it, or
+                          above it for an ensemble's ``run_<i>/`` CSV)
 
 Exit codes: 0 success, 2 configuration error, 3 assertion failure,
 4 blow-up-suspected abort (simulate only).
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -42,7 +44,7 @@ from .diagnostics import (
     update_stopping_report,
 )
 from .ensemble import EnsembleConfig, run_ensemble
-from .integrator import TimeStepError, eta_cutoff, run
+from .integrator import TimeStepError, Trajectory, _lane_steps, eta_cutoff
 from .io import (
     SNAPSHOT_VERSION,
     read_diagnostics_csv,
@@ -122,15 +124,16 @@ def _cmd_simulate(args) -> int:
 
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-
-    def snapshot_observer(index, state, record):
-        write_snapshot(snapdir / f"step_{index:08d}.sbq", state)
-
     snap_every = cfg.snapshot_interval if cfg.snapshot_interval > 0 else (1 << 62)
+    results = [Trajectory(final_state=state0)]
     try:
-        traj = run(state0, basis, scheme, cfg.T, rng=rng,
-                   observers=((snap_every, snapshot_observer),),
-                   diag_interval=cfg.diagnostics_interval, p=cfg.p)
+        for index, lanes in _lane_steps(results, basis, scheme, cfg.T, [rng],
+                                        diag_interval=cfg.diagnostics_interval, p=cfg.p):
+            if index % snap_every == 0 or lanes.t == cfg.T:  # and the run's last step
+                write_snapshot(snapdir / f"step_{index:08d}.sbq", lanes.state(0))
+        (traj,) = results
+        if isinstance(traj, Exception):
+            raise traj
     except TimeStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -182,6 +185,9 @@ def _cmd_ensemble(args) -> int:
     manifest["workers"] = cfg.workers
     manifest["blowup_aborts"] = summary.blowup_aborts
     manifest["failed_realizations"] = summary.failed
+    if summary.failed:
+        manifest["failures"] = [{"index": res.index, "reason": res.error, "step": res.step}
+                                for res in results if res.failed]
     write_manifest(out / "manifest.json", manifest)
     if not args.quiet:
         print(f"ensemble: {cfg.realizations} realizations "
@@ -256,9 +262,18 @@ def _cmd_report(args) -> int:
     table = stopping.as_dict()
     lines.append(f"tau2 crossings:   {table['tau2'] or 'none'}")
     lines.append(f"tauinf crossings: {table['tauinf'] or 'none'}")
-    lines += _cutoff_lines(Path(args.csv).with_name("manifest.json"), records)
+    lines += _cutoff_lines(_manifest_of(Path(args.csv)), records)
     print("\n".join(lines))
     return EXIT_OK
+
+
+def _manifest_of(csv: Path) -> Path:
+    """The manifest of the run that wrote ``csv``: the one beside it, or the
+    ensemble's in the output root for a realization's ``run_<i>/`` CSV."""
+    manifest = csv.with_name("manifest.json")
+    if not manifest.exists() and re.fullmatch(r"run_\d+", csv.parent.name):
+        return csv.parent.with_name("manifest.json")
+    return manifest
 
 
 def _cutoff_lines(manifest: Path, records: list) -> list:

@@ -1,10 +1,15 @@
 """Conserved and monitored quantities per state, plus blow-up bookkeeping.
 
 One :class:`DiagnosticsRecord` is one row of the time series; the field
-order here is also the diagnostics CSV column order.  :func:`compute_record`
-takes the velocity, the gradient sups and the grad theta samples from the
-state's cache (see :mod:`sbq.state`), the same values the stepper reads for
-the blow-up integrand when it steps from that state.
+order here is also the diagnostics CSV column order.
+:func:`compute_records` evaluates one record per lane of a stack
+(:class:`sbq.state.Lanes`) from the stack itself: its half spectra, and the
+velocity, gradient samples and gradient sups that the stepper reads for the
+blow-up integrand when it steps from that stack.  Its inner products run
+row by row (``_inner_half``), and its Sobolev norms and theta's physical
+samples come from each lane's state (``sobolev_norm``, ``values()``), so
+each lane's record is bit for bit the record of the lane alone.  :func:`compute_record`
+is its one-lane case, and reads a lone state's own cache (:mod:`sbq.state`).
 
 Energy accounting on the torus: the potential term integral of theta * y
 uses the coordinate y in [-pi, pi), which is discontinuous on the torus, so
@@ -21,13 +26,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectral import SpectralField, derivative, inner, sobolev_norm
-from .state import SimState
+from .spectral import SpectralField, _inner_half, derivative, sobolev_norm
+from .state import Lanes, SimState
 
 __all__ = [
     "DiagnosticsRecord",
     "RECORD_FIELDS",
     "compute_record",
+    "compute_records",
     "potential_term",
     "lp_grad_theta",
     "lp_magnitude",
@@ -93,33 +99,37 @@ def potential_term(state: SimState) -> float:
 
 def compute_record(state: SimState, p: float = 2.0) -> DiagnosticsRecord:
     """Evaluate every monitored quantity for one state."""
-    u = state.velocity
-    ke = 0.5 * (inner(u.u1, u.u1) + inner(u.u2, u.u2))
-    flux = inner(state.theta, u.u2)
-    ens2 = inner(state.theta, state.theta)
-    theta_vals = state.theta.values()
-    spacing = state.grid.spacing
-    ens4 = float(np.sum(np.square(np.square(theta_vals))) * spacing**2)
-    h2 = sobolev_norm(state.omega, 2.0)
-    h3 = sobolev_norm(state.theta, 3.0)
-    gu, gth = state.grad_sups
-    lp = lp_magnitude(*state.grad_theta, p)
-    denom = h2 + h3
-    ratio = (gu + gth) / denom if denom > 0 else 0.0
-    return DiagnosticsRecord(
-        t=state.t,
-        kinetic_energy=ke,
-        buoyancy_flux=flux,
-        enstrophy2=ens2,
-        enstrophy4=ens4,
-        h2_omega=h2,
-        h3_theta=h3,
-        linf_grad_u=gu,
-        linf_grad_theta=gth,
-        lp_grad_theta=lp,
-        blowup_accum=state.blowup_accum,
-        embedding_ratio=ratio,
-    )
+    return compute_records(Lanes.of([state]), p)[0]
+
+
+def compute_records(lanes: Lanes, p: float = 2.0) -> list:
+    """One :class:`DiagnosticsRecord` per lane of ``lanes``."""
+    fields, v = lanes.fields, lanes.velocity
+    ke = _inner_half(v, v).tolist()
+    flux = _inner_half(fields[:, 1], v[:, 1]).tolist()
+    ens2 = _inner_half(fields[:, 1], fields[:, 1]).tolist()
+    records = []
+    for lane, (gu, gth) in enumerate(lanes.sups):
+        state = lanes.state(lane)
+        # theta's samples are the state's own, cached on its field: a snapshot or
+        # potential_term of the state reads them, and lanes sharing a state share them
+        theta = state.theta.values()
+        h2, h3 = sobolev_norm(state.omega, 2.0), sobolev_norm(state.theta, 3.0)
+        records.append(DiagnosticsRecord(
+            t=lanes.t,
+            kinetic_energy=0.5 * (ke[lane][0] + ke[lane][1]),
+            buoyancy_flux=flux[lane],
+            enstrophy2=ens2[lane],
+            enstrophy4=float(np.sum(np.square(np.square(theta))) * state.grid.spacing**2),
+            h2_omega=h2,
+            h3_theta=h3,
+            linf_grad_u=gu,
+            linf_grad_theta=gth,
+            lp_grad_theta=lp_magnitude(*lanes.samples[lane, 4:], p),
+            blowup_accum=lanes.accum[lane],
+            embedding_ratio=(gu + gth) / (h2 + h3) if h2 + h3 > 0 else 0.0,
+        ))
+    return records
 
 
 @dataclass

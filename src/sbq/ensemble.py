@@ -72,6 +72,7 @@ class RealizationResult:
     blowup_suspected: bool = False
     failed: bool = False
     error: str | None = None
+    step: int | None = None  # the index of the step whose guard failed the realization
 
 
 @dataclass
@@ -129,6 +130,7 @@ def _run_chunk(cfg: RunConfig, master_seed: int, indices: list) -> list:
         if isinstance(outcome, Exception):
             result.failed = True
             result.error = f"{type(outcome).__name__}: {outcome}"
+            result.step = getattr(outcome, "step", None)
         else:
             result.records = outcome.records
             result.blowup_suspected = outcome.blowup_suspected

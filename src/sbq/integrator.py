@@ -9,15 +9,17 @@ The prognostic equations, with u recovered from omega by Biot-Savart:
 
 One stepping kernel advances R realizations ("lanes", :class:`sbq.state.Lanes`)
 by one step; :class:`SchemeConfig` selects the scheme and the variant.
-:func:`step` is its one-lane case and :func:`run` iterates it for one
-realization; :func:`_run_lanes` iterates it for R realizations at once,
-each with its own Brownian increments (its own ``rng`` stream or
-precomputed path), which is how ensembles and shared-path studies run.  Two schemes are
-provided: Euler-Maruyama for the Ito form (the Ito correction enters the
-drift) and a Heun predictor-corrector for the Stratonovich form (no
-correction; drift and noise coefficients averaged between the start and
-predictor states, same Brownian increment).  The Euler-Maruyama update is
-also the Heun predictor.
+:func:`step` is its one-lane case.  One loop, the iterator
+:func:`_lane_steps`, steps a stack from its start to T, each lane with its
+own Brownian increments (its own ``rng`` stream or precomputed path), folds
+the records into each lane's :class:`Trajectory` and yields the stack at the
+start and after every step; snapshot writers and studies consume it, and
+:func:`_run_lanes` (ensembles, shared-path studies) and :func:`run` (one
+realization) exhaust it.  Two schemes are provided: Euler-Maruyama for the
+Ito form (the Ito correction enters the drift) and a Heun
+predictor-corrector for the Stratonovich form (no correction; drift and
+noise coefficients averaged between the start and predictor states, same
+Brownian increment).  The Euler-Maruyama update is also the Heun predictor.
 
 The Ito correction 1/2 sum_i L_{xi_i}^2 f is the composed dealiased
 transport of :func:`sbq.operators.lie_second`, summed over the modes.  Each
@@ -65,13 +67,13 @@ the 2 transports, each with both products summed in physical space as
 batched inverse (6 planes), a Heun step makes 5 transform calls (6 when the
 variant truncates and reads the predictor's sups, that is when they are
 not certified below r) and an Ito-Euler step 3; the CFL guard, when on,
-adds two.
+adds one, of both velocity planes.
 
 Inside the 2/3 ball (no lane has a nonzero mode the rule removes;
-``Lanes.in_ball``) the gradient samples of a state come from the stage's
-own pruned inverse, and a stage reads grad theta from them instead of
-inverting it: 4 planes, or 6 with two velocities.  Stage 0 reads the start
-state's samples, which the blow-up integrand needs anyway; the Heun
+``Lanes.in_ball``) a stack's gradient samples come from the pruned inverse
+a stage uses, and a stage reads grad theta from them instead of inverting
+it: 4 planes, or 6 with two velocities.  Stage 0 reads the start stack's
+samples, which the blow-up integrand needs anyway; the Heun
 corrector reads the predictor's when they were taken (the variant
 truncates and its cutoffs were not certified).  The rule leaves such
 planes unchanged and the pruned inverse skips only zero columns, so the
@@ -103,10 +105,10 @@ stack, and the other lanes go on.  The lane count is the caller's;
 Storage: every coefficient array is a half spectrum (:mod:`sbq.spectral`).
 A stage's planes, samples, products and rates, the predictor and the noise
 live in the per-thread workspace (``spectral._workspace``, which hands out
-a cached view per use), written with ``out=``, so a step takes no page
-faults; the inverse into it runs as ``ifft`` over the rows then ``irfft``,
-counted as one transform above.  The updated fields and the velocities,
-which the lanes' states keep, are fresh arrays.  Around the transforms a
+a cached view per use), written with ``out=``, as do the stack's velocity
+and samples (:mod:`sbq.state`), so a step takes no page faults; the inverse
+into it runs as ``ifft`` over the rows then ``irfft``, counted as one
+transform above.  The updated fields are fresh arrays.  Around the transforms a
 step pays only for its arithmetic: the real multipliers it applies to
 complex planes (1/|k|^2, the Ito multiplier, the hyper decay, the cutoffs)
 are complex arrays, so numpy casts none of them on each call, and the
@@ -119,12 +121,13 @@ gives -0, which moves signed zeros of the states.
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
 endpoint, matching the adaptedness of the integrand).  The integrand, the
-truncation cutoffs and the CFL speed are read from the start state's cache
-(:mod:`sbq.state`), which the record :func:`run` takes of it shares.
+truncation cutoffs and the CFL speed are read from the start stack's sups
+and velocity, which its records read too.
 
-States are never mutated apart from that cache; a step returns fresh
-states that share no memory with the workspace, so a state may be handed
-between threads across steps, and threads may step concurrently.
+States are never mutated apart from their own caches; the states a step or
+the loop hands out view only fresh fields and share no memory with the
+workspace, so a state may be handed between threads across steps, and
+threads may step concurrently.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import compute_record
+from .diagnostics import compute_records
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
 from .spectral import Grid
 from .spectral import (_full_layout, _gradient_half, _inner_half, _mapped, _to_fourier,
@@ -313,15 +316,22 @@ def _check_increments(increments: BrownianIncrements, basis: NoiseBasis, cfg: Sc
         raise ValueError("one Brownian increment per noise mode required")
 
 
-def _cfl_guard(state: SimState, basis: NoiseBasis, cfg: SchemeConfig):
-    if cfg.cfl is None:
-        return
-    speed = max(1.0, state.velocity.sup_magnitude() + basis.sup_total)
-    bound = cfg.cfl * state.grid.spacing / speed
-    if cfg.dt > bound:
-        raise TimeStepError(
-            f"dt={cfg.dt:.3e} exceeds CFL bound {bound:.3e} "
-            f"(cfl={cfg.cfl}, speed={speed:.3e})")
+def _cfl_guard(lanes: Lanes, basis: NoiseBasis, cfg: SchemeConfig, errors: list):
+    """A TimeStepError into ``errors`` for each lane whose dt exceeds its
+    bound; the speeds come from one batched inverse of the stack's velocity."""
+    grid, v = lanes.grid, lanes.velocity
+    half = _workspace("cfl-half", v.shape)
+    half[...] = v  # the inverse overwrites its input
+    phys = _to_physical(half, grid,
+                        out=_workspace("cfl", v.shape[:-1] + (grid.n,), np.float64))
+    peaks = np.hypot(phys[:, 0], phys[:, 1], out=phys[:, 0]).max(axis=(-2, -1))
+    for lane, peak in enumerate(peaks.tolist()):
+        speed = max(1.0, peak + basis.sup_total)
+        bound = cfg.cfl * grid.spacing / speed
+        if cfg.dt > bound:
+            errors[lane] = TimeStepError(
+                f"dt={cfg.dt:.3e} exceeds CFL bound {bound:.3e} "
+                f"(cfl={cfg.cfl}, speed={speed:.3e})")
 
 
 @lru_cache(maxsize=8)
@@ -425,16 +435,12 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
     """
     grid, count = lanes.grid, len(lanes)
     sups = lanes.sups  # the blow-up integrand and the cutoffs, for every lane at once
-    grad_theta = lanes.stage_samples[:, 4:] if lanes.in_ball else None
+    grad_theta = lanes.samples[:, 4:] if lanes.in_ball else None
     errors = [None] * count
     if cfg.cfl is not None:
-        for lane in range(count):
-            try:
-                _cfl_guard(lanes.state(lane), basis, cfg)
-            except TimeStepError as exc:
-                errors[lane] = exc
+        _cfl_guard(lanes, basis, cfg, errors)
     noise = basis.transport_half(db / dt, out=_workspace("noise", lanes.fields.shape))
-    rates = _evaluate_stage(grid, lanes.fields, lanes.stage_velocity, lanes.in_ball,
+    rates = _evaluate_stage(grid, lanes.fields, lanes.velocity, lanes.in_ball,
                             grad_theta, _cutoffs(cfg, count, sups), basis, noise, cfg, 0)
     if cfg.scheme == "ito_euler":
         return _finalize(lanes, _update(lanes.fields, dt, rates), cfg, dt, t, errors), errors
@@ -489,29 +495,25 @@ class Trajectory:
 
 
 def run(initial: SimState, basis: NoiseBasis, cfg: SchemeConfig, T: float,
-        rng: np.random.Generator | None = None, observers: tuple = (),
-        increments: np.ndarray | None = None, diag_interval: int = 1,
-        p: float = 2.0) -> Trajectory:
+        rng: np.random.Generator | None = None, increments: np.ndarray | None = None,
+        diag_interval: int = 1, p: float = 2.0) -> Trajectory:
     """Iterate steps from ``initial.t`` to T, collecting diagnostics.
 
     Step k ends at ``initial.t + k * cfg.dt`` and the final step ends
     exactly on T: when the horizon is a whole number of steps (to 1e-9 of
     a step) every step has length ``cfg.dt``, otherwise the final step is
-    shortened.  ``observers`` is a sequence of ``(every_n_steps, callback)``
-    pairs; callbacks receive ``(step_index, state, record)`` and always fire
-    at step 0 and at the final step regardless of their interval.  Records are appended to the
-    trajectory every ``diag_interval`` steps plus at the start and end.
-    ``increments`` optionally provides a precomputed path (one row of
-    per-mode increments per full step; the horizon must then be an integer
-    number of steps); otherwise increments are sampled from ``rng``.  On a
-    NaN/Inf abort the partial trajectory is returned with
-    ``blowup_suspected`` set and records up to the last finite state.  A
-    failed invariant guard's ``AssertionError`` propagates with the index of
-    its step as ``step``.  This is the one-lane case of :func:`_run_lanes`.
+    shortened.  Records are appended to the trajectory every
+    ``diag_interval`` steps plus at the start and end.  ``increments``
+    optionally provides a precomputed path (one row of per-mode increments
+    per full step; the horizon must then be an integer number of steps);
+    otherwise increments are sampled from ``rng``.  On a NaN/Inf abort the
+    partial trajectory is returned with ``blowup_suspected`` set and records
+    up to the last finite state.  A failed invariant guard's
+    ``AssertionError`` propagates with the index of its step as ``step``.
+    This is the one-lane case of :func:`_run_lanes`.
     """
     (traj,) = _run_lanes([initial], basis, cfg, T, [rng],
-                         None if increments is None else [increments],
-                         diag_interval, p, observers)
+                         None if increments is None else [increments], diag_interval, p)
     if isinstance(traj, Exception):
         raise traj
     return traj
@@ -528,18 +530,42 @@ def _increment(rng, path, index: int, dt: float, m: int) -> np.ndarray:
 
 def _run_lanes(initial: list, basis: NoiseBasis, cfg: SchemeConfig, T: float,
                rngs: list | None = None, increments: list | None = None,
-               diag_interval: int = 1, p: float = 2.0, observers: tuple = ()) -> list:
+               diag_interval: int = 1, p: float = 2.0) -> list:
     """:func:`run` for R realizations at once, stepped as lanes of one stack.
 
     ``initial`` holds each lane's initial state (one grid, one time; a state
     may be shared), ``rngs`` and ``increments`` each lane's ``rng`` or
-    precomputed path, as in :func:`run`; ``observers`` fire for every lane.
-    Each lane's result is bit for bit that of :func:`run` alone: a
-    :class:`Trajectory`, partial with ``blowup_suspected`` set when the lane
-    blew up (the other lanes go on without it), or the exception that failed
-    the lane, the omega mean guard's ``AssertionError`` (with ``step``) or a
-    ``TimeStepError``.
+    precomputed path, as in :func:`run`.  Each lane's result is bit for bit
+    that of :func:`run` alone: a :class:`Trajectory`, partial with
+    ``blowup_suspected`` set when the lane blew up (the other lanes go on
+    without it), or the exception that failed the lane, the omega mean
+    guard's ``AssertionError`` (with ``step``) or a ``TimeStepError``.
     """
+    results = [Trajectory(final_state=state) for state in initial]
+    for _ in _lane_steps(results, basis, cfg, T, rngs, increments, diag_interval, p):
+        pass
+    return results
+
+
+def _lane_steps(results: list, basis: NoiseBasis, cfg: SchemeConfig, T: float,
+                rngs: list | None = None, increments: list | None = None,
+                diag_interval: int = 1, p: float = 2.0):
+    """The lane loop: yields ``(index, lanes)``, the stack at the start
+    (index 0) and after each step, its records already folded into
+    ``results``.
+
+    ``results`` holds one :class:`Trajectory` per lane whose ``final_state``
+    is the lane's initial state; the loop appends its records, counts its
+    steps, sets its final state once the loop is exhausted, and replaces it
+    by the exception that failed the lane (see :func:`_run_lanes`).  The
+    stack holds the lanes still running, in lane order; a run that reaches
+    T yields last a stack whose ``t`` is exactly T, and one whose every lane
+    stopped ends without a yield for that step.  The yielded stack's
+    velocity and samples live in this thread's workspace: a consumer may
+    read them, or record and step states, but must not drive another run
+    in this thread before resuming the loop.
+    """
+    initial = [traj.final_state for traj in results]
     t0 = initial[0].t
     if T < t0:
         raise ValueError(f"final time {T} precedes initial time {t0}")
@@ -553,62 +579,43 @@ def _run_lanes(initial: list, basis: NoiseBasis, cfg: SchemeConfig, T: float,
     steps = (T - t0) / cfg.dt
     whole = abs(steps - round(steps)) <= 1e-9
     nsteps = round(steps) if whole else math.ceil(steps)
-    for path in paths:
-        if path is None:
-            continue
-        if not whole:
-            raise ValueError(
-                "a precomputed increment path requires the horizon to be an "
-                "integer number of steps")
-        if path.shape[0] < nsteps:
-            raise ValueError("precomputed increment path too short")
+    given = [path for path in paths if path is not None]
+    if given and not whole:
+        raise ValueError("a precomputed increment path requires the horizon to be an "
+                         "integer number of steps")
+    if any(path.shape[0] < nsteps for path in given):
+        raise ValueError("precomputed increment path too short")
 
     lanes = Lanes.of(initial)
-    trajs = [Trajectory(final_state=state) for state in initial]
-    results = list(trajs)
     alive = list(range(len(initial)))  # the lane of each row of the stack
-
-    def emit(index: int, force: bool):
-        on_diag = force or index % diag_interval == 0
-        firing = [fn for every, fn in observers if force or index % every == 0]
-        if not (on_diag or firing):
-            return
-        records = {}  # lanes sharing a state share its record
-        for lane, state in zip(alive, lanes.states()):
-            if id(state) not in records:
-                records[id(state)] = compute_record(state, p=p)
-            record = records[id(state)]
-            if on_diag:
-                trajs[lane].records.append(record)
-            for fn in firing:
-                fn(index, state, record)
-
-    emit(0, force=True)
-    for index in range(nsteps):
-        last = index == nsteps - 1
-        t_end = T if last else t0 + (index + 1) * cfg.dt
-        step_cfg = replace(cfg, dt=T - lanes.t) if last and not whole else cfg
-        dt = step_cfg.dt
-        db = np.array([_increment(rngs[lane], paths[lane], index, dt, m) for lane in alive])
-        if db.shape[1] != m:
-            raise ValueError("one Brownian increment per noise mode required")
-        lanes, errors = _advance(lanes, basis, db, dt, step_cfg, t_end)
-        for lane, error in zip(alive, errors):
-            if isinstance(error, BlowUpSuspected):
-                trajs[lane].final_state = error.last_state
-                trajs[lane].blowup_suspected = True
-                trajs[lane].abort_step = index
-            elif error is not None:
-                error.step = index
-                results[lane] = error
-        if any(errors):
-            rows = [row for row, error in enumerate(errors) if error is None]
-            lanes, alive = lanes.take(rows), [alive[row] for row in rows]
-            if not alive:
-                break
-        for lane in alive:
-            trajs[lane].steps_taken = index + 1
-        emit(index + 1, force=last)
+    for index in range(nsteps + 1):
+        if index > 0:  # step index - 1, which ends at t0 + index dt, the last on T
+            last, k = index == nsteps, index - 1
+            step_cfg = replace(cfg, dt=T - lanes.t) if last and not whole else cfg
+            dt = step_cfg.dt
+            db = np.array([_increment(rngs[lane], paths[lane], k, dt, m) for lane in alive])
+            if db.shape[1] != m:
+                raise ValueError("one Brownian increment per noise mode required")
+            lanes, errors = _advance(lanes, basis, db, dt, step_cfg,
+                                     T if last else t0 + index * cfg.dt)
+            for lane, error in zip(alive, errors):
+                if isinstance(error, BlowUpSuspected):
+                    results[lane].final_state = error.last_state
+                    results[lane].blowup_suspected = True
+                    results[lane].abort_step = k
+                elif error is not None:
+                    error.step = k
+                    results[lane] = error
+            if any(errors):
+                rows = [row for row, error in enumerate(errors) if error is None]
+                lanes, alive = lanes.take(rows), [alive[row] for row in rows]
+                if not alive:
+                    return
+            for lane in alive:
+                results[lane].steps_taken = index
+        if index % diag_interval == 0 or index == nsteps:
+            for lane, record in zip(alive, compute_records(lanes, p)):
+                results[lane].records.append(record)
+        yield index, lanes
     for row, lane in enumerate(alive):
-        trajs[lane].final_state = lanes.state(row)
-    return results
+        results[lane].final_state = lanes.state(row)

@@ -346,12 +346,6 @@ class VelocityField:
     def divergence(self) -> SpectralField:
         return derivative(self.u1, "x", 1) + derivative(self.u2, "y", 1)
 
-    def sup_magnitude(self, oversample: int = 1) -> float:
-        """max over the collocation grid of sqrt(u1^2 + u2^2)."""
-        a = _physical(self.u1, oversample)
-        b = _physical(self.u2, oversample)
-        return float(np.max(np.hypot(a, b)))
-
     def is_finite(self) -> bool:
         return self.u1.is_finite() and self.u2.is_finite()
 

@@ -1,37 +1,34 @@
 """Dynamical state of realizations: vorticity, temperature, time, and the
 running blow-up integral, plus the quantities derived from the fields.
 
-:class:`SimState` is one realization.  Its derived quantities are computed
-on first use and cached, as ``SpectralField.values()`` caches samples: the
-velocity, and the physical samples of grad u and grad theta from one batched
-inverse transform.  The stepper (blow-up integrand, truncation cutoffs, CFL
-speed, and the grad theta of its first stage) and ``compute_record`` all
-read them, so ``run``, which records a state before stepping from it,
-evaluates each state's samples once.  The samples' half planes are built in
-the per-thread workspace of :mod:`sbq.spectral` and inverted into a fresh
-array, which the state owns.
-
-Inside the 2/3 ball: a state whose omega and theta have no mode the 2/3
-rule removes (:func:`sbq.spectral._in_ball`; every state the stepper makes
-from such a state is one, and so are the ``random_hs`` initial states) has
-gradients inside it too.  Its samples take the pruned inverse of
-``_to_physical(..., in_ball=True)``, which runs ``ifft`` only on the
-columns k2 <= n/3 and needs no zero fill; the other columns are zero, so
-the bits are those of ``irfft2``, and the grad theta planes are those a
-stage's dealiased inverse would make, which is why the stage reads them
-instead of inverting them.  A state outside the ball (``from_physical``
-fields such as Taylor-Green, a snapshot read back) keeps the full inverse.
-A lone state scans its fields; a stack of lanes carries the fact
-(``Lanes.in_ball``).
-
 :class:`Lanes` is R realizations ("lanes") at one time on one grid, their
-fields stacked (R, 2, n, n/2 + 1) along a leading lane axis, the stepper's
-unit of work.  Its velocity, gradient samples and sups come from the same
-functions as a single state's, once for the whole stack, and each lane's
-:class:`SimState` (:meth:`Lanes.state`) views the stack with those caches
-filled in.  Every operation runs plane by plane or lane by lane (batched
-transforms, row-wise reductions), so a lane's bits never depend on the other
-lanes.
+fields stacked (R, 2, n, n/2 + 1) on a leading axis: the stepper's unit of
+work and the one holder of what is derived from the fields.  Its velocity,
+its grad u and grad theta samples (one batched inverse) and its gradient
+sups are computed on first use, in this thread's workspace
+(:mod:`sbq.spectral`); the stepper (blow-up integrand, cutoffs, CFL speed,
+stage 0's grad theta) and :func:`sbq.diagnostics.compute_records` both read
+them, so a run, which records a stack before stepping from it, evaluates
+each stack's samples once.  Every operation runs plane by plane or lane by
+lane, so a lane's bits never depend on the other lanes.
+
+:class:`SimState` is one realization.  A lane's state (:meth:`Lanes.state`)
+is a plain view of the lane's fresh fields, never of the workspace; a state
+computes its own velocity, samples and sups on first use, into fresh arrays
+it caches, and :meth:`Lanes.of` reads those (a state repeated across lanes
+pays one gradient inverse).
+
+Inside the 2/3 ball: a stack whose omega and theta have no mode the 2/3
+rule removes (:func:`sbq.spectral._in_ball`; every stack the stepper makes
+from such a stack is one, and so are the ``random_hs`` initial states) has
+gradients inside it too.  Its samples take the pruned inverse of
+``_to_physical(..., in_ball=True)``, which runs ``ifft`` only on the columns
+k2 <= n/3 and needs no zero fill; the other columns are zero, so the bits
+are those of ``irfft2``, and the grad theta planes are those a stage's
+dealiased inverse would make, which is why the stage reads them instead of
+inverting them.  Fields outside the ball (``from_physical`` fields such as
+Taylor-Green, a snapshot read back) keep the full inverse.  A lone state
+scans its fields; a stack carries the fact (``Lanes.in_ball``).
 """
 
 from __future__ import annotations
@@ -132,21 +129,18 @@ class Lanes:
 
     ``velocity`` (R, 2, n, n/2 + 1), ``samples`` (R, 6, n, n) and ``sups``
     (one (||grad u||_inf, ||grad theta||_inf) per lane) are computed on first
-    use for the whole stack, the first two into fresh arrays that the lanes'
-    states share.  A step reads only ``stage_velocity``, ``stage_samples``
-    and ``sups``, which leave the velocity and the samples in the workspace
-    unless a state needs them (records, :meth:`states`), so a step allocates
-    only the new fields.  Inside the ball the samples come from the pruned
-    inverse, and a step's first stage reads its grad theta from them.
+    use for the whole stack, the first two in this thread's workspace, so a
+    step and a record allocate only the new fields.  They stay valid until
+    another stack in this thread fills the same workspace (computes its own,
+    or :meth:`of` stacks several states' samples); :meth:`state` views never
+    alias it.
 
     ``in_ball`` is carried, not scanned: :meth:`of` scans the states' fields
     once, the stepper (whose rates are zero outside the ball) hands it on,
     and :meth:`take` keeps it, rescanning only a stack outside the ball,
     which may have dropped its only lanes outside.  Should the hyper decay
     flush a stack's last modes outside to zero, the stack stays outside:
-    its full inverse has the bits of the pruned one.  Lanes built from
-    states read those states' own caches; their samples are the
-    ``stage_samples``, stacked in the workspace when there are several.
+    its full inverse has the bits of the pruned one.
     """
 
     def __init__(self, grid: Grid, fields: np.ndarray, t: float, accum: list,
@@ -158,7 +152,8 @@ class Lanes:
     @classmethod
     def of(cls, states: list) -> "Lanes":
         """The lanes of given states, which must share the grid and the time;
-        a state may appear more than once."""
+        a state may appear more than once.  The stack reads the states' own
+        velocity, samples and sups (a repeated state computes them once)."""
         grid, t = states[0].grid, states[0].t
         if any(s.grid != grid or s.t != t for s in states):
             raise ValueError("lanes must share the grid and the time")
@@ -167,7 +162,7 @@ class Lanes:
                     _in_ball(fields, grid), list(states))
         lanes.velocity = np.array([(s.velocity.u1.half, s.velocity.u2.half) for s in states])
         samples, n = [s._samples for s in states], grid.n  # one lane's are not copied
-        lanes.stage_samples = samples[0][None] if len(samples) == 1 else np.stack(
+        lanes.samples = samples[0][None] if len(samples) == 1 else np.stack(
             samples, out=_workspace("lane-samples", (len(samples), 6, n, n), np.float64))
         lanes.sups = [s.grad_sups for s in states]
         return lanes
@@ -177,60 +172,25 @@ class Lanes:
 
     @cached_property
     def velocity(self) -> np.ndarray:
-        return _read_only(_velocity_half(self.fields[:, 0], self.grid))
-
-    @cached_property
-    def stage_velocity(self) -> np.ndarray:
-        """``velocity`` if computed, else the same in the workspace: what a
-        step from these lanes reads when no state keeps it."""
-        if "velocity" in vars(self):
-            return self.velocity
         return _velocity_half(self.fields[:, 0], self.grid,
                               out=_workspace("lane-velocity", self.fields.shape))
 
     @cached_property
     def samples(self) -> np.ndarray:
-        v = self.velocity
-        return _read_only(_gradient_samples(v[:, 0], v[:, 1], self.fields[:, 1], self.grid,
-                                            self.in_ball))
-
-    @cached_property
-    def stage_samples(self) -> np.ndarray:
-        """``samples`` if computed, else the same in the workspace: what a
-        step from these lanes reads when no state keeps them."""
-        if "samples" in vars(self):
-            return self.samples
-        v, n = self.stage_velocity, self.grid.n
+        v, n = self.velocity, self.grid.n
         return _gradient_samples(v[:, 0], v[:, 1], self.fields[:, 1], self.grid, self.in_ball,
                                  _workspace("lane-samples", (len(self), 6, n, n), np.float64))
 
     @cached_property
     def sups(self) -> list:
-        return _grad_sups(self.stage_samples).tolist()
-
-    def states(self) -> list:
-        """Every lane as a :class:`SimState`; the gradient samples that
-        records read come from one batched inverse for all lanes."""
-        if any(state is None for state in self._states):
-            self.samples
-        return [self.state(lane) for lane in range(len(self))]
+        return _grad_sups(self.samples).tolist()
 
     def state(self, lane: int) -> SimState:
-        """Lane ``lane`` as a :class:`SimState` viewing the stack, its cache
-        filled with what the stack has computed so far."""
+        """Lane ``lane`` as a :class:`SimState` viewing the stack's fields."""
         if self._states[lane] is None:
             g, f = self.grid, self.fields[lane]
-            state = SimState(SpectralField(g, f[0]), SpectralField(g, f[1]),
-                             self.t, self.accum[lane])
-            computed = vars(self)  # cached properties live in the instance dict
-            if "velocity" in computed:
-                v = self.velocity[lane]
-                vars(state)["velocity"] = VelocityField(SpectralField(g, v[0]),
-                                                        SpectralField(g, v[1]))
-            if "samples" in computed:
-                vars(state).update(_samples=self.samples[lane],
-                                   grad_sups=tuple(self.sups[lane]))
-            self._states[lane] = state
+            self._states[lane] = SimState(SpectralField(g, f[0]), SpectralField(g, f[1]),
+                                          self.t, self.accum[lane])
         return self._states[lane]
 
     def take(self, lanes: list) -> "Lanes":

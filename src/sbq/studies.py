@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import random_hs_field
 from .diagnostics import conservation_defects, gronwall_report, lp_magnitude
-from .integrator import SchemeConfig, run
+from .integrator import SchemeConfig, Trajectory, _lane_steps, run
 from .noise import empty_basis
 from .spectral import Grid, SpectralField, l2_norm
 from .state import SimState
@@ -78,14 +78,14 @@ def conservation_order_study(n: int = 128, dts=(1e-2, 5e-3, 2.5e-3),
     finest_lps = None
     for dt in dts:
         lp_series = {2.0: [], 4.0: [], 8.0: []}
-
-        def collect(index, state, record, series=lp_series):
-            # compute_record has just cached the grad theta samples
-            for p in series:
-                series[p].append(lp_magnitude(*state.grad_theta, p))
-
-        traj = run(state0, basis, SchemeConfig("stratonovich_heun", dt=dt), T,
-                   diag_interval=1, observers=((1, collect),))
+        results = [Trajectory(final_state=state0)]
+        cfg = SchemeConfig("stratonovich_heun", dt=dt)
+        for _, lanes in _lane_steps(results, basis, cfg, T, diag_interval=1):
+            for p, series in lp_series.items():  # the samples the record has read
+                series.append(lp_magnitude(*lanes.samples[0, 4:], p))
+        (traj,) = results
+        if isinstance(traj, Exception):
+            raise traj
         defects[dt] = conservation_defects(traj.records, dt)
         finest_records, finest_lps = traj.records, lp_series
     quantities = {

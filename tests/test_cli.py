@@ -121,9 +121,10 @@ class TestSimulate:
 
     def test_assertion_exit_3(self, tmp_path, monkeypatch, capsys):
         # e.g. the stepper's omega mean guard firing mid-run
-        def failing_run(*args, **kwargs):
+        def failing_steps(*args, **kwargs):
             raise AssertionError("omega mean mode drifted to 1.000e-03")
-        monkeypatch.setattr("sbq.cli.run", failing_run)
+            yield
+        monkeypatch.setattr("sbq.cli._lane_steps", failing_steps)
         cfg = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == 3
         assert "error: omega mean mode drifted" in capsys.readouterr().err
@@ -204,6 +205,26 @@ class TestEnsembleCommand:
         assert (tmp_path / "w1" / "summary.csv").read_bytes() == \
             (tmp_path / "w4" / "summary.csv").read_bytes()
 
+    def test_failures_name_their_reason_and_step(self, tmp_path, capsys):
+        # dt far above the CFL bound: every lane fails at step 0
+        cfg = write_config(tmp_path, realizations=2, cfl_guard=True, cfl=1e-4)
+        assert main(["ensemble", "--config", str(cfg), "--quiet"]) == 3
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed_realizations"] == [0, 1]
+        failures = manifest["failures"]
+        assert [(f["index"], f["step"]) for f in failures] == [(0, 0), (1, 0)]
+        err = capsys.readouterr().err
+        for f in failures:
+            assert f["reason"].startswith("TimeStepError: dt=1.000e-02 exceeds CFL bound")
+            assert f"realization {f['index']} failed: {f['reason']}" in err
+        assert_environment(manifest)
+
+    def test_no_failures_no_failure_list(self, tmp_path):
+        cfg = write_config(tmp_path, realizations=2)
+        assert main(["ensemble", "--config", str(cfg), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed_realizations"] == [] and "failures" not in manifest
+
 
 class TestVerifyOperators:
     def test_report_and_exit_code(self, tmp_path):
@@ -265,6 +286,25 @@ class TestReport:
         else:
             assert min(eta_u + eta_theta) == 1.0 and lines[-1] == "first eta < 1:    none"
         # without the manifest: the table alone, as before
+        (tmp_path / "out" / "manifest.json").unlink()
+        assert main(["report", str(csv)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines[:-2]
+
+    def test_ensemble_runs_read_the_root_manifest(self, tmp_path, capsys):
+        # sbq ensemble writes its manifest in the output root, each CSV in run_<i>/
+        cfg = write_config(tmp_path, variant="truncated", r=0.05, realizations=2)
+        assert main(["ensemble", "--config", str(cfg), "--quiet"]) == 0
+        csv = tmp_path / "out" / "run_0" / "diagnostics.csv"
+        capsys.readouterr()
+        assert main(["report", str(csv)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = read_diagnostics_csv(csv)
+        eta_u = [sbq.integrator.eta_cutoff(rec.linf_grad_u, 0.05) for rec in records]
+        eta_theta = [sbq.integrator.eta_cutoff(rec.linf_grad_theta, 0.05) for rec in records]
+        assert lines[-2] == (f"cutoffs (r = 0.05): min eta_u {min(eta_u):.6g}, "
+                             f"min eta_theta {min(eta_theta):.6g}")
+        assert lines[-1].startswith("first eta < 1:    t = ")
+        # a run_<i> CSV elsewhere, with no manifest above it, shows none
         (tmp_path / "out" / "manifest.json").unlink()
         assert main(["report", str(csv)]) == 0
         assert capsys.readouterr().out.splitlines() == lines[:-2]

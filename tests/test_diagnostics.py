@@ -1,16 +1,19 @@
 """Diagnostics records, stopping-time bookkeeping, conservation defects."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sbq import spectral as sp
+from sbq.config import initial_condition
 from sbq.diagnostics import (
     DiagnosticsRecord,
     RECORD_FIELDS,
     StoppingTimeReport,
     compute_record,
+    compute_records,
     conservation_defects,
     lp_grad_theta,
     lp_magnitude,
@@ -18,7 +21,9 @@ from sbq.diagnostics import (
     potential_term,
     update_stopping_report,
 )
-from sbq.state import SimState
+from sbq.integrator import SchemeConfig, _advance
+from sbq.noise import build_basis, default_family
+from sbq.state import Lanes, SimState
 from oracles import fine_values, lp_magnitude_reference, quadrature, quadrature_sobolev_sq
 
 
@@ -33,6 +38,45 @@ def make_record(t, h2=0.0, h3=0.0, gu=0.0, gt=0.0, accum=0.0):
         enstrophy4=0.0, h2_omega=h2, h3_theta=h3, linf_grad_u=gu,
         linf_grad_theta=gt, lp_grad_theta=0.0, blowup_accum=accum,
         embedding_ratio=0.0)
+
+
+class TestStackedRecords:
+    """A stack's records are its lanes' own records, field by field: every
+    reduction runs row by row."""
+
+    @staticmethod
+    def states(g):
+        hs = initial_condition({"type": "random_hs", "s_omega": 2.0, "s_theta": 2.0,
+                                "seed": 3, "amplitude": 1.0}, g)  # inside the 2/3 ball
+        tg = initial_condition({"type": "taylor_green", "amplitude": 1.0}, g)
+        tg = SimState(tg.omega, sp.SpectralField.from_physical(  # outside it
+            g, 0.5 * np.cos(g.x + 2.0 * g.y)), t=0.0, blowup_accum=0.25)
+        return [hs, tg, hs]
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in RECORD_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_records_equal_each_lane_alone(self, n, p):
+        g = sp.Grid(n)
+        states = self.states(g)
+        lanes = Lanes.of(states)
+        assert not lanes.in_ball and Lanes.of(states[:1]).in_ball
+        records = compute_records(lanes, p)
+        assert len(records) == 3 and records[0] == records[2]
+        for record, state in zip(records, states):
+            self.assert_same(record, compute_record(replace(state), p))
+        # a stack the stepper made: its velocity and samples live in the workspace
+        basis = build_basis(default_family(g), g)
+        db = np.random.default_rng(4).normal(0.0, np.sqrt(1e-3), (3, len(basis)))
+        cfg = SchemeConfig("stratonovich_heun", dt=1e-3, variant="truncated", r=0.3)
+        lanes, errors = _advance(lanes, basis, db, 1e-3, cfg, 1e-3)
+        assert not any(errors)
+        for lane, record in enumerate(compute_records(lanes, p)):
+            self.assert_same(record, compute_record(lanes.state(lane), p))
 
 
 class TestComputeRecord:

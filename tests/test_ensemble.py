@@ -168,6 +168,13 @@ class TestLanes:
             if got.index != 1:
                 assert not got.failed and got.records == want.records
 
+    def test_failed_realization_keeps_its_step(self, monkeypatch):
+        cfg = small_config(realizations=3)
+        mean_guard_fires(monkeypatch, lane=2, call=4)
+        summary, results = run_ensemble(EnsembleConfig(cfg, 3, cfg.seed, 1))
+        assert summary.failed == [2]
+        assert [r.step for r in results] == [None, None, 3]
+
     def test_mean_guard_propagates_from_a_single_run(self, monkeypatch):
         cfg = small_config()
         grid = Grid(cfg.n)

@@ -20,8 +20,10 @@ from sbq.integrator import (
     BlowUpSuspected,
     SchemeConfig,
     TimeStepError,
+    Trajectory,
     _advance,
     _certified,
+    _lane_steps,
     _run_lanes,
     eta_cutoff,
     run,
@@ -919,6 +921,13 @@ class TestLanes:
             assert want.steps_taken == 10 and len(want.records) == 4
             self.assert_same(got, want)
 
+    def test_repeated_state_pays_one_gradient_inverse(self, monkeypatch):
+        # an ensemble batch stacks one initial state R times; the stack reads
+        # the state's own samples, computed once
+        state = two_cutoff_state(sp.Grid(32), np.random.default_rng(42), band=10)
+        assert fft_planes(monkeypatch, lambda: Lanes.of([replace(state)] * 4)) == \
+            {"irfft2": [6]}
+
     @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
     def test_blown_up_lane_keeps_partial_records(self, scheme):
         g = sp.Grid(32)
@@ -1043,6 +1052,61 @@ class TestCarriedBall:
             assert lanes.in_ball == sp._in_ball(lanes.fields, g)
         assert len(lanes) == len(states) - (kind == "taken")
         assert lanes.in_ball == (kind in ("random_hs", "taken"))
+
+
+class TestNoWorkspaceAliasing:
+    """The loop's stacks keep their velocity and samples in the workspace;
+    the states it hands out (``Lanes.state``, ``final_state``) view only the
+    stacks' fresh fields, and their caches are their own."""
+
+    @staticmethod
+    def setup(g):
+        state = TestCarriedBall.stack(g, "random_hs")[0]
+        basis = build_basis(default_family(g), g)
+        cfg = SchemeConfig("stratonovich_heun", dt=1e-3, variant="truncated",
+                           r=0.9 * state.grad_sups[0])
+        return state, basis, cfg
+
+    @staticmethod
+    def arrays(state):
+        v = state.velocity
+        return (state.omega.half, state.theta.half, v.u1.half, v.u2.half, state._samples)
+
+    def test_held_states_keep_their_values(self):
+        g = sp.Grid(32)
+        state, basis, cfg = self.setup(g)
+        results = [Trajectory(final_state=state)]
+        for index, lanes in _lane_steps(results, basis, cfg, 0.008,
+                                        [np.random.default_rng(7)], diag_interval=1):
+            if index == 4:  # hold a state mid-run, its cache filled now
+                held = lanes.state(0)
+                copies = [a.copy() for a in self.arrays(held)] + [held.grad_sups]
+        (traj,) = results
+        assert traj.steps_taken == 8
+        run(TestCarriedBall.stack(g, "taylor_green")[0], basis, cfg, 0.004,
+            rng=np.random.default_rng(8))  # a second run in this thread
+        buffers = _workspace_buffers()
+        for s in (held, traj.final_state):
+            fresh = SimState(s.omega, s.theta)
+            assert s.grad_sups == fresh.grad_sups
+            for got, want in zip(self.arrays(s), self.arrays(fresh)):
+                assert np.array_equal(got, want)
+                assert not any(np.shares_memory(got, b) for b in buffers)
+            assert all(np.array_equal(a, b) for a, b in zip(s.grad_theta, fresh.grad_theta))
+        assert all(np.array_equal(a, b) for a, b in zip(self.arrays(held), copies[:-1]))
+        assert held.grad_sups == copies[-1]
+
+    def test_closing_the_loop_early_leaves_later_runs_unchanged(self):
+        g = sp.Grid(32)
+        state, basis, cfg = self.setup(g)
+        want = run(state, basis, cfg, 0.006, rng=np.random.default_rng(9), diag_interval=2)
+        results = [Trajectory(final_state=state)]
+        for index, _ in _lane_steps(results, basis, cfg, 0.006, [np.random.default_rng(10)]):
+            if index == 3:
+                break  # the consumer stops; the loop is closed with the stack mid-run
+        assert results[0].steps_taken == 3 and results[0].final_state is state
+        got = run(state, basis, cfg, 0.006, rng=np.random.default_rng(9), diag_interval=2)
+        TestLanes.assert_same(got, want)
 
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -1255,9 +1319,12 @@ class TestRun:
         grid = sp.Grid(16)
         state = replace(stationary_state(grid), t=t0)
         times = []
-        traj = run(state, empty_basis(grid), SchemeConfig("ito_euler", dt=dt), T,
-                   observers=((nsteps // 10, lambda i, s, r: times.append((i, s.t))),),
-                   diag_interval=10**9)
+        results = [Trajectory(final_state=state)]
+        for i, lanes in _lane_steps(results, empty_basis(grid), SchemeConfig("ito_euler", dt=dt),
+                                    T, diag_interval=10**9):
+            if i % (nsteps // 10) == 0 or lanes.t == T:
+                times.append((i, lanes.t))
+        (traj,) = results
         assert traj.steps_taken == nsteps
         assert traj.final_state.t == T
         assert times == [(k, t0 + k * dt) for k in range(0, nsteps, nsteps // 10)] \
@@ -1284,9 +1351,11 @@ class TestRun:
         state = stationary_state(grid)
         cfg = SchemeConfig("stratonovich_heun", dt=0.01)
         seen = []
-        traj = run(state, empty_basis(grid), cfg, T=0.1,
-                   observers=((3, lambda i, s, r: seen.append(i)),),
-                   diag_interval=2)
+        results = [Trajectory(final_state=state)]
+        for i, lanes in _lane_steps(results, empty_basis(grid), cfg, T=0.1, diag_interval=2):
+            if i % 3 == 0 or lanes.t == 0.1:
+                seen.append(i)
+        (traj,) = results
         assert seen == [0, 3, 6, 9, 10]  # interval hits plus forced endpoints
         assert len(traj.records) == 6    # diag steps 0, 2, 4, 6, 8 + forced 10
 
