@@ -11,8 +11,8 @@ Subcommands:
                           truncated or hyper run's manifest sits beside it, or
                           above it for an ensemble's ``run_<i>/`` CSV)
 
-Exit codes: 0 success, 2 configuration error, 3 assertion failure,
-4 blow-up-suspected abort (simulate only).
+Exit codes: 0 success, 2 configuration error or unusable output path,
+3 assertion failure, 4 blow-up-suspected abort (simulate only).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .config import (
     build_scheme,
     config_to_dict,
     parse_config,
+    parse_seed,
 )
 from .diagnostics import (
     RECORD_FIELDS,
@@ -206,7 +207,6 @@ def _cmd_ensemble(args) -> int:
 def _emit_report(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n")
     if not args.quiet:
         print(text)
@@ -215,7 +215,7 @@ def _emit_report(payload: dict, args) -> None:
 def _cmd_verify_operators(args) -> int:
     kwargs = {}
     if args.seed is not None:
-        kwargs["seed"] = args.seed
+        kwargs["seed"] = parse_seed(args.seed)
     report = run_verification(**kwargs)
     _emit_report(report, args)
     if not report["pass"]:
@@ -353,9 +353,14 @@ def main(argv=None) -> int:
         "report": _cmd_report,
     }
     try:
+        if args.command.startswith("verify") and args.out:  # before the battery runs
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

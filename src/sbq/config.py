@@ -22,6 +22,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config",
+    "parse_seed",
     "config_to_dict",
     "build_noise_basis",
     "build_initial_state",
@@ -50,7 +51,7 @@ class RunConfig:
     scheme: str
     seed: int
     initial: dict
-    noise: dict = field(default_factory=lambda: {"type": "default_family"})
+    noise: dict = field(default_factory=lambda: _parse_noise(None))
     variant: str = "plain"
     r: float | None = None
     nu: float | None = None
@@ -86,6 +87,13 @@ def _integer(obj, path):
     _require(isinstance(obj, int) and not isinstance(obj, bool),
              path, "expected an integer")
     return int(obj)
+
+
+def parse_seed(obj, path: str = "seed") -> int:
+    """A seed of ``numpy.random.default_rng``: an integer in [0, 2**64)."""
+    seed = _integer(obj, path)
+    _require(0 <= seed <= _U64_MAX, path, "must fit in 64 bits")
+    return seed
 
 
 _NOISE_KEYS = {
@@ -179,7 +187,7 @@ def _parse_initial(obj, path="initial") -> dict:
     elif kind == "random_hs":
         out["s_omega"] = _number(obj.get("s_omega", 2.0), f"{path}.s_omega")
         out["s_theta"] = _number(obj.get("s_theta", 3.0), f"{path}.s_theta")
-        out["seed"] = _integer(obj.get("seed", 0), f"{path}.seed")
+        out["seed"] = parse_seed(obj.get("seed", 0), f"{path}.seed")
         out["amplitude"] = _number(obj.get("amplitude", 1.0), f"{path}.amplitude")
         if "band" in obj:
             out["band"] = _integer(obj["band"], f"{path}.band")
@@ -209,8 +217,7 @@ def parse_config(obj: dict) -> RunConfig:
     scheme = obj["scheme"]
     _require(scheme in ("ito_euler", "stratonovich_heun"), "scheme",
              "expected 'ito_euler' or 'stratonovich_heun'")
-    seed = _integer(obj["seed"], "seed")
-    _require(0 <= seed <= _U64_MAX, "seed", "must fit in 64 bits")
+    seed = parse_seed(obj["seed"])
     variant = obj.get("variant", "plain")
     _require(variant in ("plain", "truncated", "hyper"), "variant",
              "expected 'plain', 'truncated' or 'hyper'")

@@ -125,7 +125,7 @@ def compute_records(lanes: Lanes, p: float = 2.0) -> list:
             h3_theta=h3,
             linf_grad_u=gu,
             linf_grad_theta=gth,
-            lp_grad_theta=lp_magnitude(*lanes.samples[lane, 4:], p),
+            lp_grad_theta=lp_magnitude(*lanes.grad_theta[lane], p),
             blowup_accum=lanes.accum[lane],
             embedding_ratio=(gu + gth) / (h2 + h3) if h2 + h3 > 0 else 0.0,
         ))

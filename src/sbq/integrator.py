@@ -39,21 +39,26 @@ Variants:
   below r, 0 above 2r, and a quintic smoothstep in between (C^2, Lipschitz;
   a documented relaxation of the C-infinity cutoff).  Noise, the Ito
   correction and the buoyancy term are never truncated.  Below r the
-  truncated system is the untruncated one, and so is its Heun step: the
-  corrector's cutoffs are certified 1 without a transform when they are
-  (:func:`_certified`).  Each gradient plane is a Fourier multiplier of
-  omega or theta, so a lane's predictor sups are at most its start sups
-  plus a weighted l1 norm of the step's increment
-  (``Grid._sup_weights``), scaled up by a round-off slack.  When that
-  bound is at most r for every lane, the corrector takes the cutoff 1, as
-  plain Heun's does, and the predictor's gradient samples are never made;
-  otherwise (a lane above it, a non-finite predictor) the predictor's sups
-  are read for the whole stack.  Either way the cutoffs, and so the bits,
-  are the same.
+  truncated system is the untruncated one, and so is its Heun step: each
+  gradient plane is a Fourier multiplier of omega or theta, so a lane's
+  predictor sups are at most its start sups plus a weighted l1 norm of the
+  step's increment (``Grid._sup_weights``), scaled up by a round-off slack
+  (:func:`_certified`).  When that bound is at most r for every lane, the
+  corrector takes the cutoff 1, as plain Heun's does; otherwise (a lane
+  above it, a non-finite predictor) it reads the predictor's sups for the
+  whole stack.  Either way the cutoffs, and so the bits, are the same.
 * ``hyper(nu, r)`` composes the truncated explicit step with exact
   integrating-factor decay exp(-nu |k|^10 dt) on omega and
   exp(-nu |k|^14 dt) on theta (Lie-Trotter splitting); the two factors are
   built once per (grid, nu, dt).
+
+Stages read stacks: a stage (:func:`_evaluate_stage`) takes a stack
+(:class:`sbq.state.Lanes`) and the sups its cutoffs come from (none when
+certified), and reads the stack's fields and velocity.  Stage 0 takes the
+start stack and its sups, which the blow-up integrand reads anyway; the
+corrector takes the Heun predictor, the Euler-Maruyama update, as a stack
+over a view of its workspace fields, whose velocity, samples and sups are
+made when read: the samples only when the certificate refuses.
 
 Transport: a stage carries each field f by one stochastic velocity
 v_f = eta_f u + w / dt, w = sum_i dB_i xi_i (Holm's u dt + sum_i xi_i o dB_i
@@ -63,66 +68,59 @@ comes once per step from the modes' exact coefficients
 grad omega, grad theta and the velocities (6 planes when eta_u == eta_th and
 omega and theta share one velocity, 8 otherwise) and one batched forward of
 the 2 transports, each with both products summed in physical space as
-:func:`sbq.operators.lie_derivative` sums them.  With the start state's own
+:func:`sbq.operators.lie_derivative` sums them.  With the start stack's own
 batched inverse (6 planes), a Heun step makes 5 transform calls (6 when the
-variant truncates and reads the predictor's sups, that is when they are
-not certified below r) and an Ito-Euler step 3; the CFL guard, when on,
+predictor's sups are read) and an Ito-Euler step 3; the CFL guard, when on,
 adds one, of both velocity planes.
 
 Inside the 2/3 ball (no lane has a nonzero mode the rule removes;
 ``Lanes.in_ball``) a stack's gradient samples come from the pruned inverse
-a stage uses, and a stage reads grad theta from them instead of inverting
-it: 4 planes, or 6 with two velocities.  Stage 0 reads the start stack's
-samples, which the blow-up integrand needs anyway; the Heun
-corrector reads the predictor's when they were taken (the variant
-truncates and its cutoffs were not certified).  The rule leaves such
-planes unchanged and the pruned inverse skips only zero columns, so the
-samples carry the bits of ``irfft2`` and of the stage's own grad theta
-alike, and no state moves; such samples, and the planes of every stage
-inside the ball (also one that inverts its own grad theta), skip the
-rule's zero fill.  The ball holds along a run: a
-stage's rates are zero outside it, so ``Lanes.in_ball`` is scanned once,
-when the lanes are made from states, and carried from step to step (and to
-the Heun predictor).  A stack with a lane outside it (a ``from_physical``
-state such as Taylor-Green, a snapshot read back) keeps the full inverse
-and the 6- or 8-plane stage.
+a stage uses, so a stage given a stack's sups reads grad theta from its
+samples (``Lanes.grad_theta``) instead of inverting it: 4 planes, or 6 with
+two velocities.  The rule leaves such planes unchanged and the pruned
+inverse skips only zero columns, so the samples carry the bits of
+``irfft2`` and of the stage's own grad theta alike; they, and every stage's
+planes inside the ball, skip the rule's zero fill.  The ball holds along a
+run (a stage's rates are zero outside it), so ``Lanes.in_ball`` is scanned
+once, when lanes are made from states, and carried to every later stack,
+the predictor included.  A stack with a lane outside it (a
+``from_physical`` state such as Taylor-Green, a snapshot read back) keeps
+the full inverse and the 6- or 8-plane stage.
 
 Lanes: every array of a step carries the lanes on a leading axis, so each
-stage makes one batched inverse and one batched forward for all lanes, and
-Biot-Savart, the gradient samples, the sups and the finalize guards run once
-per step for the whole stack.  Lanes share the grid, the basis, the scheme
-and the workspace; each keeps its own fields, cutoffs eta_u and eta_th (a
-stage inverts as many velocity pairs as the lane with the most distinct
-cutoffs needs) and blow-up integral.  Every operation works plane by plane
-or lane by lane (batched transforms and row-wise ``vecdot`` are bit-identical
-to one-plane calls), so a lane's states are bit for bit those of the
-realization stepped alone.  A lane that blows up (non-finite predictor or
+transform, Biot-Savart, the sups and the finalize guards run once per step
+for the whole stack.  Lanes share the grid, the basis, the scheme and the
+workspace; each keeps its own fields, cutoffs (a stage inverts as many
+velocity pairs as the lane with the most distinct cutoffs needs) and
+blow-up integral.  Every operation works plane by plane or lane by lane
+(batched transforms and row-wise ``vecdot`` are bit-identical to one-plane
+calls), so a lane's states are bit for bit those of the realization
+stepped alone.  A lane that blows up (non-finite predictor or
 field, magnitude guard) or fails the omega mean guard is frozen: it keeps
 its partial records and ``abort_step`` (or its error) and drops out of the
 stack, and the other lanes go on.  The lane count is the caller's;
 :mod:`sbq.ensemble` caps it by a fixed memory budget.
 
 Storage: every coefficient array is a half spectrum (:mod:`sbq.spectral`).
-A stage's planes, samples, products and rates, the predictor and the noise
-live in the per-thread workspace (``spectral._workspace``, which hands out
-a cached view per use), written with ``out=``, as do the stack's velocity
-and samples (:mod:`sbq.state`), so a step takes no page faults; the inverse
-into it runs as ``ifft`` over the rows then ``irfft``, counted as one
-transform above.  The updated fields are fresh arrays.  Around the transforms a
-step pays only for its arithmetic: the real multipliers it applies to
-complex planes (1/|k|^2, the Ito multiplier, the hyper decay, the cutoffs)
-are complex arrays, so numpy casts none of them on each call, and the
-rates' negation and the finite guards run on the float view of the
-complex arrays, which numpy's complex ufuncs take 2-5x as long over.  The
-negation is not folded into the velocities (-eta u - w): the forward
-transform of the negated products gives +0 where the negated transform
-gives -0, which moves signed zeros of the states.
+A stage's planes, samples, products and rates, the predictor's fields and
+the noise live in the per-thread workspace (``spectral._workspace``, a
+cached view per use), written with ``out=``, as do every stack's velocity
+and samples (:mod:`sbq.state`; the predictor's overwrite the start
+stack's, read by then), so a step takes no page faults and allocates only
+its updated fields.  The inverse into the workspace runs as ``ifft`` over
+the rows then ``irfft``, counted as one transform above.  The real
+multipliers applied to complex planes (1/|k|^2, the Ito multiplier, the
+hyper decay, the cutoffs) are stored complex, so numpy casts none of them
+per call, and the rates' negation and the finite guards run on the float
+view, which numpy's complex ufuncs take 2-5x as long over.  The negation is
+not folded into the velocities (-eta u - w): the forward transform of the
+negated products gives +0 where the negated transform gives -0, which moves
+signed zeros of the states.
 
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
-||grad u||_inf + ||grad theta||_inf evaluated at the step start (left
-endpoint, matching the adaptedness of the integrand).  The integrand, the
-truncation cutoffs and the CFL speed are read from the start stack's sups
-and velocity, which its records read too.
+||grad u||_inf + ||grad theta||_inf of the start stack's sups (left
+endpoint, matching the adaptedness of the integrand), which its records
+read too, as the CFL guard reads its velocity.
 
 States are never mutated apart from their own caches; the states a step or
 the loop hands out view only fresh fields and share no memory with the
@@ -142,8 +140,8 @@ from .diagnostics import compute_records
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
 from .spectral import Grid
 from .spectral import (_full_layout, _gradient_half, _inner_half, _mapped, _to_fourier,
-                       _to_physical, _velocity_half, _workspace)
-from .state import Lanes, SimState, _grad_sups, _gradient_samples
+                       _to_physical, _workspace)
+from .state import Lanes, SimState
 
 __all__ = [
     "SchemeConfig",
@@ -213,43 +211,32 @@ def eta_cutoff(x: float, r: float) -> float:
     return 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def _cutoffs(cfg: SchemeConfig, count: int, sups: list | None) -> list:
-    """Each lane's distinct transport cutoffs: () with the drift off, (1.0,)
-    for the plain variant or without ``sups`` (certified below r), else the
-    distinct values among (eta_r(||grad u||_inf), eta_r(||grad theta||_inf))
-    of its ``sups``; omega and theta share one velocity when their cutoffs
-    agree."""
-    if not cfg.drift_enabled:
-        return [()] * count
-    if cfg.variant == "plain" or sups is None:
-        return [(1.0,)] * count
-    return [tuple(dict.fromkeys(eta_cutoff(x, cfg.r) for x in lane)) for lane in sups]
-
-
-def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray,
-                    in_ball: bool, grad_theta: np.ndarray | None, etas: list,
-                    basis: NoiseBasis, noise: np.ndarray, cfg: SchemeConfig,
-                    stage: int) -> np.ndarray:
-    """Rates (d omega, d theta) of every lane, stacked (R, 2, n, n/2 + 1) in
-    this thread's workspace for ``stage``, from the lanes' ``fields`` and
-    Biot-Savart ``velocity`` (both (R, 2, n, n/2 + 1)), their ``etas``
-    (:func:`_cutoffs`) and ``noise``, the half spectra of w / dt: each field
-    f is transported once, by eta_f u + w / dt.  ``in_ball`` says the lanes
-    lie inside the 2/3 ball (:mod:`sbq.state`), and so do the stage's planes,
-    which then skip the zero fill.  ``grad_theta`` is None or, only inside
-    the ball, the lanes' grad theta samples (R, 2, n, n) from the pruned
-    inverse, the bits this stage's own inverse would make of them."""
+def _evaluate_stage(stack: Lanes, sups: list | None, basis: NoiseBasis, noise: np.ndarray,
+                    cfg: SchemeConfig, stage: int) -> np.ndarray:
+    """Rates (d omega, d theta) of every lane of ``stack``, stacked
+    (R, 2, n, n/2 + 1) in this thread's workspace for ``stage``, from its
+    fields and velocity, the cutoffs eta_r of ``sups`` (1 for the plain
+    variant, or without ``sups``: certified below r) and ``noise``, the half
+    spectra of w / dt: each field f is transported once, by eta_f u + w / dt.  Inside the 2/3 ball the stage's planes skip the
+    zero fill, and a stack whose ``sups`` are given has taken its samples,
+    so the stage reads its grad theta from them instead of inverting it."""
+    grid, fields, in_ball = stack.grid, stack.fields, stack.in_ball
     lanes, n, h = len(fields), grid.n, grid.n // 2 + 1
     rates = _workspace(f"rates{stage}", (lanes, 2, n, h))
     if not (cfg.drift_enabled or len(basis)):
         rates.fill(0.0)
         return rates
+    # each lane's distinct cutoffs: omega and theta share one velocity when
+    # theirs agree
+    etas = ([(1.0,)] * lanes if not cfg.drift_enabled or cfg.variant == "plain" or sups is None
+            else [tuple(dict.fromkeys(eta_cutoff(x, cfg.r) for x in lane)) for lane in sups])
+    grad_theta = stack.grad_theta if in_ball and sups is not None else None
     # one inverse: grad omega, grad theta unless given, then the velocities;
     # one forward: v_f . grad f for f = omega, theta, both products summed
     # before the transform, as in lie_derivative.  A lane whose cutoffs agree
     # while another's differ repeats its velocity, which leaves its bits
     # unchanged.
-    k, g = max(1, *map(len, etas)), 2 if grad_theta is None else 1
+    k, g = max(map(len, etas)), 2 if grad_theta is None else 1
     half = _workspace("stage-half", (lanes, 2 * (g + k), n, h))
     _gradient_half(fields[:, :g], grid, out=half[:, :2 * g].reshape(lanes, g, 2, n, h))
     velocities = half[:, 2 * g:].reshape(lanes, k, 2, n, h)
@@ -257,7 +244,7 @@ def _evaluate_stage(grid: Grid, fields: np.ndarray, velocity: np.ndarray,
         # complex, as the planes it scales: a real factor is cast on every call
         eta = np.array([lane + lane[-1:] * (k - len(lane)) for lane in etas],
                        dtype=np.complex128)
-        np.multiply(eta[:, :, None, None, None], velocity[:, None], out=velocities)
+        np.multiply(eta[:, :, None, None, None], stack.velocity[:, None], out=velocities)
         velocities += noise[:, None]
     else:
         velocities[:, 0] = noise
@@ -308,12 +295,10 @@ def _ito_correction(basis: NoiseBasis, fields: np.ndarray) -> np.ndarray:
     return c
 
 
-def _check_increments(increments: BrownianIncrements, basis: NoiseBasis, cfg: SchemeConfig):
+def _check_increments(increments: BrownianIncrements, cfg: SchemeConfig):
     if abs(increments.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt):
         raise ValueError(
             f"increment dt {increments.dt} does not match scheme dt {cfg.dt}")
-    if len(increments.values) != len(basis):
-        raise ValueError("one Brownian increment per noise mode required")
 
 
 def _cfl_guard(lanes: Lanes, basis: NoiseBasis, cfg: SchemeConfig, errors: list):
@@ -433,39 +418,31 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
     others (its values never reach another lane) and is dropped by the
     caller.
     """
-    grid, count = lanes.grid, len(lanes)
-    sups = lanes.sups  # the blow-up integrand and the cutoffs, for every lane at once
-    grad_theta = lanes.samples[:, 4:] if lanes.in_ball else None
-    errors = [None] * count
+    if db.shape[1] != len(basis):
+        raise ValueError("one Brownian increment per noise mode required")
+    errors = [None] * len(lanes)
     if cfg.cfl is not None:
         _cfl_guard(lanes, basis, cfg, errors)
     noise = basis.transport_half(db / dt, out=_workspace("noise", lanes.fields.shape))
-    rates = _evaluate_stage(grid, lanes.fields, lanes.velocity, lanes.in_ball,
-                            grad_theta, _cutoffs(cfg, count, sups), basis, noise, cfg, 0)
+    # the start sups: the blow-up integrand and the cutoffs
+    rates = _evaluate_stage(lanes, lanes.sups, basis, noise, cfg, 0)
     if cfg.scheme == "ito_euler":
         return _finalize(lanes, _update(lanes.fields, dt, rates), cfg, dt, t, errors), errors
     # Heun: the Euler-Maruyama update is the predictor, inside the ball when
-    # the lanes are
+    # the lanes are; a view, as the stack marks its fields read-only
     increment = np.multiply(rates, dt, out=_workspace("update", rates.shape))
     fields = np.add(lanes.fields, increment, out=_workspace("predictor", rates.shape))
     finite = _finite_lanes(fields)
     for lane in np.flatnonzero(~finite):
         errors[lane] = errors[lane] or BlowUpSuspected(lanes.state(lane),
                                                        "non-finite predictor")
-    velocity = _velocity_half(fields[:, 0], grid,
-                              out=_workspace("predictor-velocity", fields.shape))
-    predictor_sups = grad_theta = None
+    predictor, sups = Lanes(lanes.grid, fields.view(), t, lanes.accum, lanes.in_ball), None
     if cfg.drift_enabled and cfg.variant != "plain":
         # scratch: stage 0's physical planes, read already, and paged in
         scratch = _workspace("stage-phys", increment.view(np.float64).shape, np.float64)
         if not _certified(lanes, increment, finite, cfg.r, scratch):
-            samples = _gradient_samples(
-                velocity[:, 0], velocity[:, 1], fields[:, 1], grid, lanes.in_ball,
-                _workspace("predictor-samples", (count, 6, grid.n, grid.n), np.float64))
-            predictor_sups = _grad_sups(samples).tolist()
-            grad_theta = samples[:, 4:] if lanes.in_ball else None
-    rates1 = _evaluate_stage(grid, fields, velocity, lanes.in_ball, grad_theta,
-                             _cutoffs(cfg, count, predictor_sups), basis, noise, cfg, 1)
+            sups = predictor.sups
+    rates1 = _evaluate_stage(predictor, sups, basis, noise, cfg, 1)
     fields = _update(lanes.fields, 0.5 * dt, np.add(rates, rates1, out=rates1))
     return _finalize(lanes, fields, cfg, dt, t, errors), errors
 
@@ -474,7 +451,7 @@ def step(state: SimState, basis: NoiseBasis, increments: BrownianIncrements,
          cfg: SchemeConfig) -> SimState:
     """Advance one step with the scheme and variant the config selects: the
     one-lane case of the stepping kernel."""
-    _check_increments(increments, basis, cfg)
+    _check_increments(increments, cfg)
     dt = increments.dt
     lanes, (error,) = _advance(Lanes.of([state]), basis, increments.values[None], dt, cfg,
                                state.t + dt)
@@ -561,9 +538,10 @@ def _lane_steps(results: list, basis: NoiseBasis, cfg: SchemeConfig, T: float,
     stack holds the lanes still running, in lane order; a run that reaches
     T yields last a stack whose ``t`` is exactly T, and one whose every lane
     stopped ends without a yield for that step.  The yielded stack's
-    velocity and samples live in this thread's workspace: a consumer may
-    read them, or record and step states, but must not drive another run
-    in this thread before resuming the loop.
+    velocity and samples live in this thread's workspace, which every step
+    overwrites (its predictor's are computed there): a consumer may read
+    the stack and record lone states, but must not step, or start a run,
+    in this thread before it resumes the loop.
     """
     initial = [traj.final_state for traj in results]
     t0 = initial[0].t
@@ -594,8 +572,6 @@ def _lane_steps(results: list, basis: NoiseBasis, cfg: SchemeConfig, T: float,
             step_cfg = replace(cfg, dt=T - lanes.t) if last and not whole else cfg
             dt = step_cfg.dt
             db = np.array([_increment(rngs[lane], paths[lane], k, dt, m) for lane in alive])
-            if db.shape[1] != m:
-                raise ValueError("one Brownian increment per noise mode required")
             lanes, errors = _advance(lanes, basis, db, dt, step_cfg,
                                      T if last else t0 + index * cfg.dt)
             for lane, error in zip(alive, errors):

@@ -4,13 +4,14 @@ running blow-up integral, plus the quantities derived from the fields.
 :class:`Lanes` is R realizations ("lanes") at one time on one grid, their
 fields stacked (R, 2, n, n/2 + 1) on a leading axis: the stepper's unit of
 work and the one holder of what is derived from the fields.  Its velocity,
-its grad u and grad theta samples (one batched inverse) and its gradient
-sups are computed on first use, in this thread's workspace
-(:mod:`sbq.spectral`); the stepper (blow-up integrand, cutoffs, CFL speed,
-stage 0's grad theta) and :func:`sbq.diagnostics.compute_records` both read
-them, so a run, which records a stack before stepping from it, evaluates
-each stack's samples once.  Every operation runs plane by plane or lane by
-lane, so a lane's bits never depend on the other lanes.
+grad u and grad theta samples (one batched inverse; ``grad_theta`` names
+the last two planes, a layout only this module knows) and gradient sups
+are computed on first use, in this thread's workspace (:mod:`sbq.spectral`).
+The stepper's stages read stacks, the start stack and the Heun predictor,
+and :func:`sbq.diagnostics.compute_records` reads them too, so a run, which
+records a stack before stepping from it, evaluates each stack's samples
+once.  Every operation runs plane by plane or lane by lane, so a lane's
+bits never depend on the other lanes.
 
 :class:`SimState` is one realization.  A lane's state (:meth:`Lanes.state`)
 is a plain view of the lane's fresh fields, never of the workspace; a state
@@ -18,17 +19,16 @@ computes its own velocity, samples and sups on first use, into fresh arrays
 it caches, and :meth:`Lanes.of` reads those (a state repeated across lanes
 pays one gradient inverse).
 
-Inside the 2/3 ball: a stack whose omega and theta have no mode the 2/3
-rule removes (:func:`sbq.spectral._in_ball`; every stack the stepper makes
-from such a stack is one, and so are the ``random_hs`` initial states) has
-gradients inside it too.  Its samples take the pruned inverse of
-``_to_physical(..., in_ball=True)``, which runs ``ifft`` only on the columns
-k2 <= n/3 and needs no zero fill; the other columns are zero, so the bits
-are those of ``irfft2``, and the grad theta planes are those a stage's
-dealiased inverse would make, which is why the stage reads them instead of
-inverting them.  Fields outside the ball (``from_physical`` fields such as
-Taylor-Green, a snapshot read back) keep the full inverse.  A lone state
-scans its fields; a stack carries the fact (``Lanes.in_ball``).
+Inside the 2/3 ball: fields with no mode the 2/3 rule removes
+(:func:`sbq.spectral._in_ball`; the ``random_hs`` initial states, and every
+stack the stepper makes from such fields) have gradients inside it too.
+Their samples take the pruned inverse of ``_to_physical(..., in_ball=True)``,
+which runs ``ifft`` only on the columns k2 <= n/3 and needs no zero fill;
+the other columns are zero, so the bits are those of ``irfft2``, and the
+grad theta planes are those a stage's dealiased inverse would make, so a
+stage reads them instead.  Fields outside the ball (``from_physical``
+fields such as Taylor-Green, a snapshot read back) keep the full inverse.
+A lone state scans its fields; a stack carries the fact (``Lanes.in_ball``).
 """
 
 from __future__ import annotations
@@ -129,11 +129,13 @@ class Lanes:
 
     ``velocity`` (R, 2, n, n/2 + 1), ``samples`` (R, 6, n, n) and ``sups``
     (one (||grad u||_inf, ||grad theta||_inf) per lane) are computed on first
-    use for the whole stack, the first two in this thread's workspace, so a
-    step and a record allocate only the new fields.  They stay valid until
-    another stack in this thread fills the same workspace (computes its own,
-    or :meth:`of` stacks several states' samples); :meth:`state` views never
-    alias it.
+    use for the whole stack, the first two in buffers of this thread's
+    workspace that every stack shares, a step's Heun predictor included:
+    they stay valid until another stack computes its own (in any step or
+    run, or :meth:`of` of several states).  So a consumer of a stack the
+    lane loop yields may read it and record lone states, but must not step,
+    or start a run, in this thread before it resumes the loop.
+    :meth:`state` views never alias the workspace.
 
     ``in_ball`` is carried, not scanned: :meth:`of` scans the states' fields
     once, the stepper (whose rates are zero outside the ball) hands it on,
@@ -184,6 +186,11 @@ class Lanes:
     @cached_property
     def sups(self) -> list:
         return _grad_sups(self.samples).tolist()
+
+    @property
+    def grad_theta(self) -> np.ndarray:
+        """The (d_x theta, d_y theta) planes of ``samples``, (R, 2, n, n)."""
+        return self.samples[:, 4:]
 
     def state(self, lane: int) -> SimState:
         """Lane ``lane`` as a :class:`SimState` viewing the stack's fields."""

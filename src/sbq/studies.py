@@ -82,7 +82,7 @@ def conservation_order_study(n: int = 128, dts=(1e-2, 5e-3, 2.5e-3),
         cfg = SchemeConfig("stratonovich_heun", dt=dt)
         for _, lanes in _lane_steps(results, basis, cfg, T, diag_interval=1):
             for p, series in lp_series.items():  # the samples the record has read
-                series.append(lp_magnitude(*lanes.samples[0, 4:], p))
+                series.append(lp_magnitude(*lanes.grad_theta[0], p))
         (traj,) = results
         if isinstance(traj, Exception):
             raise traj

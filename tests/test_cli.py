@@ -91,6 +91,22 @@ class TestSimulate:
         assert "noise.modes[0].wavevector" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "verify-operators",
+                                         "verify-conservation"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, command):
+        # --out names an existing file: the run directory, or the directory
+        # of a verify command's report, cannot be created
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        if command.startswith("verify"):
+            args = [command, "--out", str(blocker / "report.json")]
+        else:
+            args = [command, "--config", str(write_config(tmp_path)), "--out", str(blocker)]
+        assert main(args + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert "Traceback" not in err and blocker.read_text() == ""
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--quiet"]) == 2
@@ -234,6 +250,15 @@ class TestVerifyOperators:
         report = json.loads(report_path.read_text())
         assert report["pass"] is True
         assert report["checks"]["cancellation"]["max_scaled_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        report_path = tmp_path / "ops.json"
+        assert main(["verify-operators", "--quiet", "--seed", seed,
+                     "--out", str(report_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed: ") and "Traceback" not in err
+        assert not report_path.exists()
 
 
 class TestReport:

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from sbq import spectral as sp
-from sbq.config import ConfigError, initial_condition, parse_config, random_hs_field
+from sbq.config import (
+    ConfigError,
+    RunConfig,
+    build_noise_basis,
+    initial_condition,
+    parse_config,
+    random_hs_field,
+)
 from sbq.diagnostics import compute_record
 from sbq.io import (
     SnapshotError,
@@ -104,6 +111,26 @@ class TestParseConfig:
     def test_stopping_levels_must_increase(self):
         with pytest.raises(ConfigError):
             parse_config({**MINIMAL, "stopping_levels": [1, 1, 2]})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seeds_outside_64_bits_rejected(self, seed):
+        # numpy's default_rng would raise on them, outside the config's paths
+        for doc, path in (({**MINIMAL, "seed": seed}, "seed"),
+                          ({**MINIMAL, "initial": {"type": "random_hs", "seed": seed}},
+                           "initial.seed")):
+            with pytest.raises(ConfigError) as info:
+                parse_config(doc)
+            assert info.value.path == path
+
+    def test_direct_config_has_the_parsed_default_noise(self):
+        grid = sp.Grid(32)
+        direct = RunConfig(n=32, T=0.01, dt=0.01, scheme="stratonovich_heun", seed=1,
+                           initial={"type": "taylor_green", "amplitude": 1.0})
+        parsed = parse_config({**MINIMAL, "n": 32})
+        assert direct.noise == parsed.noise
+        built = build_noise_basis(direct, grid)
+        assert len(built) == 48
+        assert built.modes == build_noise_basis(parsed, grid).modes
 
 
 class TestInitialConditions:

@@ -298,6 +298,17 @@ class TestItoEuler:
             step(stationary_state(grid), empty_basis(grid),
                  zero_increments(0.02), cfg)
 
+    def test_increment_count_mismatch_rejected(self, grid):
+        # by step and by the lane loop alike, before anything is computed
+        basis = build_basis(default_family(grid, max_modes=3), grid)
+        cfg = SchemeConfig("ito_euler", dt=0.01)
+        for count in (0, 2, 4):
+            with pytest.raises(ValueError, match="one Brownian increment per noise mode"):
+                step(stationary_state(grid), basis, BrownianIncrements(np.zeros(count), 0.01),
+                     cfg)
+            with pytest.raises(ValueError, match="one Brownian increment per noise mode"):
+                run(stationary_state(grid), basis, cfg, 0.02, increments=np.zeros((2, count)))
+
 
 class TestStratonovichHeun:
     def test_shift_invariant_tracer(self, grid):
@@ -927,6 +938,24 @@ class TestLanes:
         state = two_cutoff_state(sp.Grid(32), np.random.default_rng(42), band=10)
         assert fft_planes(monkeypatch, lambda: Lanes.of([replace(state)] * 4)) == \
             {"irfft2": [6]}
+
+    def test_grad_theta_is_each_lanes_own(self):
+        # an in-ball random_hs lane, a Taylor-Green lane and the first one
+        # repeated, stacked by Lanes.of, then as the stepper makes them
+        g = sp.Grid(32)
+        lanes = Lanes.of(TestCarriedBall.stack(g, "taken"))
+        basis = build_basis(default_family(g), g)
+        rng = np.random.default_rng(43)
+        for k in range(3):
+            assert lanes.grad_theta.shape == (3, 2, g.n, g.n)
+            got = lanes.grad_theta.copy()  # the workspace's; the states' are fresh
+            for lane in range(3):
+                want = lanes.state(lane).grad_theta
+                assert np.array_equal(got[lane, 0], want[0])
+                assert np.array_equal(got[lane, 1], want[1])
+            db = rng.normal(0.0, np.sqrt(1e-3), (3, len(basis)))
+            lanes, _ = _advance(lanes, basis, db, 1e-3,
+                                SchemeConfig("stratonovich_heun", dt=1e-3), (k + 1) * 1e-3)
 
     @pytest.mark.parametrize("scheme", ["stratonovich_heun", "ito_euler"])
     def test_blown_up_lane_keeps_partial_records(self, scheme):

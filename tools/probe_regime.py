@@ -19,6 +19,16 @@ operation's set-ups, the operation and a probe.  The script imports
 ``calibration``, ``tracing`` and ``workloads`` from the checkout's
 ``perfbench/`` and ``sbq`` from its ``src/`` and edits none of them;
 ``--root`` points it at another checkout (a parent commit, say).
+
+    python3 tools/probe_regime.py --runs PARENT.json CHANGE.json
+
+reads two result files of ``perfbench/run.py``
+(``.perfbench_out/<workload>-seed<k>-trace0.json``) instead and prints, for
+each side, the median raw time per unit (over the untraced operations'
+``samples_ms`` medians) and per set-up, the median probe time of each, and
+the scaled figures the file gates (``unit_ms_p50``, ``setup_s``), with the
+change's ratio to the parent: a scaled move with an unmoved raw median and a
+moved probe came from the probe, not from the program.
 """
 
 from __future__ import annotations
@@ -79,6 +89,31 @@ def probe_workload(root: Path, name: str, ops: int, seed: int) -> dict:
             "correct": all(ok for _, ok, _ in checks)}
 
 
+def run_figures(path: Path) -> dict:
+    """Raw, probe and scaled medians of one ``perfbench/run.py`` result file."""
+    run = json.loads(path.read_text())
+    ops = [op for op in run["operations"] if not op["traced"] and op["units"]]
+    return {"workload": run["workload"], "seed": run["seed"],
+            "unit raw ms": statistics.median(statistics.median(op["samples_ms"])
+                                             for op in ops),
+            "unit probe ms": statistics.median(op["probe_ms"] for op in ops),
+            "unit_ms_p50": run["end_to_end"]["unit_ms_p50"],
+            "setup raw ms": 1e3 * statistics.median(s["seconds"] for s in run["setups"]),
+            "setup probe ms": statistics.median(s["probe_ms"] for s in run["setups"]),
+            "setup_s": run["end_to_end"]["setup_s"]}
+
+
+def compare_runs(parent: Path, change: Path) -> None:
+    """Print the figures of two result files of one workload side by side."""
+    a, b = run_figures(parent), run_figures(change)
+    if a["workload"] != b["workload"]:
+        raise SystemExit(f"different workloads: {a['workload']} and {b['workload']}")
+    print(f"{a['workload']} (seeds {a['seed']} and {b['seed']})")
+    print(f"  {'':<15} {'parent':>12} {'change':>12} {'change/parent':>14}")
+    for key in list(a)[2:]:
+        print(f"  {key:<15} {a[key]:12.5g} {b[key]:12.5g} {b[key] / a[key]:14.3f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -87,8 +122,13 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=4, help="operations per workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", type=Path, help="also write the results here")
+    parser.add_argument("--runs", type=Path, nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="compare two perfbench/run.py result files instead")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.runs:
+        compare_runs(*args.runs)
+        return 0
     root = args.root.resolve()
     if args.child:
         print(json.dumps(probe_workload(root, args.child, args.ops, args.seed)))
