@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error or unusable output path,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import platform
@@ -354,6 +355,8 @@ def main(argv=None) -> int:
     }
     try:
         if args.command.startswith("verify") and args.out:  # before the battery runs
+            if Path(args.out).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)
     except ConfigError as exc:

@@ -35,10 +35,17 @@ temporaries live in the per-thread workspace (``spectral._workspace``),
 so a standard pass makes 845 transform calls, and its report equals the
 sample-by-sample evaluation's bit for bit.
 
+The battery draws each random input from its band's box of normals alone
+(:func:`_draw`): ``random_field``'s law from 2 (2 band + 1)^2 normals
+instead of 2 n^2, in another stream.
+
 The unspecified constants in the weighted estimates are handled as recorded
 regression baselines: ``BASELINES`` stores the maximal ratios measured over
 the fixed standard random ensemble at build time, and verification asserts
-that re-measured ratios never exceed 1.5x those values.
+that re-measured ratios never exceed 1.5x those values.  They were recorded
+over the ensemble drawn by ``random_field`` on the full grid; the box
+ensemble of the standard seed reads weighted k = 1, 2, 3: 0.519, 1.656,
+3.423, general k = 0, 1: 0.092, 0.459, and commutator 1.922.
 """
 
 from __future__ import annotations
@@ -53,13 +60,11 @@ from .spectral import (
     SpectralField,
     VelocityField,
     l2_norm,
-    random_divergence_free,
-    random_field,
     sobolev_norm,
     stream_to_velocity,
 )
-from .spectral import (_fractional_multiplier, _gradient_half, _inner_half, _product_half,
-                       _read_only, _to_fourier, _to_physical, _workspace)
+from .spectral import (_box_field, _fractional_multiplier, _gradient_half, _inner_half,
+                       _product_half, _read_only, _to_fourier, _to_physical, _workspace)
 
 __all__ = [
     "FirstOrderOp",
@@ -320,12 +325,15 @@ def _standard_xi(grid: Grid) -> VelocityField:
     return stream_to_velocity(psi)
 
 
+def _draw(grid: Grid, rng: np.random.Generator, band: int,
+          amplitude: float = 1.0) -> SpectralField:
+    """A ``random_field`` of the same law from the band's box of normals
+    alone: 2 (2 band + 1)^2 normals, where ``random_field`` draws 2 n^2."""
+    return _box_field(grid, rng.standard_normal((2, (2 * band + 1) ** 2)), band, amplitude)
+
+
 def _standard_q(grid: Grid, rng: np.random.Generator) -> FirstOrderOp:
-    return FirstOrderOp(
-        random_field(grid, rng, band=4),
-        random_field(grid, rng, band=4),
-        random_field(grid, rng, band=4),
-    )
+    return FirstOrderOp(_draw(grid, rng, 4), _draw(grid, rng, 4), _draw(grid, rng, 4))
 
 
 # A batch of the battery evaluates its rows together; its largest stack of
@@ -423,7 +431,7 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
                 for r, f in zip(residuals, fields)]
 
     worst = max([0.0, *_in_batches(samples, grid, lambda _: (
-        random_divergence_free(grid, rng, band), random_field(grid, rng, band)), cancellation)])
+        stream_to_velocity(_draw(grid, rng, band)), _draw(grid, rng, band)), cancellation)])
     report["checks"]["cancellation"] = {
         "max_scaled_residual": worst,
         "tolerance": 1e-10,
@@ -438,8 +446,7 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
                                           grid), rows)
 
     worst = max([0.0, *_in_batches(pairs, grid, lambda _: (
-        _standard_q(grid, rng), random_field(grid, rng, band=8),
-        random_field(grid, rng, band=8)), adjoint)])
+        _standard_q(grid, rng), _draw(grid, rng, 8), _draw(grid, rng, 8)), adjoint)])
     report["checks"]["adjoint_defect"] = {
         "max_relative_defect": worst,
         "tolerance": 1e-10,
@@ -449,7 +456,7 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
     # weighted cancellation ratios of xi, then general first-order estimate
     # ratios of Q, against recorded baselines
     def draw_ratio_field(i):
-        return random_field(grid, rng, band=12, amplitude=float(1 + i % 7))
+        return _draw(grid, rng, 12, float(1 + i % 7))
 
     xi = _standard_xi(grid)
     q = _standard_q(grid, np.random.default_rng(seed + 1))
@@ -505,8 +512,8 @@ def run_verification(seed: int = STANDARD_SEED, n: int = 64,
         return _relative(_skew_defects(xis, *_pair_rows(rows), grid), rows)
 
     worst = max([0.0, *_in_batches(50, grid, lambda _: (
-        random_divergence_free(grid, rng, band=8), random_field(grid, rng, band=8),
-        random_field(grid, rng, band=8)), antisymmetry)])
+        stream_to_velocity(_draw(grid, rng, 8)), _draw(grid, rng, 8), _draw(grid, rng, 8)),
+        antisymmetry)])
     report["checks"]["lie_antisymmetry"] = {
         "max_relative_defect": worst,
         "tolerance": 1e-10,

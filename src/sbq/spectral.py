@@ -714,15 +714,24 @@ def random_field(grid: Grid, rng: np.random.Generator, band: int,
     vorticity fields.
 
     The draw is an (n, n) array raw of complex normals (the real parts
-    drawn first) in the ``fft2`` layout; only the band's modes of the half
-    spectrum are formed, each the Hermitian average of raw(k) and
-    conj(raw(-k)).
+    drawn first) in the ``fft2`` layout, and :func:`_box_field` forms the
+    field from its band's modes, as it does for the operator battery's draw
+    of the band's box alone.
     """
+    return _box_field(grid, rng.standard_normal((2, grid.n**2)), band, amplitude, decay, zero_mean)
+
+
+def _box_field(grid: Grid, normals: np.ndarray, band: int, amplitude: float = 1.0,
+               decay: float = 0.0, zero_mean: bool = False) -> SpectralField:
+    """The :func:`random_field` of the normals (2, m * m), the real and
+    imaginary parts of raw(k) in the ``fft2`` layout of an m-point grid
+    holding the box max(|k1|, |k2|) <= band (m = n, or the box's 2 band + 1):
+    only the band's modes of the half spectrum are formed, each the
+    Hermitian average of raw(k) and conj(raw(-k)), then normalized on the
+    whole half."""
     n = grid.n
-    if band > n // 2 - 1:
-        raise ValueError("band exceeds grid resolution")
-    re, im = rng.standard_normal((2, n * n))
-    at, mirror, sd_at, sd_mirror = _band_gather(grid, band, decay)
+    re, im = normals
+    at, mirror, sd_at, sd_mirror = _band_gather(grid, band, decay, math.isqrt(re.size))
     raw = re[at] + 1j * im[at]
     raw_mirror = re[mirror] + 1j * im[mirror]
     if decay:
@@ -741,22 +750,26 @@ def random_field(grid: Grid, rng: np.random.Generator, band: int,
 
 
 @lru_cache(maxsize=32)
-def _band_gather(grid: Grid, band: int, decay: float) -> tuple:
-    """Flat ``fft2``-layout indices of the modes k of the half spectrum with
-    max(|k1|, |k2|) <= band, as (2 band + 1, band + 1) blocks of the rows
-    k1 = 0..band, -band..-1 and the columns k2 = 0..band, and of their
-    mirrors -k; with the factor (1 + |k|^2)^(-decay/2) at each, read from
-    one array over the whole grid (None without decay)."""
+def _band_gather(grid: Grid, band: int, decay: float, m: int) -> tuple:
+    """Flat indices, in the ``fft2`` layout of an m-point grid, of the modes
+    k of the half spectrum with max(|k1|, |k2|) <= band, as
+    (2 band + 1, band + 1) blocks of the rows k1 = 0..band, -band..-1 and
+    the columns k2 = 0..band, and of their mirrors -k; with the factor
+    (1 + |k|^2)^(-decay/2) at each, read from one array over the whole grid
+    (None without decay)."""
     n = grid.n
-    rows = np.r_[0:band + 1, n - band:n]
-    cols = np.arange(band + 1)
-    at = rows[:, None] * n + cols
-    mirror = ((-rows) % n)[:, None] * n + (-cols) % n
-    at, mirror = _read_only(at), _read_only(mirror)
+    if band > n // 2 - 1:
+        raise ValueError("band exceeds grid resolution")
+    rows, cols = np.r_[0:band + 1, -band:0], np.arange(band + 1)
+
+    def flat(k1, k2, size):
+        return _read_only((k1 % size)[:, None] * size + k2 % size)
+
+    at, mirror = flat(rows, cols, m), flat(-rows, -cols, m)
     if not decay:
         return at, mirror, None, None
     sd = ((1.0 + grid.ksq) ** (-decay / 2.0)).ravel()
-    return at, mirror, _read_only(sd[at]), _read_only(sd[mirror])
+    return at, mirror, _read_only(sd[flat(rows, cols, n)]), _read_only(sd[flat(-rows, -cols, n)])
 
 
 def random_divergence_free(grid: Grid, rng: np.random.Generator, band: int,

@@ -29,9 +29,11 @@ stepper's half storage and its per-thread workspace.
 space) and :func:`lie_derivative_four_plane_reference` (xi inverted with
 f on every call) are the earlier forms of the first-order kernel.
 :func:`random_field_reference` is the earlier full-grid form of the random
-draw, and :func:`run_verification_reference` the operator battery evaluated
-sample by sample, the bit-for-bit references for the half-only draw and the
-batched battery.
+draw, :func:`box_field_reference` the full-grid form of the operator
+battery's draw of the band's box alone, and :func:`run_verification_reference`
+the operator battery evaluated sample by sample from that draw, the
+bit-for-bit references for the half-only draw, the box draw and the batched
+battery.
 :func:`velocity_half_reference` (psi by complex division) and
 :func:`lp_magnitude_reference` (through ``hypot``) are the earlier forms of
 the Biot-Savart kernel and of the record's ||grad theta||_p.
@@ -46,7 +48,6 @@ from sbq.operators import (
     BASELINES,
     STANDARD_SEED,
     FirstOrderOp,
-    _standard_q,
     _standard_xi,
     adjoint_defect,
     cancellation_residual,
@@ -65,8 +66,6 @@ from sbq.spectral import (
     inner,
     l2_norm,
     product,
-    random_divergence_free,
-    random_field,
     resample,
     sobolev_norm,
     stream_to_velocity,
@@ -188,7 +187,26 @@ def random_field_reference(grid: Grid, rng: np.random.Generator, band: int,
     n = grid.n
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     keep = np.maximum(np.abs(grid.k1), np.abs(grid.k2)) <= band
-    raw = np.where(keep, raw, 0.0)
+    return _symmetrized_reference(grid, np.where(keep, raw, 0.0), amplitude, decay, zero_mean)
+
+
+def box_field_reference(grid: Grid, rng: np.random.Generator, band: int,
+                        amplitude: float = 1.0) -> SpectralField:
+    """The operator battery's draw written out on the full grid: two
+    (2 band + 1, 2 band + 1) normal draws as real and imaginary parts of the
+    modes max(|k1|, |k2|) <= band, rows and columns in the ``fft2`` order
+    0..band, -band..-1, zero elsewhere, then symmetrized and rescaled as
+    :func:`random_field_reference` does it."""
+    n = grid.n
+    re, im = rng.standard_normal((2, 2 * band + 1, 2 * band + 1))
+    idx = np.r_[0:band + 1, n - band:n]
+    raw = np.zeros((n, n), dtype=np.complex128)
+    raw[np.ix_(idx, idx)] = re + 1j * im
+    return _symmetrized_reference(grid, raw, amplitude)
+
+
+def _symmetrized_reference(grid: Grid, raw: np.ndarray, amplitude: float,
+                           decay: float = 0.0, zero_mean: bool = False) -> SpectralField:
     if decay:
         raw = raw * (1.0 + grid.ksq) ** (-decay / 2.0)
     sym = 0.5 * (raw + np.conj(np.roll(raw[::-1, ::-1], 1, axis=(0, 1))))
@@ -455,18 +473,22 @@ def build_basis_reference(modes, grid: Grid) -> tuple[list, float, float]:
 def run_verification_reference(seed: int = STANDARD_SEED, n: int = 64,
                                samples: int = 50, pairs: int = 100) -> dict:
     """The operator battery evaluated sample by sample through the public
-    one-sample functions, each check's inputs drawn in the same order: the
-    reference for :func:`sbq.operators.run_verification`, which evaluates
-    them in batches."""
+    one-sample functions, each check's inputs drawn in the same order by
+    :func:`box_field_reference`: the reference for
+    :func:`sbq.operators.run_verification`, which evaluates them in batches
+    and draws each input from its band's box alone."""
     rng = np.random.default_rng(seed)
     grid = Grid(n)
     report = {"seed": seed, "grid_n": n, "checks": {}}
 
+    def standard_q(rng):
+        return FirstOrderOp(*(box_field_reference(grid, rng, 4) for _ in range(3)))
+
     band = n // 6 - 1
     worst = 0.0
     for _ in range(samples):
-        xi = random_divergence_free(grid, rng, band)
-        f = random_field(grid, rng, band)
+        xi = stream_to_velocity(box_field_reference(grid, rng, band))
+        f = box_field_reference(grid, rng, band)
         res = abs(cancellation_residual(xi, f))
         worst = max(worst, res / max(1.0, sobolev_norm(f, 1.0) ** 2))
     report["checks"]["cancellation"] = {
@@ -474,9 +496,9 @@ def run_verification_reference(seed: int = STANDARD_SEED, n: int = 64,
 
     worst = 0.0
     for _ in range(pairs):
-        q = _standard_q(grid, rng)
-        f = random_field(grid, rng, band=8)
-        g = random_field(grid, rng, band=8)
+        q = standard_q(rng)
+        f = box_field_reference(grid, rng, 8)
+        g = box_field_reference(grid, rng, 8)
         scale = max(l2_norm(f) * l2_norm(g), 1e-30)
         worst = max(worst, abs(adjoint_defect(q, f, g)) / scale)
     report["checks"]["adjoint_defect"] = {
@@ -490,12 +512,12 @@ def run_verification_reference(seed: int = STANDARD_SEED, n: int = 64,
     xi = _standard_xi(grid)
     for k in (1, 2, 3):
         ratio_check(f"weighted_ratio_k{k}", [weighted_cancellation_ratio(
-            float(k), xi, random_field(grid, rng, band=12, amplitude=float(1 + i % 7)))
+            float(k), xi, box_field_reference(grid, rng, 12, float(1 + i % 7)))
             for i in range(100)])
-    q = _standard_q(grid, np.random.default_rng(seed + 1))
+    q = standard_q(np.random.default_rng(seed + 1))
     for k in (0, 1):
         ratio_check(f"general_ratio_k{k}", [general_estimate_ratio(
-            float(k), q, random_field(grid, rng, band=12, amplitude=float(1 + i % 7)))
+            float(k), q, box_field_reference(grid, rng, 12, float(1 + i % 7)))
             for i in range(100)])
 
     xi_sweep = stream_to_velocity(SpectralField.from_physical(
@@ -518,15 +540,15 @@ def run_verification_reference(seed: int = STANDARD_SEED, n: int = 64,
 
     worst = 0.0
     for _ in range(50):
-        xi_r = random_divergence_free(grid, rng, band=8)
-        f = random_field(grid, rng, band=8)
-        g = random_field(grid, rng, band=8)
+        xi_r = stream_to_velocity(box_field_reference(grid, rng, 8))
+        f = box_field_reference(grid, rng, 8)
+        g = box_field_reference(grid, rng, 8)
         val = inner(lie_derivative(xi_r, f), g) + inner(f, lie_derivative(xi_r, g))
         worst = max(worst, abs(val) / max(l2_norm(f) * l2_norm(g), 1e-30))
     report["checks"]["lie_antisymmetry"] = {
         "max_relative_defect": worst, "tolerance": 1e-10, "pass": worst <= 1e-10}
 
-    t1, _ = commutators(2.0, _standard_q(grid, np.random.default_rng(seed + 2)))
+    t1, _ = commutators(2.0, standard_q(np.random.default_rng(seed + 2)))
     ratios = []
     for m in range(1, 9):
         f = SpectralField.from_physical(grid, np.cos(m * grid.x))

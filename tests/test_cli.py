@@ -7,6 +7,7 @@ import platform
 import numpy as np
 import pytest
 
+import sbq.cli
 import sbq.integrator
 import sbq.spectral
 from sbq.cli import main
@@ -106,6 +107,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker) in err
         assert "Traceback" not in err and blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["verify-operators", "verify-conservation"])
+    def test_out_naming_a_directory_exits_2_before_the_battery(self, tmp_path, capsys,
+                                                               monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr(sbq.cli, "run_verification", refuse)
+        monkeypatch.setattr(sbq.cli, "run_conservation_battery", refuse)
+        assert main([command, "--out", str(tmp_path), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),

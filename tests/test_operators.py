@@ -14,6 +14,7 @@ from sbq import spectral as sp
 from sbq import operators as op
 from oracles import (
     apply_first_order_reference,
+    box_field_reference,
     count_ffts,
     fft_planes,
     lie_derivative_fft2_reference,
@@ -359,6 +360,43 @@ class TestCommutators:
         q = op.FirstOrderOp(ones, ones, ones)
         with pytest.raises(ValueError):
             op.commutators(0.5, q)
+
+
+class TestBoxDraw:
+    """The battery draws each input from its band's box of normals alone:
+    byte for byte the oracles' full-grid form of that draw, and the law of
+    ``random_field``."""
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_matches_reference_draw(self, n):
+        g = sp.Grid(n)
+        for band in sorted({b for b in (0, 1, 4, 8, 12, n // 2 - 1) if b <= n // 2 - 1}):
+            for amplitude in (1.0, 2.5, 0.0):
+                rngs = [np.random.default_rng(band) for _ in range(3)]
+                ours = op._draw(g, rngs[0], band, amplitude)
+                ref = box_field_reference(g, rngs[1], band, amplitude)
+                assert ours.half.tobytes() == ref.half.tobytes()
+                rngs[2].standard_normal(2 * (2 * band + 1) ** 2)
+                states = [rng.bit_generator.state for rng in rngs]
+                assert states[0] == states[1] == states[2]
+
+    def test_same_law_as_random_field(self):
+        # mean power per mode of the real field's samples: the half spectrum
+        # stores both members of a self-paired mode, so only the samples show
+        # a draw that skips the conjugate-mirror average (that column would
+        # read half the power of random_field's)
+        grid, band, draws = sp.Grid(16), 3, 2000
+        rows = np.r_[0:band + 1, -band:0]
+
+        def power(draw, seed):
+            rng = np.random.default_rng(seed)
+            return np.stack([np.abs(np.fft.rfft2(draw(rng).values())[rows, :band + 1]) ** 2
+                             for _ in range(draws)])
+
+        box = power(lambda rng: op._draw(grid, rng, band), 31)
+        full = power(lambda rng: sp.random_field(grid, rng, band), 32)
+        se = np.sqrt((box.var(axis=0, ddof=1) + full.var(axis=0, ddof=1)) / draws)
+        assert np.all(np.abs(box.mean(axis=0) - full.mean(axis=0)) <= 5.0 * se)
 
 
 class TestVerificationBattery:

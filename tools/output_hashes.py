@@ -18,9 +18,12 @@ the hashes of:
 
 The n = 64 cases record ``lp_grad_theta`` with p = 3.  A few extra cases
 cover a blow-up abort (the snapshot schedule of ``sbq simulate``) and the
-CFL guard passing and failing (the failure's message).  The script calls only ``integrator.run`` (with
-``rng``, ``diag_interval`` and ``p``) and ``cli.main``, so the same file
-runs on older checkouts too; ``--root`` imports ``sbq`` from that
+CFL guard passing and failing (the failure's message).  The last line
+hashes the JSON report of a small operator battery,
+``operators.run_verification(1, samples=5, pairs=5)``.  The script calls
+only ``integrator.run`` (with ``rng``, ``diag_interval`` and ``p``),
+``cli.main`` and ``operators.run_verification``, so the same file runs on
+older checkouts too; ``--root`` imports ``sbq`` from that
 checkout's ``src/``.  Two checkouts agree when the printed lines are
 identical (``diff`` them).  ``--quick`` skips n = 128 and the ensembles.
 """
@@ -136,6 +139,13 @@ def _ensemble_hashes(raw: dict, work: Path) -> list:
     return lines
 
 
+def _battery_hashes() -> list:
+    from sbq import operators
+
+    report = operators.run_verification(1, samples=5, pairs=5)
+    return [("report", _sha(json.dumps(report, sort_keys=True, default=float).encode()))]
+
+
 def cases(sizes: list) -> list:
     """(name, config, with the ensemble) for every case."""
     out = []
@@ -178,6 +188,8 @@ def main(argv=None) -> int:
                 lines += _ensemble_hashes(raw, work)
         for key, value in lines:
             print(f"{name} {key} {value}", flush=True)
+    for key, value in _battery_hashes():
+        print(f"battery {key} {value}", flush=True)
     return 0
 
 
