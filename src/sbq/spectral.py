@@ -434,10 +434,15 @@ def l2_norm(f: SpectralField) -> float:
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm: L2 norm of (I - Lap)^(s/2) f, via Parseval."""
-    g = f.grid
-    w = _sobolev_weight(g, s)
-    total = float(np.sum(w * np.abs(f.half) ** 2)) * (2.0 * np.pi) ** 2 / g.n**4
-    return float(np.sqrt(total))
+    return float(_sobolev_norms(f.half, f.grid, s))
+
+
+def _sobolev_norms(half: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+    """H^s norms of half spectra (..., n, n/2 + 1), one per leading index, each
+    plane's weighted squares summed as one flat row (``np.sum``'s order)."""
+    terms = _sobolev_weight(grid, s) * np.abs(half) ** 2
+    total = np.sum(terms.reshape(*half.shape[:-2], -1), axis=-1)
+    return np.sqrt(total * (2.0 * np.pi) ** 2 / grid.n**4)
 
 
 @lru_cache(maxsize=16)
@@ -714,24 +719,14 @@ def random_field(grid: Grid, rng: np.random.Generator, band: int,
     vorticity fields.
 
     The draw is an (n, n) array raw of complex normals (the real parts
-    drawn first) in the ``fft2`` layout, and :func:`_box_field` forms the
-    field from its band's modes, as it does for the operator battery's draw
-    of the band's box alone.
+    drawn first) in the ``fft2`` layout; each of the band's modes of the
+    half spectrum is the Hermitian average of raw(k) and conj(raw(-k)),
+    normalized on the whole half.  :func:`_box_fields` draws the same law
+    from the band's box alone.
     """
-    return _box_field(grid, rng.standard_normal((2, grid.n**2)), band, amplitude, decay, zero_mean)
-
-
-def _box_field(grid: Grid, normals: np.ndarray, band: int, amplitude: float = 1.0,
-               decay: float = 0.0, zero_mean: bool = False) -> SpectralField:
-    """The :func:`random_field` of the normals (2, m * m), the real and
-    imaginary parts of raw(k) in the ``fft2`` layout of an m-point grid
-    holding the box max(|k1|, |k2|) <= band (m = n, or the box's 2 band + 1):
-    only the band's modes of the half spectrum are formed, each the
-    Hermitian average of raw(k) and conj(raw(-k)), then normalized on the
-    whole half."""
     n = grid.n
-    re, im = normals
-    at, mirror, sd_at, sd_mirror = _band_gather(grid, band, decay, math.isqrt(re.size))
+    re, im = rng.standard_normal((2, n * n))
+    at, mirror, sd_at, sd_mirror = _band_gather(grid, band, decay)
     raw = re[at] + 1j * im[at]
     raw_mirror = re[mirror] + 1j * im[mirror]
     if decay:
@@ -750,26 +745,64 @@ def _box_field(grid: Grid, normals: np.ndarray, band: int, amplitude: float = 1.
 
 
 @lru_cache(maxsize=32)
-def _band_gather(grid: Grid, band: int, decay: float, m: int) -> tuple:
-    """Flat indices, in the ``fft2`` layout of an m-point grid, of the modes
-    k of the half spectrum with max(|k1|, |k2|) <= band, as
-    (2 band + 1, band + 1) blocks of the rows k1 = 0..band, -band..-1 and
-    the columns k2 = 0..band, and of their mirrors -k; with the factor
-    (1 + |k|^2)^(-decay/2) at each, read from one array over the whole grid
-    (None without decay)."""
+def _band_gather(grid: Grid, band: int, decay: float) -> tuple:
+    """Flat ``fft2``-layout indices of the half spectrum's modes k with
+    max(|k1|, |k2|) <= band, as (2 band + 1, band + 1) blocks of the rows
+    k1 = 0..band, -band..-1 and the columns k2 = 0..band, and of their
+    mirrors -k; with (1 + |k|^2)^(-decay/2) at each (None without decay)."""
     n = grid.n
     if band > n // 2 - 1:
         raise ValueError("band exceeds grid resolution")
     rows, cols = np.r_[0:band + 1, -band:0], np.arange(band + 1)
 
-    def flat(k1, k2, size):
-        return _read_only((k1 % size)[:, None] * size + k2 % size)
+    def flat(k1, k2):
+        return _read_only((k1 % n)[:, None] * n + k2 % n)
 
-    at, mirror = flat(rows, cols, m), flat(-rows, -cols, m)
+    at, mirror = flat(rows, cols), flat(-rows, -cols)
     if not decay:
         return at, mirror, None, None
     sd = ((1.0 + grid.ksq) ** (-decay / 2.0)).ravel()
-    return at, mirror, _read_only(sd[flat(rows, cols, n)]), _read_only(sd[flat(-rows, -cols, n)])
+    return at, mirror, _read_only(sd[at]), _read_only(sd[mirror])
+
+
+def _box_fields(grid: Grid, normals: np.ndarray, band: int, amplitude: float | np.ndarray = 1.0,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra (..., n, n/2 + 1), into ``out`` or a fresh array, of
+    :func:`random_field`'s law from the normals (..., 2, m * m) alone, the
+    real and imaginary parts of raw(k) on the box max(|k1|, |k2|) <= band
+    in the ``fft2`` layout of an m = 2 band + 1 point grid.  Each row is
+    scaled to the L2 norm ``amplitude`` >= 0 (a scalar or one per row; a
+    zero row stays zero) and has the bytes of its one-row call.  The
+    mirror -k is one reversed slice of raw with its first row and column
+    repeated past the last; only the box is scaled (the zeros stay +0.0)."""
+    n, m = grid.n, 2 * band + 1
+    if band > n // 2 - 1:
+        raise ValueError("band exceeds grid resolution")
+    lead = normals.shape[:-2]
+    box = normals.reshape(*lead, 2, m, m)
+    raw = np.empty((*lead, m + 1, m + 1), dtype=np.complex128)
+    body = np.multiply(box[..., 1, :, :], 1j, out=raw[..., :m, :m])
+    np.add(body.real, box[..., 0, :, :], out=body.real)  # re + 1j * im, bit for bit
+    raw[..., m, :m] = raw[..., 0, :m]
+    raw[..., :, m] = raw[..., :, 0]
+    sym = np.conj(raw[..., m:0:-1, m:band:-1])
+    sym += raw[..., :m, :band + 1]
+    sym *= 0.5
+    if out is None:
+        out = np.empty((*lead, n, n // 2 + 1), dtype=np.complex128)
+    out.fill(0.0)
+
+    def place():
+        out[..., :band + 1, :band + 1] = sym[..., :band + 1, :]
+        out[..., n - band:, :band + 1] = sym[..., band + 1:, :]
+
+    place()
+    norm = np.sqrt(np.maximum(_inner_half(out, out), 0.0))
+    live = norm > 0
+    scale = amplitude / np.where(live, norm, 1.0)
+    np.multiply(sym, scale[..., None, None], out=sym, where=live[..., None, None])
+    place()
+    return out
 
 
 def random_divergence_free(grid: Grid, rng: np.random.Generator, band: int,

@@ -399,6 +399,129 @@ class TestBoxDraw:
         assert np.all(np.abs(box.mean(axis=0) - full.mean(axis=0)) <= 5.0 * se)
 
 
+class TestStackedDraw:
+    """The battery draws a batch's rows as stacks, one normal draw per
+    batch: every row has the bytes of its row-by-row ``_draw`` and the
+    generator ends where the row-by-row draws leave it."""
+
+    @staticmethod
+    def garbage(shape):
+        # a workspace buffer holds whatever its last user left there
+        return np.full(shape, np.nan + 1j * np.nan)
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_rows_equal_single_draws(self, n):
+        g = sp.Grid(n)
+        amplitudes = np.array([1.0, 2.5, 0.0, 2.5])
+        for band in sorted({b for b in (0, 1, 4, 8, 12, n // 2 - 1) if b <= n // 2 - 1}):
+            for rows in (1, 3, 4):
+                stacked, single = np.random.default_rng(band), np.random.default_rng(band)
+                (normals,) = op._batch_normals(stacked, rows, (band, 1))
+                out = self.garbage((rows, n, n // 2 + 1))
+                got = sp._box_fields(g, normals[:, 0], band, amplitudes[:rows], out=out)
+                assert got is out
+                for r in range(rows):
+                    want = op._draw(g, single, band, amplitudes[r])
+                    assert got[r].tobytes() == want.half.tobytes()
+                assert stacked.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_mixed_band_rows(self, n):
+        # the adjoint check's rows: Q's a, b, c at band 4, then f, g at band 8
+        g, rows = sp.Grid(n), 4
+        stacked, single = np.random.default_rng(5), np.random.default_rng(5)
+        q, fg = op._batch_normals(stacked, rows, (4, 3), (8, 2))
+        coeffs = np.full((rows, 4, n, n // 2 + 1), np.nan + 0j)[:, 1:]  # strided, as in use
+        sp._box_fields(g, q, 4, out=coeffs)
+        f, gg = (sp._box_fields(g, fg[:, i], 8) for i in range(2))
+        for r in range(rows):
+            a, b, c = (op._draw(g, single, 4) for _ in range(3))
+            want = [a, b, c, op._draw(g, single, 8), op._draw(g, single, 8)]
+            got = [*coeffs[r], f[r], gg[r]]
+            assert [x.tobytes() for x in got] == [w.half.tobytes() for w in want]
+            # band 4 lies inside the 2/3 ball: Q's projection keeps the bytes
+            assert op.FirstOrderOp(a, b, c)._coeffs.tobytes() == coeffs[r].tobytes()
+        assert stacked.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_velocity_rows_equal_stream_to_velocity(self, n):
+        g, band, rows = sp.Grid(n), n // 6 - 1, 3
+        stacked, single = np.random.default_rng(9), np.random.default_rng(9)
+        (normals,) = op._batch_normals(stacked, rows, (band, 1))
+        out = self.garbage((rows, 2, n, n // 2 + 1))
+        op._velocity_rows(g, normals[:, 0], band, out)
+        for r in range(rows):
+            v = sp.stream_to_velocity(op._draw(g, single, band))
+            assert out[r, 0].tobytes() == v.u1.half.tobytes()
+            assert out[r, 1].tobytes() == v.u2.half.tobytes()
+
+
+class TestRowNorms:
+    """Row-wise norms and ratios equal the one-field functions byte for byte."""
+
+    @staticmethod
+    def rows(grid):
+        rng = np.random.default_rng(3)
+        return np.stack([sp.random_field(grid, rng, 8).half,  # inside the 2/3 ball
+                         sp.random_field(grid, rng, grid.n // 2 - 1).half,  # outside it
+                         np.zeros((grid.n, grid.n // 2 + 1), complex),
+                         sp.SpectralField.from_physical(
+                             grid, rng.standard_normal((grid.n, grid.n))).half])
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_sobolev_norms(self, n):
+        grid = sp.Grid(n)
+        halves = self.rows(grid)
+        for s in (0.0, 1.0, 1.5, 2.0, 3.0):
+            got = sp._sobolev_norms(halves, grid, s)
+            for row, value in zip(halves, got.tolist()):
+                # the scalar form that sobolev_norm had before the row-wise one
+                w = sp._sobolev_weight(grid, s)
+                total = float(np.sum(w * np.abs(row) ** 2)) * (2.0 * np.pi) ** 2 / n**4
+                assert float_bytes(value) == float_bytes(float(np.sqrt(total)))
+                assert float_bytes(value) == float_bytes(
+                    sp.sobolev_norm(sp.SpectralField(grid, row.copy()), s))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_relative_defects(self, n):
+        grid = sp.Grid(n)
+        f = self.rows(grid)
+        g = f[::-1].copy()
+        values = np.array([1e-3, -2.0, 0.5, -0.0])
+        got = op._relative(values, f, g).tolist()
+        for v, a, b, value in zip(values.tolist(), f, g, got):
+            fa, gb = (sp.SpectralField(grid, h.copy()) for h in (a, b))
+            want = abs(v) / max(sp.l2_norm(fa) * sp.l2_norm(gb), 1e-30)
+            assert float_bytes(value) == float_bytes(want)
+
+    def test_ratios_equal_one_row_formula(self, grid):
+        xi = op._standard_xi(grid)
+        halves = self.rows(grid)[[0, 1, 3]]
+        for k in (1.0, 2.0, 3.0):
+            got = op._ratios(k, xi._dealiased_samples, halves, grid).tolist()
+            for row, value in zip(halves, got):
+                f = sp.SpectralField(grid, row.copy())
+                terms = float(op._estimate_terms(k, xi._dealiased_samples, f.half, grid))
+                assert float_bytes(value) == float_bytes(terms / sp.sobolev_norm(f, k) ** 2)
+        with pytest.raises(ValueError, match="nonzero"):
+            op._ratios(1.0, xi._dealiased_samples, self.rows(grid), grid)
+
+    def test_denominators_square_as_python_floats(self):
+        # Python's float ** 2 is libm pow, which misses x * x in the last bit
+        # for about one value in a thousand: enough rows to meet some
+        grid, rng = sp.Grid(8), np.random.default_rng(4)
+        halves = np.stack([sp.random_field(grid, rng, 3, float(a)).half
+                           for a in rng.uniform(0.5, 8.0, 4000)])
+        for k in (1.0, 2.0):
+            got = op._squared(sp._sobolev_norms(halves, grid, k))
+            want = [sp.sobolev_norm(sp.SpectralField(grid, h.copy()), k) ** 2 for h in halves]
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+def float_bytes(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
 class TestVerificationBattery:
     def test_full_battery_passes(self):
         report = op.run_verification()
@@ -449,6 +572,13 @@ class TestBatchedBattery:
             for i, h in enumerate((halves[r], halves[rows - 1 - r])):
                 want = op._first_order(samples[0], h, grid)
                 assert shared[r, i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"pairs": 0}, {"samples": -1},
+                                        {"pairs": -3}, {"samples": 0, "pairs": 0}])
+    def test_empty_checks_are_rejected(self, kwargs):
+        # a check over no samples would pass having checked nothing
+        with pytest.raises(ValueError, match="samples and pairs must be >= 1"):
+            op.run_verification(1, **{"samples": 5, "pairs": 5, **kwargs})
 
     def test_fft_calls_per_small_pass(self, monkeypatch):
         # the sample-by-sample reference makes 2430

@@ -26,24 +26,30 @@ only ``integrator.run`` (with ``rng``, ``diag_interval`` and ``p``),
 older checkouts too; ``--root`` imports ``sbq`` from that
 checkout's ``src/``.  Two checkouts agree when the printed lines are
 identical (``diff`` them).  ``--quick`` skips n = 128 and the ensembles.
+
+The first line names the environment (:func:`environment`): the numpy
+version, the platform, the C library and the SIMD features numpy may
+dispatch to, any of which can move last bits.  ``tests/golden/`` holds the
+``--quick`` output of one environment, and ``tests/test_output_hashes.py``
+compares :func:`hash_lines` against it there; after a change that moves
+bits on purpose, regenerate it with
+
+    python3 tools/output_hashes.py --quick > tests/golden/output_hashes_quick.txt
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import hashlib
+import io
+import json
 import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import struct  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import platform
+import struct
+import sys
+import tempfile
+from pathlib import Path
 
 NOISE = {"type": "default_family", "gamma": 5.0, "sigma": 0.1, "k_max": 4}
 INITIAL = {"random_hs": {"type": "random_hs", "seed": 7},
@@ -168,6 +174,34 @@ def cases(sizes: list) -> list:
     return out
 
 
+def environment() -> str:
+    """The environment line: numpy's version, the platform, the C library
+    (Python squares floats with its ``pow``) and the SIMD features numpy
+    detects, which pick its kernels."""
+    import numpy as np
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:
+        features = {}
+    simd = " ".join(sorted(name for name, on in features.items() if on))
+    return (f"# numpy {np.__version__} on {sys.platform} {platform.machine()}, "
+            f"{' '.join(platform.libc_ver())}, SIMD {simd}")
+
+
+def hash_lines(sizes: list, quick: bool):
+    """Every hash line for the grids ``sizes`` (``quick``: no ensembles)."""
+    for name, raw, with_ensemble in cases(sizes):
+        with tempfile.TemporaryDirectory(prefix="sbq-hashes-") as tmp:
+            work = Path(tmp)
+            lines = _run_hashes(raw) + _simulate_hashes(raw, work)
+            if with_ensemble and not quick:
+                lines += _ensemble_hashes(raw, work)
+        for key, value in lines:
+            yield f"{name} {key} {value}"
+    for key, value in _battery_hashes():
+        yield f"battery {key} {value}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -176,20 +210,14 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="skip n = 128 and the ensembles")
     args = parser.parse_args(argv)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy's import
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import sbq
     print(f"sbq from {Path(sbq.__file__).parent}", file=sys.stderr)
-    sizes = [n for n in args.n if not (args.quick and n == 128)]
-    for name, raw, with_ensemble in cases(sizes):
-        with tempfile.TemporaryDirectory(prefix="sbq-hashes-") as tmp:
-            work = Path(tmp)
-            lines = _run_hashes(raw) + _simulate_hashes(raw, work)
-            if with_ensemble and not args.quick:
-                lines += _ensemble_hashes(raw, work)
-        for key, value in lines:
-            print(f"{name} {key} {value}", flush=True)
-    for key, value in _battery_hashes():
-        print(f"battery {key} {value}", flush=True)
+    print(environment(), flush=True)
+    for line in hash_lines([n for n in args.n if not (args.quick and n == 128)], args.quick):
+        print(line, flush=True)
     return 0
 
 
