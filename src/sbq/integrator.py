@@ -111,11 +111,17 @@ its updated fields.  The inverse into the workspace runs as ``ifft`` over
 the rows then ``irfft``, counted as one transform above.  The real
 multipliers applied to complex planes (1/|k|^2, the Ito multiplier, the
 hyper decay, the cutoffs) are stored complex, so numpy casts none of them
-per call, and the rates' negation and the finite guards run on the float
-view, which numpy's complex ufuncs take 2-5x as long over.  The negation is
-not folded into the velocities (-eta u - w): the forward transform of the
-negated products gives +0 where the negated transform gives -0, which moves
-signed zeros of the states.
+per call, and the rates' negation and the guards' max and min run on the
+float view, which numpy's complex ufuncs take 2-5x as long over.  The
+negation is not folded into the velocities (-eta u - w): the forward
+transform of the negated products gives +0 where the negated transform
+gives -0, which moves signed zeros of the states.
+
+Guards: each lane of a step's new fields, and of the Heun predictor, is
+read by one max and one min of its float view (:func:`_peaks`); a new lane
+whose largest |re|, |im| is at most half the magnitude limit and whose
+omega mean is at most 1e-12 clears every guard (:func:`_finalize`), and
+only another lane pays for its norms.
 
 Every step advances ``blowup_accum`` by dt times the blow-up integrand
 ||grad u||_inf + ||grad theta||_inf of the start stack's sups (left
@@ -338,38 +344,48 @@ def _finalize(start: Lanes, fields: np.ndarray, cfg: SchemeConfig, dt: float,
               t: float, errors: list) -> Lanes:
     """The lanes at ``t`` from their updated ``fields`` (a fresh array, scaled
     in place by the hyper decay), inside the 2/3 ball when ``start`` is (the
-    rates are zero outside it); each lane not stopped yet is checked in turn
+    rates are zero outside it).  Each lane not stopped yet is checked in turn
     for non-finite values, the magnitude guard and the omega mean guard, and
-    the first that fails goes into ``errors``."""
+    the first that fails goes into ``errors``.
+
+    A lane whose peak M (:func:`_peaks`) is at most half the magnitude limit
+    and whose omega mean is at most 1e-12 clears all three without its
+    norms: a field's norm is 2 pi / n^2 sqrt(2 S - S'), S the sum of |c|^2
+    over its n (n/2 + 1) half-spectrum coefficients and S' that over the 2n
+    on the self-paired columns k2 = 0, n/2, so with |c|^2 <= 2 M^2 it is at
+    most 2 pi / n^2 sqrt(2 M^2 n^2) = 2 sqrt(2) pi M / n: 1.111 M at n = 8
+    (an all-(1 + 1j) plane attains it), less on finer grids, so below 0.56
+    times the limit."""
     grid, n = start.grid, start.grid.n
     if cfg.variant == "hyper" and cfg.nu:
         fields *= _hyper_decay(grid, cfg.nu, dt)
     # left endpoint: the integrand of the step's start state
     new = Lanes(grid, fields, t, [a + dt * sum(s) for a, s in zip(start.accum, start.sups)],
                 start.in_ball)
-    finite = _finite_lanes(fields)
-    with np.errstate(invalid="ignore", over="ignore"):  # stopped lanes' garbage
-        norms = np.sqrt(np.maximum(_inner_half(fields, fields), 0.0)).tolist()
-    for lane, (norm_omega, norm_theta) in enumerate(norms):
-        if errors[lane] is not None:
+    for lane, peak in enumerate(_peaks(fields).tolist()):
+        mean = abs(fields[lane, 0, 0, 0]) / n**2
+        if errors[lane] is not None or (peak <= 0.5 * _MAGNITUDE_LIMIT and mean <= 1e-12):
             continue
-        if not finite[lane]:
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge values
+            norm_omega, norm_theta = np.sqrt(np.maximum(
+                _inner_half(fields[lane], fields[lane]), 0.0)).tolist()
+        if not math.isfinite(peak):
             errors[lane] = BlowUpSuspected(start.state(lane))
         elif not (norm_omega <= _MAGNITUDE_LIMIT and norm_theta <= _MAGNITUDE_LIMIT):
             # also NaN: past about 1e154 the norms' sums overflow to inf - inf
             errors[lane] = BlowUpSuspected(start.state(lane),
                                            "field magnitude beyond overflow guard")
-        else:
-            mean = abs(fields[lane, 0, 0, 0]) / n**2
-            if mean > 1e-12 * max(1.0, norm_omega):
-                errors[lane] = AssertionError(f"omega mean mode drifted to {mean:.3e}")
+        elif mean > 1e-12 * max(1.0, norm_omega):
+            errors[lane] = AssertionError(f"omega mean mode drifted to {mean:.3e}")
     return new
 
 
-def _finite_lanes(fields: np.ndarray) -> np.ndarray:
-    """Whether each lane's fields (R, 2, n, n/2 + 1) are finite, read on the
-    float view: numpy's complex ``isfinite`` takes twice as long."""
-    return np.isfinite(fields.view(np.float64)).all(axis=(1, 2, 3))
+def _peaks(fields: np.ndarray) -> np.ndarray:
+    """Each lane's largest |re| or |im| in its fields (R, 2, n, n/2 + 1), from
+    one max and one min of its float view: NaN or inf exactly when the lane
+    holds a value that is not finite."""
+    flat = fields.view(np.float64).reshape(len(fields), -1)
+    return np.maximum(flat.max(axis=1), -flat.min(axis=1))
 
 
 # the certificate's relative round-off slack, per n**2: 1e-11 n**2 is at
@@ -432,7 +448,7 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
     # the lanes are; a view, as the stack marks its fields read-only
     increment = np.multiply(rates, dt, out=_workspace("update", rates.shape))
     fields = np.add(lanes.fields, increment, out=_workspace("predictor", rates.shape))
-    finite = _finite_lanes(fields)
+    finite = np.isfinite(_peaks(fields))
     for lane in np.flatnonzero(~finite):
         errors[lane] = errors[lane] or BlowUpSuspected(lanes.state(lane),
                                                        "non-finite predictor")

@@ -771,10 +771,11 @@ def _box_fields(grid: Grid, normals: np.ndarray, band: int, amplitude: float | n
     :func:`random_field`'s law from the normals (..., 2, m * m) alone, the
     real and imaginary parts of raw(k) on the box max(|k1|, |k2|) <= band
     in the ``fft2`` layout of an m = 2 band + 1 point grid.  Each row is
-    scaled to the L2 norm ``amplitude`` >= 0 (a scalar or one per row; a
-    zero row stays zero) and has the bytes of its one-row call.  The
+    scaled to the L2 norm ``amplitude`` >= 0 (a finite scalar or one per
+    row; a zero row stays zero) and has the bytes of its one-row call.  The
     mirror -k is one reversed slice of raw with its first row and column
-    repeated past the last; only the box is scaled (the zeros stay +0.0)."""
+    repeated past the last; the box is placed once and scaled in place
+    (the zeros around it stay +0.0)."""
     n, m = grid.n, 2 * band + 1
     if band > n // 2 - 1:
         raise ValueError("band exceeds grid resolution")
@@ -791,17 +792,12 @@ def _box_fields(grid: Grid, normals: np.ndarray, band: int, amplitude: float | n
     if out is None:
         out = np.empty((*lead, n, n // 2 + 1), dtype=np.complex128)
     out.fill(0.0)
-
-    def place():
-        out[..., :band + 1, :band + 1] = sym[..., :band + 1, :]
-        out[..., n - band:, :band + 1] = sym[..., band + 1:, :]
-
-    place()
+    boxes = out[..., :band + 1, :band + 1], out[..., n - band:, :band + 1]
+    boxes[0][...], boxes[1][...] = sym[..., :band + 1, :], sym[..., band + 1:, :]
     norm = np.sqrt(np.maximum(_inner_half(out, out), 0.0))
-    live = norm > 0
-    scale = amplitude / np.where(live, norm, 1.0)
-    np.multiply(sym, scale[..., None, None], out=sym, where=live[..., None, None])
-    place()
+    scale = (amplitude / np.where(norm > 0, norm, 1.0))[..., None, None]
+    for box in boxes:
+        box *= scale
     return out
 
 

@@ -94,8 +94,7 @@ class SimState:
     def grad_sups(self) -> tuple[float, float]:
         """(||grad u||_inf, ||grad theta||_inf), each the collocation sup
         over every partial derivative; their sum is the blow-up integrand."""
-        gu, gth = _grad_sups(self._samples).tolist()
-        return gu, gth
+        return _grad_sups(self._samples[None])[0]
 
 
 def _gradient_samples(u1: np.ndarray, u2: np.ndarray, theta: np.ndarray, grid: Grid,
@@ -114,11 +113,13 @@ def _gradient_samples(u1: np.ndarray, u2: np.ndarray, theta: np.ndarray, grid: G
     return _to_physical(half, grid, out=out, in_ball=in_ball)
 
 
-def _grad_sups(samples: np.ndarray) -> np.ndarray:
-    """(||grad u||_inf, ||grad theta||_inf) of gradient samples
-    (..., 6, n, n), stacked (..., 2): max |g| = max(max g, -min g), exact."""
-    peaks = np.maximum(samples.max(axis=(-2, -1)), -samples.min(axis=(-2, -1)))
-    return np.stack((peaks[..., :4].max(axis=-1), peaks[..., 4:].max(axis=-1)), axis=-1)
+def _grad_sups(samples: np.ndarray) -> list:
+    """(||grad u||_inf, ||grad theta||_inf) of each lane's gradient samples
+    (R, 6, n, n): max |g| = max(max g, -min g), exact, over the lane's
+    contiguous grad u and grad theta blocks."""
+    flat, split = samples.reshape(len(samples), -1), 4 * samples[0, 0].size
+    return list(zip(*(np.maximum(block.max(axis=1), -block.min(axis=1)).tolist()
+                      for block in (flat[:, :split], flat[:, split:]))))
 
 
 class Lanes:
@@ -185,7 +186,7 @@ class Lanes:
 
     @cached_property
     def sups(self) -> list:
-        return _grad_sups(self.samples).tolist()
+        return _grad_sups(self.samples)
 
     @property
     def grad_theta(self) -> np.ndarray:

@@ -38,7 +38,7 @@ from sbq.noise import (
     sample_increments,
 )
 from sbq.operators import lie_derivative
-from sbq.state import Lanes, SimState
+from sbq.state import Lanes, SimState, _grad_sups
 from oracles import (
     count_ffts,
     fd_derivative,
@@ -563,6 +563,183 @@ class TestBlowUpBookkeeping:
         assert traj.final_state.theta.mean() == pytest.approx(theta_mean0, abs=1e-13)
 
 
+_LIMIT = integrator._MAGNITUDE_LIMIT
+# one lane of the guard stack per way a new state can fail, or pass, the guards
+_GUARD_LANES = ("nan", "+inf", "-inf", "huge", "drift", "near-limit", "clean")
+
+
+def _spoil(fields, n, kinds=_GUARD_LANES):
+    """Make each lane of a stack's new fields what ``kinds`` names: real
+    values the guards read, no check mocked."""
+    for f, kind in zip(fields, kinds):
+        if kind == "nan":
+            f[0, 3, 4] = complex(np.nan, 0.0)
+        elif kind == "+inf":
+            f[1, 5, 6] = complex(np.inf, 0.0)
+        elif kind == "-inf":
+            f[1, 5, 6] = complex(0.0, -np.inf)
+        elif kind == "huge":
+            f[1] *= 1e80  # finite, its norm far beyond the limit
+        elif kind == "drift":
+            f[0, 0, 0] += 1e-9 * n**2  # the omega mean drifts to 1e-9
+        elif kind == "near-limit":
+            f[1, 2, 3] = complex(0.6 * _LIMIT, 0.0)  # past half the limit, norm below it
+
+
+def _stack_guards(fields, n):
+    """(error type, message) of each lane of ``fields``, or None, as the
+    guards read them in one pass over the whole stack: a finite mask and
+    the norms of every lane, then non-finite, magnitude, omega mean."""
+    finite = np.isfinite(fields.view(np.float64)).all(axis=(1, 2, 3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = np.sqrt(np.maximum(sp._inner_half(fields, fields), 0.0)).tolist()
+    verdicts = []
+    for lane, (norm_omega, norm_theta) in enumerate(norms):
+        mean = abs(fields[lane, 0, 0, 0]) / n**2
+        if not finite[lane]:
+            verdicts.append((BlowUpSuspected, "non-finite field"))
+        elif not (norm_omega <= _LIMIT and norm_theta <= _LIMIT):
+            verdicts.append((BlowUpSuspected, "field magnitude beyond overflow guard"))
+        elif mean > 1e-12 * max(1.0, norm_omega):
+            verdicts.append((AssertionError, f"omega mean mode drifted to {mean:.3e}"))
+        else:
+            verdicts.append(None)
+    return verdicts
+
+
+def _verdicts(errors):
+    return [None if e is None else (type(e), str(e)) for e in errors]
+
+
+class TestGuards:
+    """Each lane's guards are read from one max and one min of its float
+    view, and only a lane they cannot clear pays for its norms: every lane
+    keeps the error type, message and abort step of the stack-wide pass."""
+
+    @staticmethod
+    def states(g, count):
+        rng, band = np.random.default_rng(70), min(6, g.n // 2 - 1)
+        return [SimState(sp.random_field(g, rng, band=band, zero_mean=True),
+                         sp.random_field(g, rng, band=band)) for _ in range(count)]
+
+    @staticmethod
+    def spoil_step(monkeypatch, at: int, seen: list, kinds=_GUARD_LANES):
+        """Spoil the new fields of step ``at`` (``_update``'s output, which
+        the guards read next) as ``kinds`` names, recording the stack-wide
+        verdicts."""
+        real, calls = integrator._update, []
+
+        def spoiled(fields, dt, rates):
+            new = real(fields, dt, rates)
+            calls.append(None)
+            if len(calls) == at + 1:
+                _spoil(new, new.shape[-2], kinds)
+                seen.append(_stack_guards(new, new.shape[-2]))
+            return new
+
+        monkeypatch.setattr(integrator, "_update", spoiled)
+
+    @pytest.mark.parametrize("scheme", ["ito_euler", "stratonovich_heun"])
+    def test_each_lane_keeps_the_stack_pass_verdict(self, monkeypatch, scheme):
+        g = sp.Grid(32)
+        basis = build_basis([((1, 0), "sine", 0.1), ((0, 1), "cosine", 0.1)], g)
+        lanes = Lanes.of(self.states(g, len(_GUARD_LANES)))
+        db = np.random.default_rng(71).normal(0.0, 0.03, (len(lanes), len(basis)))
+        seen = []
+        self.spoil_step(monkeypatch, 0, seen)
+        _, errors = _advance(lanes, basis, db, 1e-3, SchemeConfig(scheme, dt=1e-3), 1e-3)
+        (want,) = seen
+        assert _verdicts(errors) == want
+        assert [v and v[1].split(" to ")[0] for v in want] == [
+            "non-finite field", "non-finite field", "non-finite field",
+            "field magnitude beyond overflow guard", "omega mean mode drifted", None, None]
+        assert all(errors[lane].last_state is lanes.state(lane) for lane in range(4))
+
+    def test_stopped_lanes_keep_their_abort_step(self, monkeypatch):
+        g, dt = sp.Grid(32), 1e-3
+        basis = build_basis([((1, 0), "sine", 0.1), ((0, 1), "cosine", 0.1)], g)
+        kinds = tuple(k for k in _GUARD_LANES if k != "near-limit")  # it grows on
+        seen = []
+        self.spoil_step(monkeypatch, 2, seen, kinds)
+        results = _run_lanes(self.states(g, len(kinds)), basis, SchemeConfig("ito_euler", dt=dt),
+                             5 * dt, [np.random.default_rng(72 + i) for i in range(len(kinds))])
+        for lane in range(4):  # NaN, +inf, -inf, huge
+            assert results[lane].blowup_suspected and results[lane].abort_step == 2
+            assert results[lane].final_state.t == pytest.approx(2 * dt)
+        assert isinstance(results[4], AssertionError) and results[4].step == 2
+        assert str(results[4]) == seen[0][4][1]
+        assert not results[5].blowup_suspected and results[5].steps_taken == 5
+
+    def test_peak_at_half_the_limit_is_cleared(self):
+        # at n = 8, the coarsest grid, every |re|, |im| at half the limit: the
+        # norm bound 2 sqrt(2) pi M / n = 1.111 M is attained and stays below
+        # the limit, so clearing such a lane without its norms is exact
+        g = sp.Grid(8)
+        start = Lanes.of(self.states(g, 1))
+        fields = np.full((1, 2, 8, 5), complex(0.5 * _LIMIT, 0.5 * _LIMIT))
+        fields[0, 0, 0, 0] = 0.0  # omega keeps a zero mean
+        assert integrator._peaks(fields).tolist() == [0.5 * _LIMIT]
+        errors = [None]
+        integrator._finalize(start, fields, SchemeConfig("ito_euler", dt=1e-3), 1e-3, 1e-3,
+                             errors)
+        norms = np.sqrt(sp._inner_half(fields, fields))[0]
+        assert errors == [None] and max(norms) <= _LIMIT
+        assert norms[1] / (0.5 * _LIMIT) == pytest.approx(2 * np.sqrt(2) * np.pi / 8)
+        assert _stack_guards(fields, 8) == [None]
+        # just under the limit the peak clears nothing: the norm reads 1.05
+        # times the limit, and the magnitude guard stops the lane
+        fields = 1.9 * fields
+        integrator._finalize(start, fields, SchemeConfig("ito_euler", dt=1e-3), 1e-3, 1e-3,
+                             errors)
+        assert _verdicts(errors) == _stack_guards(fields, 8) == [
+            (BlowUpSuspected, "field magnitude beyond overflow guard")]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predictor_lanes(self, monkeypatch, bad):
+        g = sp.Grid(32)
+        lanes = Lanes.of(self.states(g, 3))
+        real = integrator._evaluate_stage
+
+        def spoiled(stack, sups, basis, noise, cfg, stage):
+            rates = real(stack, sups, basis, noise, cfg, stage)
+            if stage == 0:
+                rates[1, 0, 2, 3] = complex(0.0, bad)
+            return rates
+
+        monkeypatch.setattr(integrator, "_evaluate_stage", spoiled)
+        with np.errstate(invalid="ignore"):  # the stopped lane's corrector
+            _, errors = _advance(lanes, empty_basis(g), np.zeros((3, 0)), 1e-3,
+                                 SchemeConfig("stratonovich_heun", dt=1e-3), 1e-3)
+        assert _verdicts(errors) == [None, (BlowUpSuspected, "non-finite predictor"), None]
+        assert errors[1].last_state is lanes.state(1)
+
+
+class TestStepClock:
+    """perfbench's step clock stamps every call of
+    ``integrator.sample_increments``: the lane loop makes exactly one per
+    lane per step, through the module attribute, in lane order."""
+
+    @pytest.mark.parametrize("interval", [1, 10**6])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_draw_per_lane_per_step(self, monkeypatch, interval, count):
+        g, dt, steps = sp.Grid(16), 1e-3, 5
+        basis = build_basis([((1, 0), "sine", 0.1), ((0, 1), "cosine", 0.1)], g)
+        rngs = [np.random.default_rng(80 + i) for i in range(count)]
+        draws, real = [], integrator.sample_increments
+
+        def clocked(rng, dt, m):
+            draws.append(next(i for i, r in enumerate(rngs) if r is rng))
+            return real(rng, dt, m)
+
+        monkeypatch.setattr(integrator, "sample_increments", clocked)
+        results = [Trajectory(final_state=s) for s in TestGuards.states(g, count)]
+        cfg = SchemeConfig("ito_euler", dt=dt)
+        for index, _ in _lane_steps(results, basis, cfg, steps * dt, rngs, None, interval):
+            assert draws == list(range(count)) * index
+        assert draws == list(range(count)) * steps
+        assert [len(r.records) for r in results] == [steps + 1 if interval == 1 else 2] * count
+
+
 class TestSharedGradients:
     def _state(self, grid, seed=14):
         rng = np.random.default_rng(seed)
@@ -601,6 +778,21 @@ class TestSharedGradients:
         # replace builds a state with its own cache
         doubled = replace(state, theta=2.0 * state.theta)
         assert doubled.grad_sups == (gu, 2.0 * gth)
+
+    def test_grad_sups_equal_the_per_plane_peaks(self):
+        # the lane's two blocks reduced at once keep the per-plane formula's
+        # bytes, signed zeros and non-finite values included
+        rng = np.random.default_rng(73)
+        for lanes in (1, 3):
+            for kind in ("random", "zero", "negative zero", "nan", "inf"):
+                samples = {"zero": np.zeros, "negative zero": lambda s: np.full(s, -0.0)}.get(
+                    kind, rng.standard_normal)((lanes, 6, 16, 16))
+                if kind in ("nan", "inf"):
+                    samples[-1, 2, 3, 4] = np.nan if kind == "nan" else -np.inf
+                peaks = np.maximum(samples.max(axis=(-2, -1)), -samples.min(axis=(-2, -1)))
+                want = np.stack((peaks[:, :4].max(axis=-1), peaks[:, 4:].max(axis=-1)), axis=-1)
+                got = np.array(_grad_sups(samples))
+                assert got.tobytes() == want.tobytes()
 
 
 class TestTransformCounts:
@@ -1162,7 +1354,7 @@ def _predictor_sups(lanes, increment):
 def _certify(lanes, increment, r):
     fields = np.add(lanes.fields, increment)
     scratch = np.empty(increment.view(np.float64).shape)
-    return _certified(lanes, increment, integrator._finite_lanes(fields), r, scratch)
+    return _certified(lanes, increment, np.isfinite(integrator._peaks(fields)), r, scratch)
 
 
 def _refuse_always(monkeypatch):

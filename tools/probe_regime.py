@@ -20,6 +20,19 @@ operation's set-ups, the operation and a probe.  The script imports
 ``perfbench/`` and ``sbq`` from its ``src/`` and edits none of them;
 ``--root`` points it at another checkout (a parent commit, say).
 
+    python3 tools/probe_regime.py --in-run [--seconds S] [--workload NAME ...]
+
+counts the probe calls of a real benchmark run instead: each workload runs
+as ``perfbench/run.py --workload NAME --seed N --seconds S --trace 0``, as
+``__main__`` of a fresh process that imports nothing before it, and
+``calibration.probe_ms`` is wrapped, when ``run.py`` imports it, to record
+each call's faults and time (no file is edited; the run writes its result
+file as usual).  The replayed
+order above runs in this script's own process, whose heap history is not
+the run's: on ``verify-ops-n64`` it has read 32, 3840 and 6343 faults a
+call for checkouts whose runs took about 6350, and about 6350 for one
+whose run took about 3750.  Run this mode on both sides before any pairs.
+
     python3 tools/probe_regime.py --runs PARENT.json CHANGE.json
 
 reads two result files of ``perfbench/run.py``
@@ -89,6 +102,49 @@ def probe_workload(root: Path, name: str, ops: int, seed: int) -> dict:
             "correct": all(ok for _, ok, _ in checks)}
 
 
+# the --in-run child: runs perfbench/run.py as __main__ and wraps
+# calibration.probe_ms when run.py imports it, importing nothing itself, so
+# its heap history is as close to the run's own as a wrapper allows
+_IN_RUN = """
+import builtins, sys
+run_py = sys.argv[1]
+sys.argv[:] = sys.argv[1:]
+sys.path[0] = run_py.rsplit("/", 1)[0]
+calls, plain_import = [], builtins.__import__
+def hooked_import(name, *args, **kwargs):
+    module = plain_import(name, *args, **kwargs)
+    if name == "calibration":
+        builtins.__import__ = plain_import
+        probe, faults = module.probe_ms, sys.modules["resource"].getrusage
+        def counted():
+            before = faults(0).ru_minflt
+            ms = probe()
+            calls.append((faults(0).ru_minflt - before, ms))
+            return ms
+        module.probe_ms = counted
+    return module
+builtins.__import__ = hooked_import
+code = None
+try:
+    with open(run_py) as source:
+        exec(compile(source.read(), run_py, "exec"), {"__name__": "__main__", "__file__": run_py})
+except SystemExit as exit:
+    code = exit.code
+print(sys.modules["json"].dumps({"calls": calls, "correct": code == 0}))
+"""
+
+
+def probe_in_run(root: Path, name: str, seconds: float, seed: int) -> dict:
+    """The probe calls of one untraced ``perfbench/run.py`` run of a
+    workload, run as ``__main__`` in a fresh process with
+    ``calibration.probe_ms`` wrapped: [(faults, ms), ...]."""
+    out = subprocess.run(
+        [sys.executable, "-c", _IN_RUN, str(root / "perfbench" / "run.py"), "--workload", name,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True, cwd=root, check=True)
+    return {"workload": name, **json.loads(out.stdout.splitlines()[-1])}
+
+
 def run_figures(path: Path) -> dict:
     """Raw, probe and scaled medians of one ``perfbench/run.py`` result file."""
     run = json.loads(path.read_text())
@@ -122,6 +178,10 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=4, help="operations per workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", type=Path, help="also write the results here")
+    parser.add_argument("--in-run", action="store_true",
+                        help="count the probe calls of a real perfbench/run.py run")
+    parser.add_argument("--seconds", type=float, default=8.0,
+                        help="length of each --in-run run")
     parser.add_argument("--runs", type=Path, nargs=2, metavar=("PARENT", "CHANGE"),
                         help="compare two perfbench/run.py result files instead")
     parser.add_argument("--child", help=argparse.SUPPRESS)
@@ -135,22 +195,27 @@ def main(argv=None) -> int:
         return 0
     results = []
     for name in args.workload:
-        out = subprocess.run(
-            [sys.executable, __file__, "--root", str(root), "--ops", str(args.ops),
-             "--seed", str(args.seed), "--child", name],
-            capture_output=True, text=True, cwd=root, check=True)
-        result = json.loads(out.stdout.splitlines()[-1])
+        if args.in_run:
+            result = probe_in_run(root, name, args.seconds, args.seed)
+        else:
+            out = subprocess.run(
+                [sys.executable, __file__, "--root", str(root), "--ops", str(args.ops),
+                 "--seed", str(args.seed), "--child", name],
+                capture_output=True, text=True, cwd=root, check=True)
+            result = json.loads(out.stdout.splitlines()[-1])
         faults = [f for f, _ in result["calls"]]
         result["median_faults"] = statistics.median(faults)
         result["median_ms"] = statistics.median(ms for _, ms in result["calls"])
         results.append(result)
         print(f"{name}: median {result['median_faults']:g} minor faults, "
               f"{result['median_ms']:.3f} ms per probe call"
+              f"{f' ({len(faults)} calls in the run)' if args.in_run else ''}"
               f"{'' if result['correct'] else ' (a check failed)'}")
-        for i, (f, ms) in enumerate(result["calls"]):
+        for i, (f, ms) in enumerate(result["calls"][:3 if args.in_run else None]):
             print(f"  probe {i}: {f:6d} faults {ms:8.3f} ms")
     if args.json:
         args.json.write_text(json.dumps({"root": str(root), "ops": args.ops,
+                                         "seconds": args.seconds if args.in_run else None,
                                          "seed": args.seed, "workloads": results}, indent=1))
     return 0
 
