@@ -11,14 +11,27 @@ realization indices, so summaries are bit-identical for any worker count
 and any grouping into lanes.  Realization ``i`` derives its stream seed as
 ``mix_seed(master_seed, i)``.
 
+The pool lives as long as the process: it forks its workers at its first
+use, and every later parallel call with the same worker count reuses them,
+warm (their imports, caches and heap pages made), so a call pays neither a
+fork nor a cold start.  A call with another worker count shuts the old pool
+down, joining its workers, before the new one forks; at exit
+:mod:`concurrent.futures` joins the workers (a multiprocessing child's
+exit, through a finalizer).  As the workers fork at the pool's first use,
+module state patched in the parent after that does not reach them;
+``_run_chunk`` itself is sent by reference with each task, so a patch of
+it does.
+
 A failure is isolated to its realization: the run is marked failed,
 excluded from aggregates, and counted; a lane that fails (the omega mean
 guard) or blows up drops out of its stack and the other lanes go on.  A
-worker process that dies (a signal, out of memory) breaks the pool: every
-realization whose result had not come back by then is run once more, each
-in a one-worker pool of its own, and those lost a second time are marked
-failed; the others, chunk-mates of a lost realization included, keep
-results identical to a serial run.
+worker process that dies (a signal, out of memory) breaks the pool, which
+is dropped: every realization whose result had not come back by then is
+run once more, each alone on a one-worker pool, and those lost a second
+time are marked failed; the others, chunk-mates of a lost
+realization included, keep results identical to a serial run.  A worker
+that dies while the pool sits idle costs no realization: the next call
+finds the pool broken before it queues a task and replaces it.
 Realizations that abort on a suspected blow-up keep their partial series;
 per-time statistics aggregate over the realizations that reached each time.
 """
@@ -26,9 +39,11 @@ per-time statistics aggregate over the realizations that reached each time.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -148,8 +163,8 @@ def run_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleSummary, list]:
         workers = min(cfg.parallelism, cfg.realizations)
         results, lost = _run_pool(workers, cfg, [indices[w::workers] for w in range(workers)])
         # seeds are per index, so a second attempt gives the same result; each
-        # lost realization gets a worker of its own, so one that kills its
-        # worker again takes no other realization with it
+        # lost realization runs alone on a one-worker pool, so one that kills
+        # its worker again takes no other realization with it
         failed = {}
         for i in lost:
             retried, again = _run_pool(1, cfg, [[i]])
@@ -162,27 +177,75 @@ def run_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleSummary, list]:
     return summarize(results), results
 
 
+# this process's pool: (worker count, executor, its shutdown), or None
+_pool = None
+
+
+def _live_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` processes, made on first use.  A
+    pool of another count is shut down, its workers joined, before the new
+    one forks, so no executor thread runs at a fork.  A multiprocessing
+    child never runs the exit hook of :mod:`concurrent.futures` and joins
+    its children at exit, so the shutdown is also a finalizer, run ahead
+    of the pool's queues' own (priority 10)."""
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _drop_pool()
+    if _pool is None:
+        executor = ProcessPoolExecutor(max_workers=workers)
+        _pool = (workers, executor, Finalize(None, executor.shutdown, exitpriority=20))
+    return _pool[1]
+
+
+def _drop_pool():
+    """Shut this process's pool down, if any, and join its workers."""
+    global _pool
+    if _pool is not None:
+        (_, _, shutdown), _pool = _pool, None
+        shutdown()
+
+
+def _forget_pool():
+    # a forked child (a pool worker too) has none of its parent's executor
+    # threads, so it must not use the parent's pool
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _run_pool(workers: int, cfg: EnsembleConfig, chunks: list) -> tuple[list, dict]:
-    """Run each chunk of indices as one task on a fresh pool of ``workers``
-    processes; returns the results that came back and {index: exception} for
-    those lost with a dead worker process (a dead worker breaks the pool, so
-    every task still out is lost with it)."""
-    results, lost = [], {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = []
-        for chunk in chunks:
-            try:
-                futures.append(
-                    pool.submit(_run_chunk, cfg.run_config, cfg.master_seed, chunk))
-            except BrokenProcessPool as exc:  # a worker died before all were queued
-                for unsent in chunks[len(futures):]:
-                    lost.update(dict.fromkeys(unsent, exc))
-                break
-        for chunk, future in zip(chunks, futures):
-            try:
-                results += future.result()
-            except Exception as exc:  # the worker process died, e.g. BrokenProcessPool
-                lost.update(dict.fromkeys(chunk, exc))
+    """Run each chunk of indices as one task on this process's pool of
+    ``workers`` processes (:func:`_live_pool`); returns the results that came
+    back and {index: exception} for those lost with a dead worker process (a
+    dead worker breaks the pool, so every task still out is lost with it, and
+    the pool is dropped).  A pool found broken before this call queued a task
+    lost a worker while idle: it is replaced, and no realization is lost."""
+    results, lost, futures = [], {}, []
+
+    def submit(chunk):
+        futures.append(_live_pool(workers).submit(
+            _run_chunk, cfg.run_config, cfg.master_seed, chunk))
+
+    try:
+        try:
+            submit(chunks[0])
+        except BrokenProcessPool:  # a worker died while the pool sat idle
+            _drop_pool()
+            submit(chunks[0])
+        for chunk in chunks[1:]:
+            submit(chunk)
+    except BrokenProcessPool as exc:  # a worker died before all were queued
+        for unsent in chunks[len(futures):]:
+            lost.update(dict.fromkeys(unsent, exc))
+    for chunk, future in zip(chunks, futures):
+        try:
+            results += future.result()
+        except Exception as exc:  # the worker process died, e.g. BrokenProcessPool
+            lost.update(dict.fromkeys(chunk, exc))
+    if any(isinstance(exc, BrokenProcessPool) for exc in lost.values()):
+        _drop_pool()
     return results, lost
 
 

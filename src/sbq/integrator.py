@@ -446,12 +446,16 @@ def _advance(lanes: Lanes, basis: NoiseBasis, db: np.ndarray, dt: float,
         return _finalize(lanes, _update(lanes.fields, dt, rates), cfg, dt, t, errors), errors
     # Heun: the Euler-Maruyama update is the predictor, inside the ball when
     # the lanes are; a view, as the stack marks its fields read-only
-    increment = np.multiply(rates, dt, out=_workspace("update", rates.shape))
+    with np.errstate(invalid="ignore"):  # a non-finite rate's inf * 0 (complex dt)
+        increment = np.multiply(rates, dt, out=_workspace("update", rates.shape))
     fields = np.add(lanes.fields, increment, out=_workspace("predictor", rates.shape))
     finite = np.isfinite(_peaks(fields))
     for lane in np.flatnonzero(~finite):
         errors[lane] = errors[lane] or BlowUpSuspected(lanes.state(lane),
                                                        "non-finite predictor")
+        # the stopped lane's corrector reads its start fields and no stage-0
+        # rates, so it makes no non-finite value
+        fields[lane], rates[lane] = lanes.fields[lane], 0.0
     predictor, sups = Lanes(lanes.grid, fields.view(), t, lanes.accum, lanes.in_ball), None
     if cfg.drift_enabled and cfg.variant != "plain":
         # scratch: stage 0's physical planes, read already, and paged in

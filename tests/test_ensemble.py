@@ -4,12 +4,18 @@ import dataclasses
 import functools
 import json
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
 
-from sbq import integrator
+from sbq import ensemble, integrator
 from sbq.cli import main
 from sbq.config import (
     build_initial_state,
@@ -18,6 +24,7 @@ from sbq.config import (
     parse_config,
 )
 from sbq.ensemble import (
+    SUMMARY_STATS,
     EnsembleConfig,
     _run_chunk,
     RealizationResult,
@@ -139,6 +146,102 @@ class TestDeadWorker:
         for f in expected.stats:
             for stat in ("mean", "var", "max"):
                 assert np.array_equal(summary.stats[f][stat], expected.stats[f][stat])
+
+
+def worker_pids() -> list:
+    # the pool's workers are this process's only live multiprocessing children
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def assert_same_summary(got, want):
+    assert got.failed == want.failed
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.counts, want.counts)
+    for f in want.stats:
+        for stat in SUMMARY_STATS:
+            assert np.array_equal(got.stats[f][stat], want.stats[f][stat])
+
+
+def child_ensemble(cfg):
+    # run in a forked multiprocessing child, whose exit joins its children
+    summary, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
+    if summary.failed:
+        os._exit(1)
+
+
+class TestPool:
+    """One pool per process, made on first use and kept warm."""
+
+    def test_calls_reuse_the_workers(self):
+        cfg = small_config(realizations=4)
+        run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
+        first = worker_pids()
+        run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
+        assert len(first) == 2 and worker_pids() == first
+
+    def test_a_worker_killed_while_idle_costs_no_realization(self):
+        cfg = small_config(realizations=4)
+        serial, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 1))
+        run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
+        old = worker_pids()
+        os.kill(old[0], signal.SIGKILL)
+        # the pool finds the death, marks itself broken and ends the other worker
+        deadline = time.monotonic() + 60
+        while set(old) & set(worker_pids()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        summary, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
+        assert summary.failed == []
+        assert_same_summary(summary, serial)
+        # a fresh two-worker pool ran the call: no one-worker pool retried it
+        new = worker_pids()
+        assert len(new) == 2 and not set(new) & set(old)
+
+    def test_changing_worker_counts_keep_the_bits(self):
+        cfg = small_config(realizations=4)
+        serial, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 1))
+        for workers in (2, 4, 2):
+            summary, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, workers))
+            assert_same_summary(summary, serial)
+            assert len(worker_pids()) == workers  # the old pool's workers are joined
+
+    def test_a_process_exits_with_its_workers(self):
+        script = textwrap.dedent("""
+            import multiprocessing
+            from sbq.config import parse_config
+            from sbq.ensemble import EnsembleConfig, run_ensemble
+            cfg = parse_config({"n": 16, "T": 0.02, "dt": 0.01, "seed": 5,
+                                "scheme": "stratonovich_heun", "initial": "taylor_green",
+                                "noise": {"type": "default_family", "k_max": 2, "sigma": 0.05}})
+            summary, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))
+            assert summary.failed == []
+            print(*(p.pid for p in multiprocessing.active_children()))
+        """)
+        src = os.path.dirname(os.path.dirname(ensemble.__file__))
+        out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2 and not any(alive(pid) for pid in pids)
+
+    def test_a_forked_child_makes_and_ends_its_own_pool(self):
+        cfg = small_config(realizations=4)
+        run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 2))  # the parent's pool is live
+        child = multiprocessing.get_context("fork").Process(target=child_ensemble, args=(cfg,))
+        child.start()
+        child.join(timeout=120)
+        try:
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
 
 
 def mean_guard_fires(monkeypatch, lane, call):
