@@ -14,24 +14,29 @@ and any grouping into lanes.  Realization ``i`` derives its stream seed as
 The pool lives as long as the process: it forks its workers at its first
 use, and every later parallel call with the same worker count reuses them,
 warm (their imports, caches and heap pages made), so a call pays neither a
-fork nor a cold start.  A call with another worker count shuts the old pool
-down, joining its workers, before the new one forks; at exit
-:mod:`concurrent.futures` joins the workers (a multiprocessing child's
-exit, through a finalizer).  As the workers fork at the pool's first use,
-module state patched in the parent after that does not reach them;
-``_run_chunk`` itself is sent by reference with each task, so a patch of
-it does.
+fork nor a cold start.  Only a process that calls :func:`run_ensemble` more
+than once gains: ``sbq ensemble`` makes one call a process, and that call
+forks and warms its workers as a fresh pool did.  A call with another
+worker count shuts the old pool down, joining its workers, before the new
+one forks; at exit :mod:`concurrent.futures` joins the workers (a
+multiprocessing child's exit, through a finalizer).  Calls from several
+threads take turns to choose the pool and queue their tasks.  As the
+workers fork at the pool's first use, module state patched in the parent
+after that does not reach them; ``_run_chunk`` itself is sent by reference
+with each task, so a patch of it does.
 
 A failure is isolated to its realization: the run is marked failed,
 excluded from aggregates, and counted; a lane that fails (the omega mean
 guard) or blows up drops out of its stack and the other lanes go on.  A
 worker process that dies (a signal, out of memory) breaks the pool, which
-is dropped: every realization whose result had not come back by then is
+is replaced: every realization whose result had not come back by then is
 run once more, each alone on a one-worker pool, and those lost a second
 time are marked failed; the others, chunk-mates of a lost
 realization included, keep results identical to a serial run.  A worker
-that dies while the pool sits idle costs no realization: the next call
-finds the pool broken before it queues a task and replaces it.
+that dies while the pool sits idle costs no realization once the pool has
+noticed the death: the next call finds the pool broken before it queues a
+task and replaces it.  A death that races the next call's first task loses
+that call's tasks to the retry above.
 Realizations that abort on a suspected blow-up keep their partial series;
 per-time statistics aggregate over the realizations that reached each time.
 """
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -177,8 +183,10 @@ def run_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleSummary, list]:
     return summarize(results), results
 
 
-# this process's pool: (worker count, executor, its shutdown), or None
+# this process's pool: (worker count, executor, its shutdown), or None; a
+# call holds the lock while it chooses the pool and queues its tasks
 _pool = None
+_pool_lock = threading.Lock()
 
 
 def _live_pool(workers: int) -> ProcessPoolExecutor:
@@ -207,9 +215,10 @@ def _drop_pool():
 
 def _forget_pool():
     # a forked child (a pool worker too) has none of its parent's executor
-    # threads, so it must not use the parent's pool
-    global _pool
-    _pool = None
+    # threads, so it must not use the parent's pool, nor wait on a lock that
+    # another of the parent's threads held at the fork
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_pool)
@@ -219,33 +228,32 @@ def _run_pool(workers: int, cfg: EnsembleConfig, chunks: list) -> tuple[list, di
     """Run each chunk of indices as one task on this process's pool of
     ``workers`` processes (:func:`_live_pool`); returns the results that came
     back and {index: exception} for those lost with a dead worker process (a
-    dead worker breaks the pool, so every task still out is lost with it, and
-    the pool is dropped).  A pool found broken before this call queued a task
-    lost a worker while idle: it is replaced, and no realization is lost."""
+    dead worker breaks the pool, so every task still out is lost with it).
+    A pool found broken before this call queued a task lost a worker while
+    idle: it is replaced, and no realization is lost."""
     results, lost, futures = [], {}, []
 
     def submit(chunk):
         futures.append(_live_pool(workers).submit(
             _run_chunk, cfg.run_config, cfg.master_seed, chunk))
 
-    try:
+    with _pool_lock:  # another thread's call may not drop the pool mid-queue
         try:
-            submit(chunks[0])
-        except BrokenProcessPool:  # a worker died while the pool sat idle
-            _drop_pool()
-            submit(chunks[0])
-        for chunk in chunks[1:]:
-            submit(chunk)
-    except BrokenProcessPool as exc:  # a worker died before all were queued
-        for unsent in chunks[len(futures):]:
-            lost.update(dict.fromkeys(unsent, exc))
+            try:
+                submit(chunks[0])
+            except BrokenProcessPool:  # a worker died while the pool sat idle
+                _drop_pool()
+                submit(chunks[0])
+            for chunk in chunks[1:]:
+                submit(chunk)
+        except BrokenProcessPool as exc:  # a worker died before all were queued
+            for unsent in chunks[len(futures):]:
+                lost.update(dict.fromkeys(unsent, exc))
     for chunk, future in zip(chunks, futures):
         try:
             results += future.result()
         except Exception as exc:  # the worker process died, e.g. BrokenProcessPool
             lost.update(dict.fromkeys(chunk, exc))
-    if any(isinstance(exc, BrokenProcessPool) for exc in lost.values()):
-        _drop_pool()
     return results, lost
 
 

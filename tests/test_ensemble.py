@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -211,6 +212,28 @@ class TestPool:
             summary, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, workers))
             assert_same_summary(summary, serial)
             assert len(worker_pids()) == workers  # the old pool's workers are joined
+
+    def test_threads_with_other_worker_counts_take_turns(self):
+        cfg = small_config(realizations=4)
+        serial, _ = run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, 1))
+        summaries, errors = [], []
+
+        def calls(workers):
+            try:
+                for _ in range(3):
+                    summaries.append(run_ensemble(EnsembleConfig(cfg, 4, cfg.seed, workers))[0])
+            except Exception as exc:  # e.g. a pool shut down under a queued call
+                errors.append(exc)
+
+        threads = [threading.Thread(target=calls, args=(w,)) for w in (2, 3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert errors == [] and len(summaries) == 6
+        for summary in summaries:
+            assert_same_summary(summary, serial)
+        assert len(worker_pids()) in (2, 3)  # one pool is left, no leaked one
 
     def test_a_process_exits_with_its_workers(self):
         script = textwrap.dedent("""
