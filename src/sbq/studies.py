@@ -1,4 +1,4 @@
-"""Deterministic conservation and refinement studies.
+"""Conservation and refinement studies.
 
 These back the ``verify-conservation`` subcommand and the acceptance suite.
 
@@ -16,6 +16,14 @@ discretization, measured over a dt-halving pair:
 The study asserts the order-3 window for the quadratic enstrophy and the
 order-2 window for the other two; ratios are reported so regressions in
 either direction are visible.
+
+The stochastic dt-refinement criteria share one harness.
+:func:`brownian_paths` draws one fine Brownian path per seed, and
+:func:`refine` steps every path at each config's dt (the path summed to
+that dt) as lanes of one stack, returning the table of final states.  The
+reduction is left to the caller, since each criterion measures against its
+own reference (deterministic runs, another scheme, the initial norm), and
+so are the slope or ratio windows.
 """
 
 from __future__ import annotations
@@ -24,12 +32,14 @@ import numpy as np
 
 from .config import random_hs_field
 from .diagnostics import conservation_defects, gronwall_report, lp_magnitude
-from .integrator import SchemeConfig, Trajectory, _lane_steps, run
-from .noise import empty_basis
+from .integrator import SchemeConfig, Trajectory, _lane_steps, _run_lanes, run
+from .noise import NoiseBasis, empty_basis
 from .spectral import Grid, SpectralField, l2_norm
 from .state import SimState
 
 __all__ = [
+    "brownian_paths",
+    "refine",
     "stationarity_study",
     "conservation_order_study",
     "run_conservation_battery",
@@ -55,11 +65,60 @@ def stationarity_study(n: int = 64, dt: float = 1e-2, T: float = 10.0) -> dict:
     }
 
 
-def _tg_random_state(grid: Grid, seed: int = 42) -> SimState:
-    omega0 = SpectralField.from_physical(
-        grid, 2.0 * np.sin(grid.x) * np.sin(grid.y))
-    theta0 = random_hs_field(grid, 3.0, np.random.default_rng(seed), amplitude=1.0)
+def _tg_random_state(grid: Grid, seed: int = 42, amplitude: float = 1.0) -> SimState:
+    """Taylor-Green omega with a random H^3 theta of the given amplitude."""
+    omega0 = SpectralField.from_physical(grid, 2.0 * np.sin(grid.x) * np.sin(grid.y))
+    theta0 = random_hs_field(grid, 3.0, np.random.default_rng(seed), amplitude=amplitude)
     return SimState(omega0, theta0)
+
+
+def brownian_paths(seeds, dt: float, T: float, m: int) -> list:
+    """One path of ``T / dt`` steps of ``m`` Brownian increments per seed,
+    drawn as ``default_rng(seed).normal(0, sqrt(dt), (T / dt, m))``.
+
+    ``T`` is the span the path covers, not an end time: a path for
+    :func:`refine` must be drawn with ``T = T_end - state0.t``.
+    """
+    return [np.random.default_rng(seed).normal(0, np.sqrt(dt), size=(int(round(T / dt)), m))
+            for seed in seeds]
+
+
+def refine(state0: SimState, basis: NoiseBasis, cfgs, T: float, paths) -> list:
+    """Final states of every path at every config's dt: one row per config,
+    one entry per path.
+
+    ``T`` is the end time.  The paths must span exactly ``T - state0.t`` at
+    the step they were drawn with, since that step is inferred as
+    ``(T - state0.t) / len(path)``: a path drawn for another span or start
+    time would be stepped with increments of the wrong variance, and no
+    check can see it.  Each config's dt must be a whole multiple of the
+    step that splits the paths.
+
+    A row sums each path to its config's dt and steps them as the lanes of
+    one :func:`_run_lanes` call, so each entry is bit for bit the ``run`` of
+    its summed path.  A lane that failed raises its exception (a
+    ``TimeStepError`` or the mean guard's ``AssertionError``); a lane that
+    blew up gives its last finite state, as ``run`` does.
+    """
+    lengths = sorted({len(path) for path in paths})
+    if len(lengths) != 1:
+        raise ValueError(f"paths must be one or more of equal length, got lengths {lengths}")
+    steps = lengths[0]
+    fine = (T - state0.t) / steps
+    table = []
+    for cfg in cfgs:
+        fac = round(cfg.dt / fine)
+        if fac < 1 or abs(cfg.dt / fine - fac) > 1e-9 or steps % fac:
+            raise ValueError(f"config dt {cfg.dt} is not a whole multiple of the paths' "
+                             f"step {fine} that splits their {steps} steps")
+        summed = [path.reshape(steps // fac, fac, path.shape[1]).sum(axis=1) for path in paths]
+        trajs = _run_lanes([state0] * len(paths), basis, cfg, T, increments=summed,
+                           diag_interval=10**9)
+        for traj in trajs:
+            if isinstance(traj, Exception):
+                raise traj
+        table.append([traj.final_state for traj in trajs])
+    return table
 
 
 def conservation_order_study(n: int = 128, dts=(1e-2, 5e-3, 2.5e-3),

@@ -25,15 +25,10 @@ import numpy as np
 import pytest
 
 from sbq import spectral as sp
-from sbq.config import random_hs_field
-from sbq.diagnostics import (
-    StoppingTimeReport,
-    conservation_defects,
-    offline_blowup_quadrature,
-    update_stopping_report,
-)
-from sbq.integrator import SchemeConfig, _run_lanes, run, step
-from sbq.noise import NoiseBasis, build_basis, constant_shift_basis, default_family
+from sbq.diagnostics import StoppingTimeReport, offline_blowup_quadrature, update_stopping_report
+from sbq.integrator import SchemeConfig, run, step
+from sbq.noise import (BrownianIncrements, build_basis, constant_shift_basis, default_family,
+                       empty_basis, sample_increments)
 from sbq.operators import (
     BASELINES,
     adjoint_defect,
@@ -43,28 +38,14 @@ from sbq.operators import (
     FirstOrderOp,
 )
 from sbq.state import SimState
+from sbq.studies import (_tg_random_state, brownian_paths, conservation_order_study, refine,
+                         stationarity_study)
 
 
 def report(criterion, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] criterion {criterion}: {status} ({detail})")
     return ok
-
-
-def coarsen(incr, fac):
-    ns = incr.shape[0] // fac
-    return incr[:ns * fac].reshape(ns, fac, -1).sum(axis=1)
-
-
-def empty_basis(grid):
-    return NoiseBasis((), 0.0, grid, 0.0)
-
-
-def tg_random_state(grid, seed=42, amplitude=1.0):
-    omega = sp.SpectralField.from_physical(
-        grid, 2.0 * np.sin(grid.x) * np.sin(grid.y))
-    theta = random_hs_field(grid, 3.0, np.random.default_rng(seed), amplitude)
-    return SimState(omega, theta)
 
 
 def test_criterion_1_exact_lie_cancellation():
@@ -158,37 +139,16 @@ def test_criterion_4_biot_savart_closure():
 
 def test_criterion_5_deterministic_stationarity():
     t0 = time.time()
-    grid = sp.Grid(64)
-    omega0 = sp.SpectralField.from_physical(grid, np.cos(grid.x))
-    state = SimState(omega0, sp.SpectralField.zero(grid))
-    cfg = SchemeConfig("stratonovich_heun", dt=1e-2)
-    traj = run(state, empty_basis(grid), cfg, T=10.0, diag_interval=10**9)
-    defect = sp.l2_norm(traj.final_state.omega - omega0)
-    ok = defect <= 1e-8
-    assert report(5, ok, f"L2 drift {defect:.2e} <= 1e-8 over T=10, "
+    out = stationarity_study()
+    assert out["T"] == 10.0
+    defect = out["final_l2_defect"]
+    assert report(5, defect <= 1e-8, f"L2 drift {defect:.2e} <= 1e-8 over T=10, "
                   f"{time.time() - t0:.1f}s")
-
-
-def _conservation_study():
-    grid = sp.Grid(128)
-    state0 = tg_random_state(grid)
-    dts = (1e-2, 5e-3, 2.5e-3)
-    defects = {}
-    for dt in dts:
-        traj = run(state0, empty_basis(grid),
-                   SchemeConfig("stratonovich_heun", dt=dt), T=1.0,
-                   diag_interval=1)
-        defects[dt] = conservation_defects(traj.records, dt)
-    ratios = {}
-    for key in ("enstrophy2_defect", "enstrophy4_defect", "ke_balance_residual"):
-        vals = [defects[dt][key] for dt in dts]
-        ratios[key] = [a / b for a, b in zip(vals, vals[1:])]
-    return ratios
 
 
 @pytest.fixture(scope="module")
 def conservation_ratios():
-    return _conservation_study()
+    return {key: entry["values"] for key, entry in conservation_order_study()["ratios"].items()}
 
 
 def test_criterion_6_theta4_and_energy_order(conservation_ratios):
@@ -216,35 +176,27 @@ def test_criterion_6_theta2_window_as_stated(conservation_ratios):
 def test_criterion_7_constant_noise_change_of_variables():
     t0 = time.time()
     grid = sp.Grid(64)
-    state0 = tg_random_state(grid)
+    state0 = _tg_random_state(grid)
     basis = constant_shift_basis("x", 1.0, grid)
     dts = [2.0**-k for k in (6, 7, 8, 9)]
     # hyper regularization keeps the explicit schemes stable at the coarse
     # end (amplitude-1 noise moves fields by ~1.3 grid spacings per step at
     # dt = 2^-6); the integrating factor is a Fourier multiplier, so it
     # commutes with the phase shift and the oracle stays exact.
-    cfgs = {dt: SchemeConfig("stratonovich_heun", dt=dt, variant="hyper",
-                             nu=2e-4, r=1e9) for dt in dts}
-    det = {dt: run(state0, empty_basis(grid), cfgs[dt], 1.0,
-                   diag_interval=10**9).final_state for dt in dts}
-    master, paths = 2024, 12
-    fine = [np.random.default_rng((master, j)).normal(
-        0, np.sqrt(dts[-1]), size=(int(round(1.0 / dts[-1])), 1)) for j in range(paths)]
+    cfgs = [SchemeConfig("stratonovich_heun", dt=dt, variant="hyper", nu=2e-4, r=1e9)
+            for dt in dts]
+    paths = brownian_paths([(2024, j) for j in range(12)], dts[-1], 1.0, len(basis))
     sq = np.zeros(len(dts))
-    for i, dt in enumerate(dts):
-        # the paths of one dt, stepped as lanes
-        incr = [coarsen(path, int(round(dt / dts[-1]))) for path in fine]
-        trajs = _run_lanes([state0] * paths, basis, cfgs[dt], 1.0, increments=incr,
-                           diag_interval=10**9)
-        for path, traj in zip(fine, trajs):
-            stoch = traj.final_state
+    for i, (cfg, row) in enumerate(zip(cfgs, refine(state0, basis, cfgs, 1.0, paths))):
+        det = run(state0, empty_basis(grid), cfg, 1.0, diag_interval=10**9).final_state
+        for path, stoch in zip(paths, row):
             shift = np.exp(-1j * grid.k1 * path.sum())
             e_om = sp.l2_norm(stoch.omega - sp.SpectralField.from_coeffs(
-                grid, det[dt].omega.coeffs * shift))
+                grid, det.omega.coeffs * shift))
             e_th = sp.l2_norm(stoch.theta - sp.SpectralField.from_coeffs(
-                grid, det[dt].theta.coeffs * shift))
+                grid, det.theta.coeffs * shift))
             sq[i] += e_om**2 + e_th**2
-    rms = np.sqrt(sq / paths)
+    rms = np.sqrt(sq / len(paths))
     slope = float(np.polyfit(np.log2(dts), np.log2(rms), 1)[0])
     decreasing = bool(np.all(np.diff(rms) < 0))
     ok = slope >= 0.9 and decreasing
@@ -256,20 +208,14 @@ def test_criterion_7_constant_noise_change_of_variables():
 def test_criterion_8_ito_stratonovich_consistency():
     t0 = time.time()
     grid = sp.Grid(64)
-    state0 = tg_random_state(grid)
+    state0 = _tg_random_state(grid)
     basis = build_basis(default_family(grid, k_max=4, max_modes=3), grid)
     dts = [2.0**-k for k in (5, 6, 7, 8, 9)]
-    rng = np.random.default_rng(11)
-    fine = rng.normal(0, np.sqrt(dts[-1]),
-                      size=(int(round(1.0 / dts[-1])), len(basis)))
-    diffs = []
-    for dt in dts:
-        incr = coarsen(fine, int(round(dt / dts[-1])))
-        ito = run(state0, basis, SchemeConfig("ito_euler", dt=dt), 1.0,
-                  increments=incr, diag_interval=10**9).final_state
-        strat = run(state0, basis, SchemeConfig("stratonovich_heun", dt=dt), 1.0,
-                    increments=incr, diag_interval=10**9).final_state
-        diffs.append(sp.l2_norm(ito.omega - strat.omega))
+    paths = brownian_paths([11], dts[-1], 1.0, len(basis))
+    ito, strat = (refine(state0, basis, [SchemeConfig(scheme, dt=dt) for dt in dts],
+                         1.0, paths) for scheme in ("ito_euler", "stratonovich_heun"))
+    diffs = [sp.l2_norm(ito_end.omega - strat_end.omega)
+             for (ito_end,), (strat_end,) in zip(ito, strat)]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     final_frac = diffs[-1] / diffs[0]
     ok = decreasing and final_frac <= 0.10
@@ -281,23 +227,15 @@ def test_criterion_8_ito_stratonovich_consistency():
 def test_criterion_9_pathwise_tracer_norm():
     t0 = time.time()
     grid = sp.Grid(64)
-    state0 = tg_random_state(grid)
+    state0 = _tg_random_state(grid)
     theta_norm0 = sp.l2_norm(state0.theta)
     basis = build_basis(default_family(grid, k_max=1, sigma=0.2), grid)
     dts = [2.0**-k for k in (7, 8, 9)]
-    master, paths = 42, 8
-    fine = [np.random.default_rng((master, j)).normal(
-        0, np.sqrt(dts[-1]), size=(int(round(1.0 / dts[-1])), len(basis)))
-        for j in range(paths)]
-    acc = np.zeros(len(dts))
-    for i, dt in enumerate(dts):
-        # the paths of one dt, stepped as lanes
-        incr = [coarsen(path, int(round(dt / dts[-1]))) for path in fine]
-        trajs = _run_lanes([state0] * paths, basis, SchemeConfig("stratonovich_heun", dt=dt),
-                           1.0, increments=incr, diag_interval=10**9)
-        for traj in trajs:
-            acc[i] += abs(sp.l2_norm(traj.final_state.theta) - theta_norm0)
-    mean = acc / paths
+    paths = brownian_paths([(42, j) for j in range(8)], dts[-1], 1.0, len(basis))
+    table = refine(state0, basis, [SchemeConfig("stratonovich_heun", dt=dt) for dt in dts],
+                   1.0, paths)
+    mean = np.array([sum(abs(sp.l2_norm(final.theta) - theta_norm0) for final in row)
+                     for row in table]) / len(paths)
     ratios = (mean[:-1] / mean[1:]).tolist()
     ok = all(1.7 <= r <= 2.3 for r in ratios)
     assert report(9, ok, f"mean |defect| {np.array2string(mean, precision=3)}, "
@@ -313,7 +251,6 @@ def test_criterion_10_truncation_semantics():
     theta = sp.random_field(grid, rng, band=8, amplitude=2.0)
     state = SimState(omega, theta)
     basis = build_basis([((1, 0), "sine", 0.1)], grid)
-    from sbq.noise import sample_increments
     db = sample_increments(np.random.default_rng(111), 0.01, 1)
     below_ok = True
     big_r = 10.0 * sum(state.grad_sups) + 10.0
@@ -345,7 +282,6 @@ def test_criterion_11_hyper_regularization():
     theta = sp.random_field(grid, rng, band=8)
     state = SimState(omega, theta)
     basis = build_basis([((0, 1), "cosine", 0.1)], grid)
-    from sbq.noise import sample_increments
     db = sample_increments(np.random.default_rng(113), 0.01, 1)
     trunc = step(state, basis, db, SchemeConfig(
         "stratonovich_heun", dt=0.01, variant="truncated", r=5.0))
@@ -358,7 +294,6 @@ def test_criterion_11_hyper_regularization():
                     sp.SpectralField.zero(grid))
     cfg = SchemeConfig("stratonovich_heun", dt=dt, variant="hyper", r=1e9,
                        nu=nu, drift_enabled=False)
-    from sbq.noise import BrownianIncrements
     out = step(pure, empty_basis(grid), BrownianIncrements(np.zeros(0), dt),
                      cfg)
     expect = np.cos(2 * grid.x) * np.exp(-nu * 2.0**10 * dt)
@@ -395,7 +330,7 @@ def test_criterion_12_ensemble_reproducibility(tmp_path):
 def test_criterion_13_blowup_bookkeeping():
     t0 = time.time()
     grid = sp.Grid(64)
-    state0 = tg_random_state(grid, amplitude=1.5)
+    state0 = _tg_random_state(grid, amplitude=1.5)
     basis = build_basis(default_family(grid, k_max=2, sigma=0.1), grid)
     cfg = SchemeConfig("stratonovich_heun", dt=0.01)
     traj = run(state0, basis, cfg, T=1.0, rng=np.random.default_rng(7),

@@ -21,8 +21,8 @@ from sbq.diagnostics import (
     potential_term,
     update_stopping_report,
 )
-from sbq.integrator import SchemeConfig, _advance
-from sbq.noise import build_basis, default_family
+from sbq.integrator import SchemeConfig, _advance, run
+from sbq.noise import build_basis, default_family, empty_basis
 from sbq.state import Lanes, SimState
 from oracles import fine_values, lp_magnitude_reference, quadrature, quadrature_sobolev_sq
 
@@ -205,14 +205,11 @@ class TestConservationDefects:
             conservation_defects([], 0.1)
 
     def test_stationary_run_defects_tiny(self, grid):
-        from sbq.integrator import SchemeConfig, run
-        from sbq.noise import NoiseBasis
         # omega = cos x with constant theta is an exact discrete fixed point
         state = SimState(sp.SpectralField.from_physical(grid, np.cos(grid.x)),
                          sp.SpectralField.from_physical(
                              grid, 0.7 * np.ones((grid.n, grid.n))))
-        basis = NoiseBasis((), 0.0, grid, 0.0)
-        traj = run(state, basis, SchemeConfig("stratonovich_heun", dt=1e-2),
+        traj = run(state, empty_basis(grid), SchemeConfig("stratonovich_heun", dt=1e-2),
                    T=1.0, diag_interval=1)
         out = conservation_defects(traj.records, 1e-2)
         assert out["enstrophy2_defect"] <= 1e-10

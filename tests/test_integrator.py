@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 
 from sbq import integrator
 from sbq import spectral as sp
-from sbq.config import initial_condition, random_hs_field
+from sbq.config import initial_condition
 from sbq.diagnostics import compute_record
 from sbq.integrator import (
     BlowUpSuspected,
@@ -31,14 +31,15 @@ from sbq.integrator import (
 )
 from sbq.noise import (
     BrownianIncrements,
-    NoiseBasis,
     build_basis,
     constant_shift_basis,
     default_family,
+    empty_basis,
     sample_increments,
 )
 from sbq.operators import lie_derivative
 from sbq.state import Lanes, SimState, _grad_sups
+from sbq.studies import _tg_random_state
 from oracles import (
     count_ffts,
     fd_derivative,
@@ -52,10 +53,6 @@ from oracles import (
 @pytest.fixture(scope="module")
 def grid():
     return sp.Grid(64)
-
-
-def empty_basis(grid):
-    return NoiseBasis((), 0.0, grid, 0.0)
 
 
 def zero_increments(dt):
@@ -353,11 +350,8 @@ class TestStratonovichHeun:
         # criterion-6 initial state: the one-step theta^2 defect
         # (dt^2/4) ||(A0 - A1) theta||^2 with A0 - A1 = O(dt) is O(dt^4),
         # so each dt halving shrinks it by ~16
-        omega = sp.SpectralField.from_physical(
-            grid, 2.0 * np.sin(grid.x) * np.sin(grid.y))
-        theta = random_hs_field(grid, 3.0, np.random.default_rng(42), 1.0)
-        state = SimState(omega, theta)
-        norm0 = sp.inner(theta, theta)
+        state = _tg_random_state(grid)
+        norm0 = sp.inner(state.theta, state.theta)
         defects = []
         for dt in (1e-2, 5e-3, 2.5e-3):
             new = step(state, empty_basis(grid), zero_increments(dt),
