@@ -259,6 +259,9 @@ def parse_config(obj: dict) -> RunConfig:
         _require(max(map(abs, mode["wavevector"])) <= n / 3.0,
                  f"noise.modes[{i}].wavevector",
                  "noise wavevectors must fit the dealias ball (max(|k1|, |k2|) <= n/3)")
+    if "wavevector" in initial:  # beyond n/2 it aliases, beyond n/3 no stage moves it
+        _require(max(map(abs, initial["wavevector"])) <= n / 3.0, "initial.wavevector",
+                 "the initial mode must fit the dealias ball (max(|k1|, |k2|) <= n/3)")
     if initial.get("band") is not None:
         _require(initial["band"] <= n / 3.0, "initial.band",
                  "the initial band must fit the dealias ball (band <= n/3)")

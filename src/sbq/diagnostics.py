@@ -9,7 +9,8 @@ blow-up integrand when it steps from that stack.  Its inner products run
 row by row (``_inner_half``), and its Sobolev norms and theta's physical
 samples come from each lane's state (``sobolev_norm``, ``values()``), so
 each lane's record is bit for bit the record of the lane alone.  :func:`compute_record`
-is its one-lane case, and reads a lone state's own cache (:mod:`sbq.state`).
+is its one-lane case, and reads the state's own one-lane stack
+(:mod:`sbq.state`).
 
 Energy accounting on the torus: the potential term integral of theta * y
 uses the coordinate y in [-pi, pi), which is discontinuous on the torus, so

@@ -557,11 +557,12 @@ def _lane_steps(results: list, basis: NoiseBasis, cfg: SchemeConfig, T: float,
     by the exception that failed the lane (see :func:`_run_lanes`).  The
     stack holds the lanes still running, in lane order; a run that reaches
     T yields last a stack whose ``t`` is exactly T, and one whose every lane
-    stopped ends without a yield for that step.  The yielded stack's
-    velocity and samples live in this thread's workspace, which every step
-    overwrites (its predictor's are computed there): a consumer may read
-    the stack and record lone states, but must not step, or start a run,
-    in this thread before it resumes the loop.
+    stopped ends without a yield for that step.  A stack the loop stepped
+    to keeps its velocity and samples in this thread's workspace, which
+    every step overwrites (its predictor's are computed there): a consumer
+    may read the stack and record any states (``Lanes.of`` holds no
+    workspace buffer), but must not step, or start a run, in this thread
+    before it resumes the loop.
     """
     initial = [traj.final_state for traj in results]
     t0 = initial[0].t

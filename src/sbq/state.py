@@ -6,18 +6,22 @@ fields stacked (R, 2, n, n/2 + 1) on a leading axis: the stepper's unit of
 work and the one holder of what is derived from the fields.  Its velocity,
 grad u and grad theta samples (one batched inverse; ``grad_theta`` names
 the last two planes, a layout only this module knows) and gradient sups
-are computed on first use, in this thread's workspace (:mod:`sbq.spectral`).
-The stepper's stages read stacks, the start stack and the Heun predictor,
-and :func:`sbq.diagnostics.compute_records` reads them too, so a run, which
-records a stack before stepping from it, evaluates each stack's samples
-once.  Every operation runs plane by plane or lane by lane, so a lane's
-bits never depend on the other lanes.
+are computed on first use, in this thread's workspace (:mod:`sbq.spectral`)
+for the stepper's stacks.  The stepper's stages read stacks, the start
+stack and the Heun predictor, and :func:`sbq.diagnostics.compute_records`
+reads them too, so a run, which records a stack before stepping from it,
+evaluates each stack's samples once.  Every operation runs plane by plane
+or lane by lane, so a lane's bits never depend on the other lanes.
 
-:class:`SimState` is one realization.  A lane's state (:meth:`Lanes.state`)
-is a plain view of the lane's fresh fields, never of the workspace; a state
-computes its own velocity, samples and sups on first use, into fresh arrays
-it caches, and :meth:`Lanes.of` reads those (a state repeated across lanes
-pays one gradient inverse).
+:class:`SimState` is one realization, and a lone state is a one-lane stack:
+its ``_lane``, made on first use from its fields and its ``velocity``
+(:func:`sbq.spectral.biot_savart`'s, which refuses an omega with a nonzero
+mean), owns its arrays, fresh and never the workspace's; the state's
+samples, ``grad_theta`` and ``grad_sups`` read it.  :meth:`Lanes.of` reads
+the states' own stacks (a state repeated across lanes pays one gradient
+inverse), so no array it holds is a workspace buffer.  A lane's state
+(:meth:`Lanes.state`) is a plain view of the lane's fresh fields, never of
+the workspace.
 
 Inside the 2/3 ball: fields with no mode the 2/3 rule removes
 (:func:`sbq.spectral._in_ball`; the ``random_hs`` initial states, and every
@@ -28,7 +32,8 @@ the other columns are zero, so the bits are those of ``irfft2``, and the
 grad theta planes are those a stage's dealiased inverse would make, so a
 stage reads them instead.  Fields outside the ball (``from_physical``
 fields such as Taylor-Green, a snapshot read back) keep the full inverse.
-A lone state scans its fields; a stack carries the fact (``Lanes.in_ball``).
+A state's own stack scans its fields; a stepper's stack carries the fact
+(``Lanes.in_ball``).
 """
 
 from __future__ import annotations
@@ -77,39 +82,44 @@ class SimState:
         return biot_savart(self.omega)
 
     @cached_property
+    def _lane(self) -> Lanes:
+        """This state as a one-lane stack that owns its arrays, never the
+        workspace's, and holds no reference back to the state."""
+        fields, g = np.array([(self.omega.half, self.theta.half)]), self.grid
+        lane = Lanes(g, fields, self.t, [self.blowup_accum], _in_ball(fields, g), owned=True)
+        lane.velocity = np.array([(self.velocity.u1.half, self.velocity.u2.half)])
+        return lane
+
+    @property
     def _samples(self) -> np.ndarray:
-        """Physical samples, from one batched inverse transform, of
-        d_x u1, d_y u1, d_x u2, d_y u2, d_x theta, d_y theta; each plane
-        equals the ``values()`` of the corresponding derivative."""
-        u, g = self.velocity, self.grid
-        in_ball = _in_ball(self.omega.half, g) and _in_ball(self.theta.half, g)
-        return _read_only(_gradient_samples(u.u1.half, u.u2.half, self.theta.half, g, in_ball))
+        """Physical samples of d_x u1, d_y u1, d_x u2, d_y u2, d_x theta,
+        d_y theta; each plane equals the ``values()`` of the corresponding
+        derivative."""
+        return self._lane.samples[0]
 
     @property
     def grad_theta(self) -> tuple[np.ndarray, np.ndarray]:
         """Physical samples of (d_x theta, d_y theta)."""
         return self._samples[4], self._samples[5]
 
-    @cached_property
+    @property
     def grad_sups(self) -> tuple[float, float]:
         """(||grad u||_inf, ||grad theta||_inf), each the collocation sup
         over every partial derivative; their sum is the blow-up integrand."""
-        return _grad_sups(self._samples[None])[0]
+        return self._lane.sups[0]
 
 
-def _gradient_samples(u1: np.ndarray, u2: np.ndarray, theta: np.ndarray, grid: Grid,
-                      in_ball: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Physical samples (..., 6, n, n) of the gradients of u1, u2 and theta,
-    given as half spectra (..., n, n/2 + 1): one batched inverse transform,
-    into ``out`` or a fresh array.  ``in_ball`` (the fields lie inside the
-    2/3 ball, and so do their gradients) prunes it to the rule's columns,
-    with no zero fill: the bits of the full inverse."""
-    lead, n = theta.shape[:-2], grid.n
-    half = _workspace("state-samples", (*lead, 6, n, n // 2 + 1))
-    for i, f in enumerate((u1, u2, theta)):
-        _gradient_half(f, grid, out=half[..., 2 * i:2 * i + 2, :, :])
-    if out is None:
-        out = np.empty((*lead, 6, n, n))
+def _gradient_samples(velocity: np.ndarray, theta: np.ndarray, grid: Grid, in_ball: bool,
+                      out: np.ndarray) -> np.ndarray:
+    """Physical samples (R, 6, n, n), written into ``out``, of the gradients
+    of u1, u2 and theta, given as half spectra, ``velocity`` (R, 2, n, n/2 + 1)
+    and ``theta`` (R, n, n/2 + 1): one batched inverse transform.
+    ``in_ball`` (the fields lie inside the 2/3 ball, and so do their
+    gradients) prunes it to the rule's columns, with no zero fill: the bits
+    of the full inverse."""
+    half = _workspace("state-samples", (*out.shape[:-1], grid.n // 2 + 1))
+    for i, f in enumerate((velocity[:, 0], velocity[:, 1], theta)):
+        _gradient_half(f, grid, out=half[:, 2 * i:2 * i + 2])
     return _to_physical(half, grid, out=out, in_ball=in_ball)
 
 
@@ -130,44 +140,48 @@ class Lanes:
 
     ``velocity`` (R, 2, n, n/2 + 1), ``samples`` (R, 6, n, n) and ``sups``
     (one (||grad u||_inf, ||grad theta||_inf) per lane) are computed on first
-    use for the whole stack, the first two in buffers of this thread's
-    workspace that every stack shares, a step's Heun predictor included:
-    they stay valid until another stack computes its own (in any step or
-    run, or :meth:`of` of several states).  So a consumer of a stack the
-    lane loop yields may read it and record lone states, but must not step,
-    or start a run, in this thread before it resumes the loop.
-    :meth:`state` views never alias the workspace.
+    use for the whole stack.  The stepper's stacks, a step's Heun predictor
+    included, keep the first two in buffers of this thread's workspace that
+    they all share: they stay valid until another such stack computes its
+    own, in any step or run.  So a consumer of a stack the lane loop yields
+    may read it and record any states, but must not step, or start a run,
+    in this thread before it resumes the loop.  A state's own stack
+    (``owned``) derives into fresh arrays, never the workspace; :meth:`of`
+    shares one lane's and copies several into fresh arrays, and
+    :meth:`state` views only the stack's fields.
 
-    ``in_ball`` is carried, not scanned: :meth:`of` scans the states' fields
-    once, the stepper (whose rates are zero outside the ball) hands it on,
-    and :meth:`take` keeps it, rescanning only a stack outside the ball,
-    which may have dropped its only lanes outside.  Should the hyper decay
-    flush a stack's last modes outside to zero, the stack stays outside:
-    its full inverse has the bits of the pruned one.
+    ``in_ball`` is carried, not scanned: each state's own stack scans its
+    fields once and :meth:`of` reads those, the stepper (whose rates are
+    zero outside the ball) hands it on, and :meth:`take` keeps it,
+    rescanning only a stack outside the ball, which may have dropped its
+    only lanes outside.  Should the hyper decay flush a stack's last modes
+    outside to zero, the stack stays outside: its full inverse has the bits
+    of the pruned one.
     """
 
     def __init__(self, grid: Grid, fields: np.ndarray, t: float, accum: list,
-                 in_ball: bool, states: list | None = None):
+                 in_ball: bool, states: list | None = None, owned: bool = False):
         self.grid, self.fields, self.t, self.accum = grid, _read_only(fields), t, accum
-        self.in_ball = in_ball
+        self.in_ball, self._owned = in_ball, owned
         self._states = states or [None] * len(fields)
 
     @classmethod
     def of(cls, states: list) -> "Lanes":
         """The lanes of given states, which must share the grid and the time;
-        a state may appear more than once.  The stack reads the states' own
-        velocity, samples and sups (a repeated state computes them once)."""
+        a state may appear more than once.  The stack reads each state's own
+        one-lane stack (a repeated state derives it once): one lane's arrays
+        are shared, several are copied into fresh arrays, so no array of the
+        stack is a workspace buffer."""
         grid, t = states[0].grid, states[0].t
         if any(s.grid != grid or s.t != t for s in states):
             raise ValueError("lanes must share the grid and the time")
-        fields = np.array([(s.omega.half, s.theta.half) for s in states])
-        lanes = cls(grid, fields, t, [s.blowup_accum for s in states],
-                    _in_ball(fields, grid), list(states))
-        lanes.velocity = np.array([(s.velocity.u1.half, s.velocity.u2.half) for s in states])
-        samples, n = [s._samples for s in states], grid.n  # one lane's are not copied
-        lanes.samples = samples[0][None] if len(samples) == 1 else np.stack(
-            samples, out=_workspace("lane-samples", (len(samples), 6, n, n), np.float64))
-        lanes.sups = [s.grad_sups for s in states]
+        own = [s._lane for s in states]
+        join = (lambda arrays: arrays[0]) if len(own) == 1 else np.concatenate
+        lanes = cls(grid, join([o.fields for o in own]), t, [s.blowup_accum for s in states],
+                    all(o.in_ball for o in own), list(states))
+        lanes.velocity = join([o.velocity for o in own])
+        lanes.samples = join([o.samples for o in own])
+        lanes.sups = [o.sups[0] for o in own]
         return lanes
 
     def __len__(self) -> int:
@@ -180,9 +194,10 @@ class Lanes:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        v, n = self.velocity, self.grid.n
-        return _gradient_samples(v[:, 0], v[:, 1], self.fields[:, 1], self.grid, self.in_ball,
-                                 _workspace("lane-samples", (len(self), 6, n, n), np.float64))
+        shape = (len(self), 6, self.grid.n, self.grid.n)
+        out = np.empty(shape) if self._owned else _workspace("lane-samples", shape, np.float64)
+        _gradient_samples(self.velocity, self.fields[:, 1], self.grid, self.in_ball, out)
+        return _read_only(out) if self._owned else out  # a state's samples are immutable
 
     @cached_property
     def sups(self) -> list:
@@ -196,9 +211,8 @@ class Lanes:
     def state(self, lane: int) -> SimState:
         """Lane ``lane`` as a :class:`SimState` viewing the stack's fields."""
         if self._states[lane] is None:
-            g, f = self.grid, self.fields[lane]
-            self._states[lane] = SimState(SpectralField(g, f[0]), SpectralField(g, f[1]),
-                                          self.t, self.accum[lane])
+            fields = (SpectralField(self.grid, half) for half in self.fields[lane])
+            self._states[lane] = SimState(*fields, self.t, self.accum[lane])
         return self._states[lane]
 
     def take(self, lanes: list) -> "Lanes":

@@ -1,12 +1,14 @@
 """Config parsing (strict, path-naming errors), initial conditions, snapshot
 and CSV round trips."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from sbq import spectral as sp
+from sbq.cli import main
 from sbq.config import (
     ConfigError,
     RunConfig,
@@ -107,6 +109,26 @@ class TestParseConfig:
             parse_config({**MINIMAL, "n": 16, "noise": {"type": "modes", "modes": [
                 {"wavevector": [7, 0]}]}})
         assert info.value.path == "noise.modes[0].wavevector"
+
+    def test_initial_wavevector_vs_grid(self):
+        # checked as a noise mode is: at n = 16, [12, 0] would alias to
+        # cos(4x), and [6, 0] lies where the stage's rates are zero
+        single = {"type": "single_mode", "amplitude": 1.0, "target": "theta"}
+        cfg = parse_config({**MINIMAL, "n": 16, "initial": {**single, "wavevector": [5, -5]}})
+        assert cfg.initial["wavevector"] == [5, -5]
+        for wv in ([12, 0], [6, 0], [0, -6]):
+            with pytest.raises(ConfigError) as info:
+                parse_config({**MINIMAL, "n": 16, "initial": {**single, "wavevector": wv}})
+            assert info.value.path == "initial.wavevector"
+
+    def test_initial_wavevector_outside_the_ball_exits_2(self, tmp_path, capsys):
+        doc = {**MINIMAL, "n": 16, "out": str(tmp_path / "out"), "initial": {
+            "type": "single_mode", "wavevector": [12, 0]}}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(tmp_path / "config.json"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial.wavevector: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_stopping_levels_must_increase(self):
         with pytest.raises(ConfigError):

@@ -15,7 +15,7 @@ from hypothesis import strategies as hst
 from sbq import integrator
 from sbq import spectral as sp
 from sbq.config import initial_condition
-from sbq.diagnostics import compute_record
+from sbq.diagnostics import compute_record, compute_records
 from sbq.integrator import (
     BlowUpSuspected,
     SchemeConfig,
@@ -555,6 +555,20 @@ class TestBlowUpBookkeeping:
         traj = run(state, basis, cfg, T=0.5, rng=rng, diag_interval=10**9)
         assert abs(traj.final_state.omega.mean()) <= 1e-13
         assert traj.final_state.theta.mean() == pytest.approx(theta_mean0, abs=1e-13)
+
+    def test_nonzero_omega_mean_is_rejected(self, grid):
+        # no periodic velocity has a nonzero mean curl: the Biot-Savart
+        # velocity every consumer of a state reads refuses such an omega
+        rng = np.random.default_rng(12)
+        omega = sp.random_field(grid, rng, band=8, zero_mean=True) + \
+            sp.SpectralField.from_physical(grid, np.ones((grid.n, grid.n)))
+        assert omega.mean() == pytest.approx(1.0)
+        cfg = SchemeConfig("stratonovich_heun", dt=0.01)
+        for use in (lambda s: run(s, empty_basis(grid), cfg, T=0.02),
+                    lambda s: step(s, empty_basis(grid), zero_increments(0.01), cfg),
+                    compute_record):
+            with pytest.raises(ValueError, match="zero mean"):
+                use(SimState(omega, sp.random_field(grid, rng, band=8)))
 
 
 _LIMIT = integrator._MAGNITUDE_LIMIT
@@ -1328,6 +1342,28 @@ class TestNoWorkspaceAliasing:
         assert results[0].steps_taken == 3 and results[0].final_state is state
         got = run(state, basis, cfg, 0.006, rng=np.random.default_rng(9), diag_interval=2)
         TestLanes.assert_same(got, want)
+
+    def test_recording_other_states_while_paused_leaves_the_run_unchanged(self):
+        # a stack of several states owns its samples, so recording it while
+        # a two-lane in-ball loop is paused writes nothing the loop reads next
+        g = sp.Grid(32)
+        _, basis, cfg = self.setup(g)
+        a, b = TestCarriedBall.stack(g, "random_hs")
+        lanes0 = [a, SimState(-a.omega, 0.5 * a.theta)]
+        others = [SimState(0.7 * a.omega, 0.3 * a.theta), b]
+
+        def loop(pause):
+            results = [Trajectory(final_state=s) for s in lanes0]
+            rngs = [np.random.default_rng(11 + i) for i in range(2)]
+            for index, lanes in _lane_steps(results, basis, cfg, 0.008, rngs):
+                assert lanes.in_ball and len(lanes) == 2
+                if pause and index == 4:
+                    compute_records(Lanes.of(others))
+            return results
+
+        for got, want in zip(loop(pause=True), loop(pause=False)):
+            assert got.steps_taken == 8
+            TestLanes.assert_same(got, want)
 
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
